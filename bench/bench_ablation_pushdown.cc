@@ -20,7 +20,6 @@ struct Variant {
   bool zone_maps = true;
   bool predicate_pushdown = true;
   bool limit_pushdown = true;
-  bool selection_pushdown = true;
 };
 
 double RunVariant(const Variant& variant,
@@ -31,7 +30,6 @@ double RunVariant(const Variant& variant,
   config.rows_per_block = spec.rows_per_block;
   config.leaf.enable_smart_index = variant.smart_index;
   config.leaf.enable_zone_maps = variant.zone_maps;
-  config.leaf.enable_selection_pushdown = variant.selection_pushdown;
   config.leaf.sim_data_scale = spec.sim_data_scale;
   config.master.enable_task_result_reuse = false;
   config.master.enable_predicate_pushdown = variant.predicate_pushdown;
@@ -76,8 +74,7 @@ int main() {
       {"- zone maps", true, false, true, true},
       {"- predicate pushdown", true, true, false, true},
       {"- limit pushdown", true, true, true, false},
-      {"- selection pushdown", true, true, true, true, false},
-      {"nothing enabled", false, false, false, false, false},
+      {"nothing enabled", false, false, false, false},
   };
   double full = 0;
   std::printf("%-24s %-20s %-12s\n", "Variant", "Warm avg (ms)",
@@ -90,10 +87,6 @@ int main() {
   std::printf(
       "\nNote: disabling predicate pushdown moves filtering to the master, "
       "which also starves SmartIndex (it lives in the leaf scan path) — "
-      "the paper's design couples the two deliberately.\n"
-      "Selection pushdown changes which rows the decoders materialize, not "
-      "how many rows the simulated cost model charges for scanning, so its "
-      "win shows up in real CPU time (bench_micro_ops, "
-      "docs/PERFORMANCE.md) rather than in this simulated-latency table.\n");
+      "the paper's design couples the two deliberately.\n");
   return 0;
 }

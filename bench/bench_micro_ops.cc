@@ -268,9 +268,11 @@ void BM_HashJoinEqui(benchmark::State& state) {
         .ok();
   }
   for (size_t i = 0; i < 1024; ++i) {
+    std::string payload = "r";
+    payload += std::to_string(i);
     right
         .AppendRow({Value::Int64(static_cast<int64_t>(i)),
-                    Value::String("r" + std::to_string(i))})
+                    Value::String(payload)})
         .ok();
   }
   HashJoinOptions options;

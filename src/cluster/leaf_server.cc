@@ -42,7 +42,7 @@ std::vector<std::string> ExprColumns(const ExprPtr& expr) {
 /// selected rows, not all num_rows of the block.
 Result<RecordBatch> DecodeDataBatch(const ColumnarBlock& block,
                                     const std::vector<std::string>& columns,
-                                    const BitVector* selection = nullptr) {
+                                    const BitVector* selection) {
   if (!columns.empty()) return block.DecodeBatch(columns, selection);
   ColumnVector rowid(DataType::kInt64);
   if (selection != nullptr) {
@@ -236,17 +236,11 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
       stats.AccumulateAgg(agg.stats());
       return result;
     }
-    if (config_.enable_selection_pushdown) {
-      // Selective decode against an all-false selection touches no row
-      // data at all; only the schema comes out.
-      BitVector none(block->num_rows(), false);
-      FEISU_ASSIGN_OR_RETURN(result.batch,
-                             DecodeDataBatch(*block, task.columns, &none));
-      return result;
-    }
-    FEISU_ASSIGN_OR_RETURN(RecordBatch batch,
-                           DecodeDataBatch(*block, task.columns));
-    result.batch = batch.Filter(BitVector(batch.num_rows(), false));
+    // Selective decode against an all-false selection touches no row data
+    // at all; only the schema comes out.
+    BitVector none(block->num_rows(), false);
+    FEISU_ASSIGN_OR_RETURN(result.batch,
+                           DecodeDataBatch(*block, task.columns, &none));
     return result;
   };
 
@@ -333,21 +327,19 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
     // The columnar-I/O charge covers every scanned conjunct's columns
     // whether the compressed-domain kernels answer them or not: the leaf
     // still reads those bytes off storage, it just evaluates them without
-    // decoding. Simulated costs stay identical to the decode path by
-    // design — the compressed-domain win is host wall-clock, and keeping
-    // the timing model unchanged keeps every seed-swept chaos/straggler
-    // schedule byte-stable across the enable_compressed_eval ablation.
+    // decoding. Simulated costs equal those of decoding by design — the
+    // compressed-domain win is host wall-clock, and charging the same
+    // whichever conjuncts a kernel answers keeps every seed-swept
+    // chaos/straggler schedule stable.
     stats.io_time +=
         ChargeColumnRead(*block, task.block, to_charge, 1.0, &stats);
     std::vector<std::optional<TriStateVector>> encoded(missing.size());
-    if (config_.enable_compressed_eval) {
-      for (size_t m = 0; m < missing.size(); ++m) {
-        TriStateVector tri;
-        FEISU_ASSIGN_OR_RETURN(
-            bool handled,
-            TryEvaluatePredicateEncoded(*missing[m], *block, &tri));
-        if (handled) encoded[m] = std::move(tri);
-      }
+    for (size_t m = 0; m < missing.size(); ++m) {
+      TriStateVector tri;
+      FEISU_ASSIGN_OR_RETURN(
+          bool handled,
+          TryEvaluatePredicateEncoded(*missing[m], *block, &tri));
+      if (handled) encoded[m] = std::move(tri);
     }
     // Decode only what the fallback conjuncts actually reference; when
     // every conjunct was answered in the compressed domain, nothing
@@ -458,19 +450,14 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
   stats.io_time +=
       ChargeColumnRead(*block, task.block, to_charge, selectivity, &stats);
   // Selection pushdown: projection columns decode *through* the combined
-  // predicate bitmap, so only matching rows ever materialize. The fallback
-  // is the pre-pushdown path — full decode, then copy the survivors.
+  // predicate bitmap, so only matching rows ever materialize.
   const BitVector* decode_selection =
-      !conjuncts.empty() && config_.enable_selection_pushdown ? &selection
-                                                             : nullptr;
+      conjuncts.empty() ? nullptr : &selection;
   FEISU_ASSIGN_OR_RETURN(
-      RecordBatch data,
+      RecordBatch filtered,
       DecodeDataBatch(*block, task.columns, decode_selection));
   stats.values_decoded +=
-      static_cast<uint64_t>(data.num_rows()) * data.num_columns();
-  RecordBatch filtered = conjuncts.empty() || decode_selection != nullptr
-                             ? std::move(data)
-                             : data.Filter(selection);
+      static_cast<uint64_t>(filtered.num_rows()) * filtered.num_columns();
   stats.cpu_time +=
       RowCost(filtered.num_rows(), config_.cpu_per_row_materialize);
 
@@ -503,7 +490,7 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
     // stay leaf-local — the partial batch emitted below carries the
     // materialized strings, byte-identical to the decode path.
     bool dict_keyed = false;
-    if (config_.enable_compressed_eval && task.group_by.size() == 1 &&
+    if (task.group_by.size() == 1 &&
         task.group_by[0]->kind() == ExprKind::kColumnRef) {
       const Expr& key = *task.group_by[0];
       int idx = -1;
@@ -518,7 +505,7 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
             bool ok,
             TryExtractDictCodes(
                 block->encoded_column(static_cast<size_t>(idx)),
-                conjuncts.empty() ? nullptr : &selection, &codes));
+                decode_selection, &codes));
         if (ok && codes.codes.size() == filtered.num_rows()) {
           FEISU_RETURN_IF_ERROR(agg.ConsumeDictKeyed(filtered, codes));
           dict_keyed = true;

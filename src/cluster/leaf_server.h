@@ -21,19 +21,6 @@ struct LeafServerConfig {
   bool enable_smart_index = true;
   bool enable_btree_index = false;  ///< Fig. 9b baseline mode
   bool enable_zone_maps = true;     ///< min/max block skipping
-  /// Late materialization: resolve the predicate bitmap first, then decode
-  /// projection columns through it (selective decode) instead of decoding
-  /// every row and filtering the survivors. Off = the pre-pushdown
-  /// decode-then-Filter path (ablations; results are byte-identical).
-  bool enable_selection_pushdown = true;
-  /// Compressed-domain execution: answer predicate conjuncts directly over
-  /// encoded columns (dict codes / RLE runs / bit-packed words) and key
-  /// single-column dictionary group-bys on codes, falling back to
-  /// decode-then-evaluate per conjunct when no kernel applies. Results and
-  /// *simulated* costs are byte-identical either way (the win is host
-  /// wall-clock; see docs/PERFORMANCE.md); off = always decode (ablations).
-  bool enable_compressed_eval = true;
-
   /// Optional SSD column cache; 0 disables it.
   uint64_t ssd_capacity_bytes = 0;
   CachePolicy ssd_policy = CachePolicy::kManual;

@@ -35,7 +35,7 @@ bool IsRetryableTaskFailure(const Status& status) {
 
 }  // namespace
 
-/// One block's leaf task plus the outcome slot the parallel path fills:
+/// One block's leaf task plus the outcome slot the pooled path fills:
 /// pool workers write only their own slot; the job coordinator's commit
 /// phase folds the slots into scheduler/stats state in block order.
 struct MasterServer::PendingLeafTask {
@@ -44,9 +44,8 @@ struct MasterServer::PendingLeafTask {
   std::vector<uint32_t> replicas;
   TaskResult result;
   Placement placement;
-  SimTime duration = 0;
   bool reused = false;
-  // Parallel-phase outcome (written by a pool worker).
+  // Pooled-phase outcome (written by a pool worker).
   Status exec_status;          ///< terminal (non-retryable) failure, if any
   bool completed = false;
   int retries = 0;             ///< failed attempts that were retried
@@ -214,10 +213,7 @@ Result<QueryResult> MasterServer::ExecuteQuery(const std::string& user,
     entry_guard_.CountImmediateJob();
     int64_t job_id =
         job_manager_.CreateJob(user, sql, now, config_.default_priority);
-    JobContext ctx;
-    ctx.job_id = job_id;
-    ctx.tenant = user;
-    return RunPlannedQuery(stmt, ctx, now);
+    return RunSerialJob(stmt, job_id, user, now);
   }
   FEISU_ASSIGN_OR_RETURN(int64_t job_id, SubmitQuery(user, sql, now));
   return WaitQuery(job_id);
@@ -240,18 +236,7 @@ Result<int64_t> MasterServer::SubmitQuery(const std::string& user,
   int64_t job_id = 0;
   {
     MutexLock lock(admission_mutex_);
-    // Apply chaos node events admission-serialized so every coordinator
-    // sees a consistent cluster view; coordinators themselves skip this
-    // (NodeInfo's non-atomic control fields are single-writer).
-    if (FaultInjector* faults = router_->fault_injector()) {
-      for (const NodeFaultEvent& event : faults->TakeDueNodeEvents(now)) {
-        if (event.crash) {
-          cluster_->MarkDead(event.node_id);
-        } else {
-          cluster_->MarkAlive(event.node_id, now);
-        }
-      }
-    }
+    ApplyDueNodeEvents(now);
     // Backpressure + tenant backlog quotas; a bounce never creates a job.
     FEISU_RETURN_IF_ERROR(
         entry_guard_.EnqueueJob(user, config_.admission_queue_capacity));
@@ -273,6 +258,18 @@ Result<int64_t> MasterServer::SubmitQuery(const std::string& user,
   // picked up when capacity frees without any further wakeup.
   job_pool_->Submit([this]() { DrainJobs(); });
   return job_id;
+}
+
+void MasterServer::ApplyDueNodeEvents(SimTime now) {
+  FaultInjector* faults = router_->fault_injector();
+  if (faults == nullptr) return;
+  for (const NodeFaultEvent& event : faults->TakeDueNodeEvents(now)) {
+    if (event.crash) {
+      cluster_->MarkDead(event.node_id);
+    } else {
+      cluster_->MarkAlive(event.node_id, now);
+    }
+  }
 }
 
 Result<QueryResult> MasterServer::WaitQuery(int64_t job_id) {
@@ -324,6 +321,23 @@ void MasterServer::DrainJobs() {
   }
 }
 
+Result<QueryResult> MasterServer::RunSerialJob(const SelectStatement& stmt,
+                                               int64_t job_id,
+                                               const std::string& tenant,
+                                               SimTime now) {
+  // A node that crashed before this query must not receive placements
+  // even if the maintenance loop has not run since.
+  {
+    MutexLock lock(admission_mutex_);
+    ApplyDueNodeEvents(now);
+  }
+  JobContext ctx;
+  ctx.job_id = job_id;
+  ctx.ledger = scheduler_.serial_ledger();
+  ctx.tenant = tenant;
+  return RunPlannedQuery(stmt, ctx, now);
+}
+
 void MasterServer::RunAdmittedJob(int64_t job_id, PendingJob&& pending) {
   std::optional<JobInfo> info = job_manager_.Find(job_id);
   int priority =
@@ -335,7 +349,6 @@ void MasterServer::RunAdmittedJob(int64_t job_id, PendingJob&& pending) {
   JobContext ctx;
   ctx.job_id = job_id;
   ctx.ledger = &ledger;
-  ctx.concurrent = true;
   ctx.tenant = pending.user;
   ctx.queue_wait_ms = pending.queue_wait_ms;
   Result<QueryResult> result = RunPlannedQuery(pending.stmt, ctx, pending.now);
@@ -349,23 +362,6 @@ Result<QueryResult> MasterServer::RunPlannedQuery(const SelectStatement& stmt,
                                                   SimTime now) {
   const int64_t job_id = ctx.job_id;
   job_manager_.SetState(job_id, JobState::kRunning, now);
-
-  // Apply any chaos-schedule node events already due: a node that crashed
-  // before this query must not receive placements even if the maintenance
-  // loop has not run since. Concurrent coordinators skip this — SubmitQuery
-  // already applied due events under the admission mutex (NodeInfo's
-  // non-atomic control fields are single-writer).
-  if (!ctx.concurrent) {
-    if (FaultInjector* faults = router_->fault_injector()) {
-      for (const NodeFaultEvent& event : faults->TakeDueNodeEvents(now)) {
-        if (event.crash) {
-          cluster_->MarkDead(event.node_id);
-        } else {
-          cluster_->MarkAlive(event.node_id, now);
-        }
-      }
-    }
-  }
 
   FEISU_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(stmt, *catalog_));
   // The standard rule pipeline, with per-rule ablation toggles.
@@ -604,172 +600,52 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     slots.push_back(std::move(p));
   }
 
-  // Parallel leaf path: fan the non-reused sub-plans across the pool.
+  // Pooled leaf path: fan the non-reused sub-plans across the pool.
   // Host-level concurrency only — every worker computes its slot's result
   // and outcome flags; all scheduler bookings, SimTime accounting and
   // stats updates happen afterwards, on this job's coordinator thread and
-  // in block order, so the commit sequence matches what the sequential
-  // path produces. Concurrent jobs go through the fair-share gate: each
-  // task holds one of the job's leaf slots, capping any job's outstanding
-  // leaf tasks at its weighted share of the pool.
-  const bool gated = ctx.concurrent && pool_ != nullptr;
-  const bool parallel = !gated && pool_ != nullptr;
-  if (parallel) {
-    pool_->ParallelFor(slots.size(), [&](size_t i) {
-      if (!slots[i].reused) ExecuteLeafTaskParallel(&slots[i], now);
-    });
-  } else if (gated) {
+  // in block order. Each task holds one of the job's fair-share leaf
+  // slots, capping a concurrent job's outstanding leaf tasks at its
+  // weighted share of the pool; a job that never registered a share (the
+  // serial master on a pool, ResumeJob) passes the gate untouched.
+  if (pool_ != nullptr) {
     std::vector<std::future<void>> outstanding;
     outstanding.reserve(slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].reused) continue;
+    for (PendingLeafTask& slot : slots) {
+      if (slot.reused) continue;
       scheduler_.AcquireLeafSlot(ctx.job_id);
-      PendingLeafTask* slot = &slots[i];
-      outstanding.push_back(pool_->Submit([this, slot, now, &ctx]() {
-        ExecuteLeafTaskParallel(slot, now);
-        scheduler_.ReleaseLeafSlot(ctx.job_id);
-      }));
+      outstanding.push_back(
+          pool_->Submit([this, p = &slot, now, job_id = ctx.job_id]() {
+            ExecutePooledTask(p, now);
+            scheduler_.ReleaseLeafSlot(job_id);
+          }));
     }
     for (std::future<void>& f : outstanding) f.get();
   }
 
+  // --- Commit (pooled) or place-execute-commit (serial) each task in
+  // block order. A task whose every replica failed is declared lost and
+  // the job degrades to an honest partial result. ---
   std::vector<PendingLeafTask> pending;
   pending.reserve(slots.size());
-  FaultInjector* faults = router_->fault_injector();
   for (PendingLeafTask& p : slots) {
-    if (p.reused) {
-      pending.push_back(std::move(p));
-      continue;
-    }
-    if (!parallel && !gated) {
-      // --- Failure-driven recovery: place, execute, and on a retryable
-      // failure (checksum corruption, transient I/O error, mid-task crash)
-      // re-place on a different replica with capped exponential backoff.
-      // When every attempt fails, the block is declared lost and the job
-      // degrades to a partial result instead of failing outright. ---
-      FEISU_ASSIGN_OR_RETURN(
-          bool completed,
-          ExecuteTaskWithRecovery(max_tasks_per_node, now, {}, ctx, stats,
-                                  &p));
-      if (!completed) {
+    if (!p.reused) {
+      Result<bool> completed =
+          pool_ != nullptr
+              ? CommitPooledTask(max_tasks_per_node, now, ctx, stats, &p)
+              : ExecuteTaskWithRecovery(max_tasks_per_node, now, {}, ctx,
+                                        stats, &p);
+      if (!completed.ok()) return completed.status();
+      if (!*completed) {
         ++stats->lost_blocks;
         continue;
       }
-      pending.push_back(std::move(p));
-      continue;
-    }
-    // --- Commit phase of the parallel path: account the pool's outcome
-    // and book it with the scheduler, as the sequential path would. ---
-    if (!p.exec_status.ok()) return p.exec_status;
-    stats->task_retries += static_cast<uint64_t>(p.retries);
-    stats->corrupt_blocks += p.corrupt_reads;
-    stats->io_errors += p.io_errors;
-    if (!p.completed) {
-      // No replica of this block survived: degrade gracefully and let the
-      // processed-ratio accounting report the loss honestly.
-      ++stats->lost_blocks;
-      continue;
-    }
-    if (cluster_->AliveLeafNodes().empty()) {
-      return Status::Unavailable("no alive leaf server for task");
-    }
-    SimTime attempt_time = now + p.backoff_total;
-    p.placement = scheduler_.PlaceTask(p.replicas, max_tasks_per_node,
-                                       attempt_time, nullptr, ctx.ledger);
-    const NodeInfo* node = cluster_->Node(p.placement.node_id);
-    if (p.placement.node_id >= leaves_->size() || node == nullptr ||
-        !node->alive) {
-      ++stats->lost_blocks;
-      continue;
-    }
-    if (faults != nullptr &&
-        faults->IsPartitioned(p.placement.node_id, attempt_time)) {
-      // PlaceTask avoids partitioned hosts, so landing on one means no
-      // reachable candidate existed; wait out a heartbeat interval for a
-      // heal and run the recovery loop.
-      ++stats->partitioned_tasks;
-      FEISU_ASSIGN_OR_RETURN(
-          bool recovered,
-          ExecuteTaskWithRecovery(max_tasks_per_node,
-                                  attempt_time + cluster_->heartbeat_interval(),
-                                  {}, ctx, stats, &p));
-      if (!recovered) {
-        ++stats->lost_blocks;
-        continue;
-      }
-      pending.push_back(std::move(p));
-      continue;
-    }
-    p.duration = p.result.stats.TotalTime();
-    if (!p.placement.local) {
-      // Remote read: the block bytes cross the network on the read flow.
-      p.duration += config_.network.Transfer(p.result.stats.bytes_read,
-                                             TrafficClass::kRead);
-      ++stats->remote_tasks;
-    }
-    scheduler_.CommitTask(&p.placement, p.duration, max_tasks_per_node,
-                          attempt_time, ctx.ledger);
-    if (faults != nullptr) {
-      // Orphaned-task detection: the booked host crashed while the task
-      // ran, so its result never comes back. The master notices about one
-      // heartbeat interval after the crash and falls back to the
-      // sequential recovery loop, excluding the dead node.
-      std::optional<SimTime> crash = faults->CrashWithin(
-          p.placement.node_id, p.placement.start_time,
-          p.placement.finish_time);
-      if (crash.has_value()) {
-        if (node->alive) {
-          cluster_->MarkDead(p.placement.node_id);
-          ++stats->failed_nodes;
-        }
-        SimTime resume =
-            std::max(attempt_time, *crash + cluster_->heartbeat_interval());
-        std::set<uint32_t> excluded{p.placement.node_id};
-        FEISU_ASSIGN_OR_RETURN(
-            bool recovered,
-            ExecuteTaskWithRecovery(max_tasks_per_node, resume, excluded,
-                                    ctx, stats, &p));
-        if (!recovered) {
-          ++stats->lost_blocks;
-          continue;
-        }
-        pending.push_back(std::move(p));
-        continue;
-      }
-      // Partition mid-task: the host stays alive (no MarkDead) but its
-      // result cannot reach the master; reschedule elsewhere after one
-      // heartbeat interval, like an orphaned task.
-      std::optional<SimTime> cut = faults->PartitionedWithin(
-          p.placement.node_id, p.placement.start_time,
-          p.placement.finish_time);
-      if (cut.has_value()) {
-        ++stats->partitioned_tasks;
-        SimTime resume =
-            std::max(attempt_time, *cut + cluster_->heartbeat_interval());
-        std::set<uint32_t> excluded{p.placement.node_id};
-        FEISU_ASSIGN_OR_RETURN(
-            bool recovered,
-            ExecuteTaskWithRecovery(max_tasks_per_node, resume, excluded,
-                                    ctx, stats, &p));
-        if (!recovered) {
-          ++stats->lost_blocks;
-          continue;
-        }
-        pending.push_back(std::move(p));
-        continue;
-      }
-    }
-    if (p.placement.straggled) ++stats->straggler_tasks;
-    if (p.result.stats.block_skipped) ++stats->skipped_blocks;
-    stats->leaf.Accumulate(p.result.stats);
-    if (config_.enable_task_result_reuse) {
-      job_manager_.CacheResult(p.signature, p.result);
     }
     pending.push_back(std::move(p));
   }
 
   // --- Speculative backup tasks for stragglers (first-commit-wins). ---
-  LaunchSpeculativeBackups(&pending, max_tasks_per_node, ctx, now, stats);
+  LaunchSpeculativeBackups(&pending, ctx, stats);
 
   // --- Early termination: processed-ratio / deadline knobs. ---
   // Deadline bookkeeping goes through the TimeoutManager (deterministic,
@@ -811,10 +687,52 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
   std::vector<uint64_t> due = timeouts.PopDue(cutoff);
   std::set<uint64_t> survivors(due.begin(), due.end());
 
-  // --- Stem merge. Leaves are grouped into stems by node id; surviving
-  // tasks keep block order inside each group so the concatenated bytes
-  // never depend on which timeout token popped first. ---
-  std::map<uint32_t, std::vector<size_t>> by_stem;
+  // --- Stem merge. Every level merges groups of its entries through one
+  // (recoverable) stem each; a group whose stem and every replacement died
+  // abandons its tasks honestly. Replacement stems for mid-merge deaths
+  // get ids from a reserved range, handed out in (deterministic) merge
+  // order. ---
+  struct StemLevel {
+    std::vector<RecordBatch> batches;
+    std::vector<SimTime> finishes;
+    std::vector<uint64_t> task_counts;
+  };
+  // stem id -> the level entries it merges, in merge order.
+  using StemGroups = std::map<uint32_t, std::vector<size_t>>;
+  uint32_t next_replacement_id = 0xC0000000u;
+  auto merge_level = [&](StemLevel in,
+                         const StemGroups& groups) -> Result<StemLevel> {
+    StemLevel out;
+    for (const auto& [stem_id, members] : groups) {
+      std::vector<RecordBatch> batches;
+      std::vector<SimTime> times;
+      uint64_t group_tasks = 0;
+      for (size_t m : members) {
+        batches.push_back(std::move(in.batches[m]));
+        times.push_back(in.finishes[m]);
+        group_tasks += in.task_counts[m];
+      }
+      FEISU_ASSIGN_OR_RETURN(
+          std::optional<StemResult> merged,
+          MergeWithStemRecovery(stem_id, batches, times, has_aggregate,
+                                group_by, aggregates, meta->schema(),
+                                &next_replacement_id, stats));
+      if (!merged.has_value()) {
+        stats->abandoned_tasks += group_tasks;
+        continue;
+      }
+      out.batches.push_back(std::move(merged->batch));
+      out.finishes.push_back(merged->finish_time);
+      out.task_counts.push_back(group_tasks);
+    }
+    return out;
+  };
+
+  // Leaf level: surviving tasks are grouped into stems by node id and keep
+  // block order inside each group, so the concatenated bytes never depend
+  // on which timeout token popped first.
+  StemLevel level;
+  StemGroups by_stem;
   for (size_t i = 0; i < pending.size(); ++i) {
     if (!survivors.contains(i)) {
       ++stats->abandoned_tasks;
@@ -827,37 +745,12 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     uint32_t stem_id = static_cast<uint32_t>(
         pending[i].placement.node_id / std::max<size_t>(1,
                                                         config_.stem_fanout));
-    by_stem[stem_id].push_back(i);
+    by_stem[stem_id].push_back(level.batches.size());
+    level.batches.push_back(std::move(pending[i].result.batch));
+    level.finishes.push_back(pending[i].placement.finish_time);
+    level.task_counts.push_back(1);
   }
-
-  // Replacement stems for mid-merge deaths get ids from a reserved range,
-  // handed out in (deterministic) merge order.
-  uint32_t next_replacement_id = 0xC0000000u;
-  std::vector<RecordBatch> stem_batches;
-  std::vector<SimTime> stem_finishes;
-  std::vector<uint64_t> stem_task_counts;
-  for (const auto& [stem_id, task_indices] : by_stem) {
-    std::vector<RecordBatch> batches;
-    std::vector<SimTime> times;
-    for (size_t idx : task_indices) {
-      batches.push_back(pending[idx].result.batch);
-      times.push_back(pending[idx].placement.finish_time);
-    }
-    FEISU_ASSIGN_OR_RETURN(
-        std::optional<StemResult> merged,
-        MergeWithStemRecovery(stem_id, batches, times, has_aggregate,
-                              group_by, aggregates, meta->schema(),
-                              &next_replacement_id, stats));
-    if (!merged.has_value()) {
-      // The stem and every replacement died: the subtree's results are
-      // gone; degrade to an honest partial.
-      stats->abandoned_tasks += task_indices.size();
-      continue;
-    }
-    stem_batches.push_back(std::move(merged->batch));
-    stem_finishes.push_back(merged->finish_time);
-    stem_task_counts.push_back(task_indices.size());
-  }
+  FEISU_ASSIGN_OR_RETURN(level, merge_level(std::move(level), by_stem));
 
   // Very large clusters need more than one stem level: keep collapsing
   // groups of `stem_fanout` stems into higher-level stems until the root
@@ -865,47 +758,25 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
   uint32_t next_stem_id = 1u << 20;  // distinct ids for upper levels
   // A collapse fan-in below 2 would never converge.
   const size_t collapse_fanout = std::max<size_t>(2, config_.stem_fanout);
-  while (stem_batches.size() > collapse_fanout) {
-    std::vector<RecordBatch> upper_batches;
-    std::vector<SimTime> upper_finishes;
-    std::vector<uint64_t> upper_task_counts;
-    for (size_t start = 0; start < stem_batches.size();
+  while (level.batches.size() > collapse_fanout) {
+    StemGroups groups;
+    for (size_t start = 0; start < level.batches.size();
          start += collapse_fanout) {
-      size_t stop = std::min(stem_batches.size(),
-                             start + collapse_fanout);
-      std::vector<RecordBatch> batches(
-          stem_batches.begin() + static_cast<long>(start),
-          stem_batches.begin() + static_cast<long>(stop));
-      std::vector<SimTime> times(
-          stem_finishes.begin() + static_cast<long>(start),
-          stem_finishes.begin() + static_cast<long>(stop));
-      uint64_t group_tasks = 0;
-      for (size_t i = start; i < stop; ++i) group_tasks += stem_task_counts[i];
-      FEISU_ASSIGN_OR_RETURN(
-          std::optional<StemResult> merged,
-          MergeWithStemRecovery(next_stem_id++, batches, times,
-                                has_aggregate, group_by, aggregates,
-                                meta->schema(), &next_replacement_id,
-                                stats));
-      if (!merged.has_value()) {
-        stats->abandoned_tasks += group_tasks;
-        continue;
+      std::vector<size_t>& members = groups[next_stem_id++];
+      for (size_t i = start;
+           i < std::min(level.batches.size(), start + collapse_fanout); ++i) {
+        members.push_back(i);
       }
-      upper_batches.push_back(std::move(merged->batch));
-      upper_finishes.push_back(merged->finish_time);
-      upper_task_counts.push_back(group_tasks);
     }
-    stem_batches = std::move(upper_batches);
-    stem_finishes = std::move(upper_finishes);
-    stem_task_counts = std::move(upper_task_counts);
+    FEISU_ASSIGN_OR_RETURN(level, merge_level(std::move(level), groups));
   }
 
   // --- Master-level final merge. ---
   Staged staged;
   SimTime ready = now;
   uint64_t rows = 0;
-  for (size_t i = 0; i < stem_batches.size(); ++i) {
-    uint64_t bytes = stem_batches[i].ByteSize();
+  for (size_t i = 0; i < level.batches.size(); ++i) {
+    uint64_t bytes = level.batches[i].ByteSize();
     stats->bytes_shuffled += bytes;
     SimTime transfer;
     if (config_.result_spill_threshold_bytes > 0 &&
@@ -921,8 +792,8 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     } else {
       transfer = config_.network.Transfer(bytes, TrafficClass::kRead);
     }
-    ready = std::max(ready, stem_finishes[i] + transfer);
-    rows += stem_batches[i].num_rows();
+    ready = std::max(ready, level.finishes[i] + transfer);
+    rows += level.batches[i].num_rows();
   }
   stats->leaf_finish_time = sorted.empty() ? now : std::min(cutoff,
                                                             sorted.back());
@@ -932,23 +803,23 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     FEISU_ASSIGN_OR_RETURN(
         Aggregator final_agg,
         Aggregator::Make(group_by, aggregates, meta->schema()));
-    for (const auto& batch : stem_batches) {
+    for (const auto& batch : level.batches) {
       FEISU_RETURN_IF_ERROR(final_agg.ConsumePartial(batch));
     }
     FEISU_ASSIGN_OR_RETURN(staged.batch, final_agg.FinalResult());
     stats->leaf.AccumulateAgg(final_agg.stats());
   } else {
-    if (stem_batches.empty()) {
+    if (level.batches.empty()) {
       // All tasks abandoned or table empty: synthesize an empty batch with
       // the pruned scan schema.
       Schema schema = meta->schema().Select(columns);
       staged.batch = RecordBatch(schema);
     } else {
-      RecordBatch merged(stem_batches[0].schema());
+      RecordBatch merged(level.batches[0].schema());
       size_t total_rows = 0;
-      for (const auto& batch : stem_batches) total_rows += batch.num_rows();
+      for (const auto& batch : level.batches) total_rows += batch.num_rows();
       merged.Reserve(total_rows);
-      for (const auto& batch : stem_batches) {
+      for (const auto& batch : level.batches) {
         FEISU_RETURN_IF_ERROR(merged.Append(batch));
       }
       staged.batch = std::move(merged);
@@ -956,6 +827,68 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
   }
   staged.finish_time = ready + ChargeMasterRows(rows);
   return staged;
+}
+
+SimTime MasterServer::TaskDuration(const TaskStats& stats,
+                                   bool local) const {
+  SimTime duration = stats.TotalTime();
+  if (!local) {
+    // Remote read: the block bytes cross the network on the read flow.
+    duration += config_.network.Transfer(stats.bytes_read,
+                                         TrafficClass::kRead);
+  }
+  return duration;
+}
+
+SimTime MasterServer::RetryBackoff(int attempt) const {
+  SimTime backoff = config_.retry_backoff_base;
+  for (int i = 0; i < attempt; ++i) {
+    backoff = std::min(config_.retry_backoff_cap, backoff * 2);
+  }
+  return backoff;
+}
+
+bool MasterServer::CommitLeafResult(SimTime attempt_time,
+                                    const JobContext& ctx, QueryStats* stats,
+                                    PendingLeafTask* p, SimTime* resume) {
+  if (!p->placement.local) ++stats->remote_tasks;
+  scheduler_.CommitTask(&p->placement,
+                        TaskDuration(p->result.stats, p->placement.local),
+                        attempt_time, ctx.ledger);
+  if (FaultInjector* faults = router_->fault_injector()) {
+    // Orphaned-task detection: the host crashed while the task ran, so
+    // its result never comes back. The master notices about one
+    // heartbeat interval after the crash.
+    std::optional<SimTime> crash = faults->CrashWithin(
+        p->placement.node_id, p->placement.start_time,
+        p->placement.finish_time);
+    if (crash.has_value()) {
+      const NodeInfo* node = cluster_->Node(p->placement.node_id);
+      if (node != nullptr && node->alive) {
+        cluster_->MarkDead(p->placement.node_id);
+        ++stats->failed_nodes;
+      }
+      *resume = std::max(attempt_time, *crash + cluster_->heartbeat_interval());
+      return false;
+    }
+    // Partition mid-task: the host stays alive (no MarkDead) but its
+    // result cannot reach the master; noticed the same way.
+    std::optional<SimTime> cut = faults->PartitionedWithin(
+        p->placement.node_id, p->placement.start_time,
+        p->placement.finish_time);
+    if (cut.has_value()) {
+      ++stats->partitioned_tasks;
+      *resume = std::max(attempt_time, *cut + cluster_->heartbeat_interval());
+      return false;
+    }
+  }
+  if (p->placement.straggled) ++stats->straggler_tasks;
+  if (p->result.stats.block_skipped) ++stats->skipped_blocks;
+  stats->leaf.Accumulate(p->result.stats);
+  if (config_.enable_task_result_reuse) {
+    job_manager_.CacheResult(p->signature, p->result);
+  }
+  return true;
 }
 
 Result<bool> MasterServer::ExecuteTaskWithRecovery(
@@ -970,8 +903,8 @@ Result<bool> MasterServer::ExecuteTaskWithRecovery(
       return Status::Unavailable("no alive leaf server for task");
     }
     p->placement = scheduler_.PlaceTask(
-        p->replicas, max_tasks_per_node, attempt_time,
-        excluded.empty() ? nullptr : &excluded, ctx.ledger);
+        p->replicas, max_tasks_per_node, attempt_time, ctx.ledger,
+        excluded.empty() ? nullptr : &excluded);
     const NodeInfo* node = cluster_->Node(p->placement.node_id);
     if (p->placement.node_id >= leaves_->size() || node == nullptr ||
         !node->alive || excluded.contains(p->placement.node_id)) {
@@ -990,80 +923,73 @@ Result<bool> MasterServer::ExecuteTaskWithRecovery(
     }
     LeafServer* leaf = (*leaves_)[p->placement.node_id].get();
     Result<TaskResult> executed = leaf->Execute(p->task, attempt_time);
-    Status failure = executed.ok() ? Status::OK() : executed.status();
-    if (failure.ok()) {
-      p->result = std::move(*executed);
-      p->duration = p->result.stats.TotalTime();
-      if (!p->placement.local) {
-        // Remote read: the block bytes cross the network on the read flow.
-        p->duration += config_.network.Transfer(p->result.stats.bytes_read,
-                                                TrafficClass::kRead);
-        ++stats->remote_tasks;
-      }
-      scheduler_.CommitTask(&p->placement, p->duration, max_tasks_per_node,
-                            attempt_time, ctx.ledger);
-      if (faults != nullptr) {
-        // Orphaned-task detection: the host crashed while the task ran,
-        // so its result never comes back. The master notices about one
-        // heartbeat interval after the crash and reschedules.
-        std::optional<SimTime> crash = faults->CrashWithin(
-            p->placement.node_id, p->placement.start_time,
-            p->placement.finish_time);
-        if (crash.has_value()) {
-          if (node->alive) {
-            cluster_->MarkDead(p->placement.node_id);
-            ++stats->failed_nodes;
-          }
-          attempt_time = std::max(
-              attempt_time, *crash + cluster_->heartbeat_interval());
-          failure = Status::Unavailable("leaf crashed mid-task");
-        } else {
-          // Partition mid-task: the host stays alive (no MarkDead) but
-          // its result cannot reach the master; reschedule elsewhere
-          // after one heartbeat interval, like an orphaned task.
-          std::optional<SimTime> cut = faults->PartitionedWithin(
-              p->placement.node_id, p->placement.start_time,
-              p->placement.finish_time);
-          if (cut.has_value()) {
-            ++stats->partitioned_tasks;
-            attempt_time = std::max(
-                attempt_time, *cut + cluster_->heartbeat_interval());
-            failure = Status::Unavailable("leaf partitioned mid-task");
-          }
-        }
-      }
-    }
-    if (failure.ok()) {
-      if (p->placement.straggled) ++stats->straggler_tasks;
-      if (p->result.stats.block_skipped) ++stats->skipped_blocks;
-      stats->leaf.Accumulate(p->result.stats);
-      if (config_.enable_task_result_reuse) {
-        job_manager_.CacheResult(p->signature, p->result);
-      }
-      return true;
-    }
-    if (!IsRetryableTaskFailure(failure)) return failure;
     if (executed.ok()) {
-      // Crash- or partition-induced: counted above.
-    } else if (failure.code() == StatusCode::kCorruption) {
-      ++stats->corrupt_blocks;
+      p->result = std::move(*executed);
+      if (CommitLeafResult(attempt_time, ctx, stats, p, &attempt_time)) {
+        return true;
+      }
+      // Orphaned by a crash or partition (counted by CommitLeafResult).
     } else {
-      ++stats->io_errors;
+      const Status& failure = executed.status();
+      if (!IsRetryableTaskFailure(failure)) return failure;
+      if (failure.code() == StatusCode::kCorruption) {
+        ++stats->corrupt_blocks;
+      } else {
+        ++stats->io_errors;
+      }
     }
     excluded.insert(p->placement.node_id);
     if (attempt < config_.max_task_retries) {
       ++stats->task_retries;
-      SimTime backoff = config_.retry_backoff_base;
-      for (int i = 0; i < attempt; ++i) {
-        backoff = std::min(config_.retry_backoff_cap, backoff * 2);
-      }
-      attempt_time += backoff;
+      attempt_time += RetryBackoff(attempt);
     }
   }
   return false;
 }
 
-void MasterServer::ExecuteLeafTaskParallel(PendingLeafTask* p, SimTime now) {
+Result<bool> MasterServer::CommitPooledTask(int max_tasks_per_node,
+                                            SimTime now,
+                                            const JobContext& ctx,
+                                            QueryStats* stats,
+                                            PendingLeafTask* p) {
+  if (!p->exec_status.ok()) return p->exec_status;
+  stats->task_retries += static_cast<uint64_t>(p->retries);
+  stats->corrupt_blocks += p->corrupt_reads;
+  stats->io_errors += p->io_errors;
+  if (!p->completed) return false;  // no replica of this block survived
+  if (cluster_->AliveLeafNodes().empty()) {
+    return Status::Unavailable("no alive leaf server for task");
+  }
+  SimTime attempt_time = now + p->backoff_total;
+  p->placement = scheduler_.PlaceTask(p->replicas, max_tasks_per_node,
+                                      attempt_time, ctx.ledger);
+  const NodeInfo* node = cluster_->Node(p->placement.node_id);
+  if (p->placement.node_id >= leaves_->size() || node == nullptr ||
+      !node->alive) {
+    return false;
+  }
+  // When the pooled result cannot stand, fall back to the recovery loop
+  // from the instant the master notices.
+  SimTime resume = 0;
+  std::set<uint32_t> excluded;
+  FaultInjector* faults = router_->fault_injector();
+  if (faults != nullptr &&
+      faults->IsPartitioned(p->placement.node_id, attempt_time)) {
+    // PlaceTask avoids partitioned hosts, so landing on one means no
+    // reachable candidate existed; wait out a heartbeat interval for a
+    // heal.
+    ++stats->partitioned_tasks;
+    resume = attempt_time + cluster_->heartbeat_interval();
+  } else if (CommitLeafResult(attempt_time, ctx, stats, p, &resume)) {
+    return true;
+  } else {
+    excluded.insert(p->placement.node_id);  // the orphaning host
+  }
+  return ExecuteTaskWithRecovery(max_tasks_per_node, resume, excluded, ctx,
+                                 stats, p);
+}
+
+void MasterServer::ExecutePooledTask(PendingLeafTask* p, SimTime now) {
   // Deterministic node choice independent of scheduler state (which only
   // the commit phase may touch): the first alive replica, then any alive
   // leaf in id order. The executing node affects cache warmth and fault
@@ -1109,19 +1035,14 @@ void MasterServer::ExecuteLeafTaskParallel(PendingLeafTask* p, SimTime now) {
     excluded.insert(static_cast<uint32_t>(node_id));
     if (attempt < config_.max_task_retries) {
       ++p->retries;
-      SimTime backoff = config_.retry_backoff_base;
-      for (int i = 0; i < attempt; ++i) {
-        backoff = std::min(config_.retry_backoff_cap, backoff * 2);
-      }
-      p->backoff_total += backoff;
+      p->backoff_total += RetryBackoff(attempt);
     }
   }
 }
 
 void MasterServer::LaunchSpeculativeBackups(
-    std::vector<PendingLeafTask>* pending, int max_tasks_per_node,
-    const JobContext& ctx, SimTime now, QueryStats* stats) {
-  (void)now;
+    std::vector<PendingLeafTask>* pending, const JobContext& ctx,
+    QueryStats* stats) {
   if (!scheduler_.config().enable_backup_tasks) return;
   // Detect over the non-reused placements only: reused tasks cost one
   // control round trip and would drag the typical runtime toward zero.
@@ -1149,12 +1070,8 @@ void MasterServer::LaunchSpeculativeBackups(
                    p.replicas.end();
     backup.start_time = v.detect_time;
     backup.backup_launched = true;
-    SimTime duration = executed->stats.TotalTime();
-    if (!backup.local) {
-      duration += config_.network.Transfer(executed->stats.bytes_read,
-                                           TrafficClass::kRead);
-    }
-    scheduler_.CommitTask(&backup, duration, max_tasks_per_node,
+    scheduler_.CommitTask(&backup,
+                          TaskDuration(executed->stats, backup.local),
                           v.detect_time, ctx.ledger);
     if (faults != nullptr) {
       // A backup whose host dies or partitions away mid-run never reports
@@ -1178,7 +1095,6 @@ void MasterServer::LaunchSpeculativeBackups(
       if (!backup.local) ++stats->remote_tasks;
       p.placement = backup;
       p.result = std::move(*executed);
-      p.duration = duration;
     }
   }
 }
@@ -1265,10 +1181,7 @@ Result<QueryResult> MasterServer::ResumeJob(int64_t job_id, SimTime now) {
   // recorded SQL under the same job id on the serial path (a promoted
   // backup resumes jobs one at a time).
   FEISU_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(job->sql));
-  JobContext ctx;
-  ctx.job_id = job_id;
-  ctx.tenant = job->user;
-  return RunPlannedQuery(stmt, ctx, now);
+  return RunSerialJob(stmt, job_id, job->user, now);
 }
 
 }  // namespace feisu

@@ -62,13 +62,15 @@ struct MasterConfig {
   int max_task_retries = 3;
   SimTime retry_backoff_base = 100 * kSimMillisecond;
   SimTime retry_backoff_cap = 5 * kSimSecond;
-  /// Width of the parallel leaf path: how many leaf sub-plans the master
-  /// executes concurrently on host threads. 1 = the classic sequential
-  /// path; > 1 fans block tasks across a fixed thread pool while keeping
-  /// scheduling, SimTime accounting and result merging in deterministic
-  /// block order. With fault injection disabled the result batches are
-  /// byte-identical to the sequential path's; timing statistics may differ
-  /// between the two modes (each mode is deterministic run-to-run).
+  /// Width of the leaf pool: how many leaf sub-plans the master executes
+  /// concurrently on host threads. With 1 (and max_concurrent_jobs 1) each
+  /// task is placed, executed and committed inline. Otherwise every task
+  /// executes on the pool first — on its first alive replica — and the
+  /// job's coordinator then places and commits the results in block
+  /// order, falling back to the inline recovery loop for orphaned tasks.
+  /// Result batches match the inline path's when no faults are injected;
+  /// timing statistics may differ, since the executing node differs, but
+  /// each width is deterministic run-to-run.
   size_t leaf_parallelism = 1;
   /// --- Multi-query pipeline. ---
   /// > 1 turns ExecuteQuery into thin submit-and-wait over an async job
@@ -238,15 +240,13 @@ class MasterServer {
   struct PendingLeafTask;
 
   /// Everything a job's execution chain needs to know about which job it
-  /// is serving: the id, the per-job scheduling ledger (null on the serial
-  /// path — the scheduler then books on its internal state, preserving the
-  /// classic behavior bit-for-bit), whether leaf fan-out must go through
-  /// the fair-share gate, and admission observability carried into the
-  /// job's QueryStats.
+  /// is serving: the id (which also keys its fair-share leaf slots), the
+  /// scheduling ledger every placement books on — the coordinator's own
+  /// per-job ledger, or the scheduler's serial ledger for serial callers —
+  /// and admission observability carried into the job's QueryStats.
   struct JobContext {
     int64_t job_id = 0;
-    SlotLedger* ledger = nullptr;
-    bool concurrent = false;  ///< run by a coordinator on job_pool_
+    SlotLedger* ledger = nullptr;  ///< never null once the job runs
     std::string tenant;
     double queue_wait_ms = 0;
   };
@@ -265,6 +265,19 @@ class MasterServer {
   /// thread (fair-share registration, ledger setup, RunPlannedQuery,
   /// admission bookkeeping) and fulfills its promise.
   void RunAdmittedJob(int64_t job_id, PendingJob&& pending);
+
+  /// Runs one already-admitted job inline on the calling thread (the
+  /// serial master and ResumeJob): applies due node events, then executes
+  /// on the scheduler's serial ledger.
+  Result<QueryResult> RunSerialJob(const SelectStatement& stmt,
+                                   int64_t job_id, const std::string& tenant,
+                                   SimTime now);
+
+  /// Applies the chaos schedule's node crash/restart events due by `now`.
+  /// Called once per job at admission, serialized by admission_mutex_
+  /// because NodeInfo's non-atomic control fields are single-writer;
+  /// coordinators never apply events themselves.
+  void ApplyDueNodeEvents(SimTime now) FEISU_REQUIRES(admission_mutex_);
 
   /// Shared admission front of both master modes: parse, authenticate,
   /// per-table ACLs and cross-domain authorization. Also reports the
@@ -294,24 +307,50 @@ class MasterServer {
                                     const JobContext& ctx, SimTime now,
                                     QueryStats* stats);
 
-  /// Sequential failure-driven recovery for one task: place, execute, and
-  /// on a retryable failure re-place on a different replica with capped
-  /// exponential backoff. Returns true when the task completed (placement,
-  /// result, duration filled in and booked with the scheduler), false when
-  /// every eligible replica failed (the caller declares the block lost),
-  /// and an error for non-retryable failures.
+  /// The one recovery loop for a task: place, execute, and on a retryable
+  /// failure or an orphaning crash/partition re-place on a different
+  /// replica with capped exponential backoff. Returns true when the task
+  /// completed (committed through CommitLeafResult), false when every
+  /// eligible replica failed (the caller declares the block lost), and an
+  /// error for non-retryable failures.
   Result<bool> ExecuteTaskWithRecovery(int max_tasks_per_node,
                                        SimTime start_time,
                                        const std::set<uint32_t>& pre_excluded,
                                        const JobContext& ctx,
                                        QueryStats* stats, PendingLeafTask* p);
 
-  /// Pool-worker body of the parallel leaf path: executes one task on a
+  /// Commit tail shared by the recovery loop and the pooled commit phase,
+  /// run once a leaf result exists for `p->placement`: books its
+  /// TaskDuration in the job's ledger (counting a remote read) and checks
+  /// whether the host crashed or partitioned away while it ran. Returns
+  /// true when the result stands (accounted and cached); false when it
+  /// was orphaned, with `*resume` set to when the master notices (one
+  /// heartbeat interval after the event).
+  bool CommitLeafResult(SimTime attempt_time, const JobContext& ctx,
+                        QueryStats* stats, PendingLeafTask* p,
+                        SimTime* resume);
+
+  /// Commit phase of the pooled path for one task: folds the worker's
+  /// outcome into the stats, places the finished task and commits it;
+  /// a result that cannot stand falls back to ExecuteTaskWithRecovery.
+  /// Same return contract as ExecuteTaskWithRecovery.
+  Result<bool> CommitPooledTask(int max_tasks_per_node, SimTime now,
+                                const JobContext& ctx, QueryStats* stats,
+                                PendingLeafTask* p);
+
+  /// Pool-worker body of the pooled path: executes one task on a
   /// deterministically chosen leaf (first alive replica, then any alive
   /// leaf), retrying on retryable failures, and records the outcome in the
   /// task's slot. Touches no scheduler or stats state — those are applied
   /// by the job's coordinator thread in its commit phase, in block order.
-  void ExecuteLeafTaskParallel(PendingLeafTask* p, SimTime now);
+  void ExecutePooledTask(PendingLeafTask* p, SimTime now);
+
+  /// Capped exponential backoff before retry number `attempt + 1`.
+  SimTime RetryBackoff(int attempt) const;
+
+  /// Simulated run time of a leaf result: its leaf time plus, when the
+  /// node holds no replica, the block bytes read over the network.
+  SimTime TaskDuration(const TaskStats& stats, bool local) const;
 
   /// Speculative execution (paper §1 item 3): detects stragglers among the
   /// committed placements (runtime quantile vs. peers), launches a real
@@ -321,9 +360,7 @@ class MasterServer {
   /// winner. Runs in the job coordinator's commit phase (one thread per
   /// job; concurrent jobs book on their own ledgers).
   void LaunchSpeculativeBackups(std::vector<PendingLeafTask>* pending,
-                                int max_tasks_per_node,
-                                const JobContext& ctx, SimTime now,
-                                QueryStats* stats);
+                                const JobContext& ctx, QueryStats* stats);
 
   /// Stem-level merge with death recovery: when the stem-death schedule
   /// kills `stem_id` inside its merge window (start_time, finish_time],
@@ -350,7 +387,7 @@ class MasterServer {
   JobManager job_manager_;
   EntryGuard entry_guard_;
   JobScheduler scheduler_;
-  /// Workers for the parallel leaf path; null when both leaf_parallelism
+  /// Workers for the pooled leaf path; null when both leaf_parallelism
   /// and max_concurrent_jobs are <= 1. Shared-state discipline: pool
   /// workers may touch only (a) their own PendingLeafTask slot, (b) the
   /// internally synchronized leaf-server caches, and (c) read-only master

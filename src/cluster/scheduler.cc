@@ -15,7 +15,7 @@ JobScheduler::JobScheduler(ClusterManager* cluster, PathRouter* router,
       network_(network),
       config_(config),
       seed_(seed),
-      rng_(seed) {}
+      serial_ledger_(seed) {}
 
 SlotLedger JobScheduler::MakeJobLedger(int64_t job_id) const {
   // Same splitmix-style derivation the fault injector uses for per-entity
@@ -58,10 +58,10 @@ void JobScheduler::BookSlot(
 
 Placement JobScheduler::PlaceTask(const std::vector<uint32_t>& replicas,
                                   int max_tasks_per_node, SimTime now,
-                                  const std::set<uint32_t>* excluded,
-                                  SlotLedger* ledger) {
+                                  SlotLedger* ledger,
+                                  const std::set<uint32_t>* excluded) {
   const std::map<uint32_t, std::vector<SimTime>>& node_slots =
-      ledger != nullptr ? ledger->node_slots : node_slots_;
+      ledger->node_slots;
   // A partitioned node is alive but cannot receive a dispatch right now,
   // so placement treats it exactly like an excluded one.
   Reachability reach(router_->fault_injector());
@@ -116,13 +116,11 @@ Placement JobScheduler::PlaceTask(const std::vector<uint32_t>& replicas,
 }
 
 void JobScheduler::CommitTask(Placement* placement, SimTime duration,
-                              int max_tasks_per_node, SimTime now,
-                              SlotLedger* ledger) {
+                              SimTime now, SlotLedger* ledger) {
   const NodeInfo* node = cluster_->Node(placement->node_id);
   double factor = node != nullptr ? node->slowdown_factor : 1.0;
-  Rng& rng = ledger != nullptr ? ledger->rng : rng_;
   if (config_.straggler_probability > 0 &&
-      rng.NextBool(config_.straggler_probability)) {
+      ledger->rng.NextBool(config_.straggler_probability)) {
     factor *= config_.straggler_slowdown;
     placement->straggled = true;
   }
@@ -145,9 +143,7 @@ void JobScheduler::CommitTask(Placement* placement, SimTime duration,
       std::max(placement->start_time, now + network_.ControlRoundTrip());
   placement->start_time = start;
   placement->finish_time = start + effective;
-  BookSlot(ledger != nullptr ? &ledger->node_slots : &node_slots_,
-           placement->node_id, placement->finish_time);
-  (void)max_tasks_per_node;
+  BookSlot(&ledger->node_slots, placement->node_id, placement->finish_time);
 }
 
 std::vector<StragglerVerdict> JobScheduler::DetectStragglers(
@@ -198,7 +194,7 @@ std::optional<uint32_t> JobScheduler::PickBackupNode(
 }
 
 void JobScheduler::ResetLoad() {
-  node_slots_.clear();
+  serial_ledger_.node_slots.clear();
   MutexLock lock(share_mutex_);
   peak_in_flight_.clear();
   leaf_slot_waits_ = 0;

@@ -49,12 +49,13 @@ struct StragglerVerdict {
   SimTime detect_time = 0;
 };
 
-/// Per-job scheduling state: the slot-booking table and the straggler-
-/// injection RNG for one job's placements. Each concurrent job books on
-/// its own ledger, so a query's simulated placements — and therefore its
-/// result bytes under early termination and stem grouping — are identical
-/// to a solo run no matter what else is in flight. Owned by the job's
-/// coordinator; never shared across threads.
+/// Scheduling state for one stream of placements: the slot-booking table
+/// and the straggler-injection RNG. Each concurrent job books on its own
+/// ledger, so a query's simulated placements — and therefore its result
+/// bytes under early termination and stem grouping — are identical to a
+/// solo run no matter what else is in flight. Serial callers share the
+/// scheduler's own ledger (serial_ledger()). A ledger is used by one
+/// thread at a time.
 struct SlotLedger {
   explicit SlotLedger(uint64_t seed) : rng(seed) {}
   // node -> finish times of booked tasks (bounded multiset per node).
@@ -68,11 +69,11 @@ struct SlotLedger {
 /// transfer). Tracks per-node slot availability so concurrent tasks queue,
 /// honoring each storage system's resource agreement.
 ///
-/// Concurrency: placement and booking are per-job. PlaceTask/CommitTask
-/// take an optional SlotLedger — concurrent job coordinators each pass
-/// their own (obtained from MakeJobLedger) and may call in from any
-/// thread; with no ledger the calls fall back to the internal serial-path
-/// ledger, which retains the single-caller contract of the serial master.
+/// Concurrency: every PlaceTask/CommitTask books on the SlotLedger it is
+/// given. Concurrent job coordinators each pass their own (from
+/// MakeJobLedger) and may call in from any thread. Serial callers — the
+/// serial master and ResumeJob — pass serial_ledger(), which persists
+/// across their queries and must only be used by one thread at a time.
 /// The fair-share leaf gate (RegisterJobShare/AcquireLeafSlot/...) is the
 /// one genuinely shared piece of state and is guarded by the annotated
 /// `share_mutex_`; it is a leaf of the master's lock order (nothing is
@@ -90,25 +91,27 @@ class JobScheduler {
   /// scheduler seed and the job id (deterministic per job).
   SlotLedger MakeJobLedger(int64_t job_id) const;
 
-  /// Picks the execution node for a block's task. `replicas` are the nodes
-  /// holding the block. Returns the chosen node and whether it is local.
-  /// `excluded` (optional) lists nodes that must not be chosen — the
-  /// master's failure-driven recovery passes the nodes where this task
-  /// already failed so a retry lands on a different replica. `ledger`
-  /// (optional) books against a per-job ledger instead of the internal
-  /// serial-path one.
+  /// The ledger serial callers book on, seeded with the scheduler seed.
+  SlotLedger* serial_ledger() { return &serial_ledger_; }
+
+  /// Picks the execution node for a block's task, booking-aware through
+  /// `ledger`. `replicas` are the nodes holding the block. Returns the
+  /// chosen node and whether it is local. `excluded` (optional) lists
+  /// nodes that must not be chosen — the master's failure-driven recovery
+  /// passes the nodes where this task already failed so a retry lands on
+  /// a different replica.
   Placement PlaceTask(const std::vector<uint32_t>& replicas,
                       int max_tasks_per_node, SimTime now,
-                      const std::set<uint32_t>* excluded = nullptr,
-                      SlotLedger* ledger = nullptr);
+                      SlotLedger* ledger,
+                      const std::set<uint32_t>* excluded = nullptr);
 
-  /// Books `duration` of work on `placement`'s node starting no earlier
-  /// than `placement.start_time`; fills start/finish, applying the node's
-  /// slowdown factor, the injector's slow-node profile (latency multiplier
-  /// plus fixed stall) and probabilistic straggler injection.
-  void CommitTask(Placement* placement, SimTime duration,
-                  int max_tasks_per_node, SimTime now,
-                  SlotLedger* ledger = nullptr);
+  /// Books `duration` of work on `placement`'s node in `ledger`, starting
+  /// no earlier than `placement.start_time`; fills start/finish, applying
+  /// the node's slowdown factor, the injector's slow-node profile (latency
+  /// multiplier plus fixed stall) and probabilistic straggler injection
+  /// drawn from the ledger's RNG.
+  void CommitTask(Placement* placement, SimTime duration, SimTime now,
+                  SlotLedger* ledger);
 
   /// Quantile-based straggler detection over one job's committed
   /// placements: a task whose elapsed runtime exceeds backup_threshold x
@@ -126,8 +129,8 @@ class JobScheduler {
       const std::vector<uint32_t>& replicas, uint32_t original,
       SimTime now) const;
 
-  /// Clears per-node booking state and fair-share peaks between benchmark
-  /// phases.
+  /// Clears the serial ledger's bookings and the fair-share peaks between
+  /// benchmark phases.
   void ResetLoad() FEISU_EXCLUDES(share_mutex_);
 
   /// --- Fair leaf sharing across in-flight jobs. ---
@@ -171,9 +174,7 @@ class JobScheduler {
   NetworkModel network_;
   ScheduleConfig config_;
   uint64_t seed_;
-  /// Serial-path booking state (used when no per-job ledger is passed).
-  Rng rng_;
-  std::map<uint32_t, std::vector<SimTime>> node_slots_;
+  SlotLedger serial_ledger_;
 
   mutable Mutex share_mutex_;
   CondVar share_cv_;

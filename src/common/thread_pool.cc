@@ -55,24 +55,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(Submit([&fn, i]() { fn(i); }));
-  }
-  // Collect in index order so the first failing index wins deterministically.
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 void ThreadPool::Drain() {
   MutexLock lock(mutex_);
   while (in_flight_ != 0) idle_.Wait(lock);

@@ -2,7 +2,6 @@
 #define FEISU_COMMON_THREAD_POOL_H_
 
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -16,9 +15,11 @@
 namespace feisu {
 
 /// A fixed-size thread pool with one shared FIFO queue — deliberately
-/// work-stealing-free so task start order is the submission order, which
-/// keeps the parallel leaf path easy to reason about (results land in
-/// ordered slots regardless of which worker ran them).
+/// work-stealing-free so task start order is the submission order. The
+/// master's pooled leaf path submits one task per block and waits on the
+/// futures in block order; each task writes only its own ordered slot, so
+/// results never depend on which worker ran them. The master's job
+/// coordinators run on a second pool of the same kind.
 ///
 /// Host-level concurrency only: pool workers burn wall-clock CPU, never
 /// simulated time. SimTime accounting stays with the job coordinator
@@ -52,11 +53,6 @@ class ThreadPool {
     Enqueue([task]() { (*task)(); });
     return future;
   }
-
-  /// Runs `fn(0) .. fn(n - 1)` across the pool and waits for all of them.
-  /// If any invocation throws, the exception of the lowest-index failing
-  /// iteration is rethrown (deterministic regardless of worker timing).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Blocks until the queue is empty and no task is running.
   void Drain() FEISU_EXCLUDES(mutex_);

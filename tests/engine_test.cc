@@ -26,9 +26,11 @@ class EngineFixture : public ::testing::Test {
     ASSERT_TRUE(engine_->CreateTable("t", schema, "/hdfs/t").ok());
     RecordBatch batch(schema);
     for (int64_t i = 0; i < 8000; ++i) {
+      std::string name = "n";
+      name += std::to_string(i % 4);
       ASSERT_TRUE(batch
                       .AppendRow({Value::Int64(i), Value::Int64(i % 10),
-                                  Value::String("n" + std::to_string(i % 4)),
+                                  Value::String(name),
                                   Value::Double(static_cast<double>(i) / 10)})
                       .ok());
     }

@@ -380,13 +380,17 @@ ExprPtr EquiCondition() {
                        Expr::ColumnRef("r", "k"));
 }
 
+// Join options qualifying colliding names with the "l"/"r" prefixes.
+// Aggregate-initialized: GCC 12 at -O3 reports a false -Wrestrict overlap
+// when a std::string member is assigned from a literal.
+HashJoinOptions PrefixedJoin(JoinType type, ExprPtr condition = nullptr) {
+  return HashJoinOptions{type, std::move(condition), "l", "r"};
+}
+
 TEST(HashJoinTest, InnerJoinWithDuplicatesAndNullKeys) {
   auto [l, r] = MakeJoinInputs();
-  HashJoinOptions options;
-  options.type = JoinType::kInner;
-  options.condition = EquiCondition();
-  options.left_prefix = "l";
-  options.right_prefix = "r";
+  HashJoinOptions options =
+      PrefixedJoin(JoinType::kInner, EquiCondition());
   auto out = HashJoinBatches(l, r, options);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // k=2 matches two right rows; NULL keys never match.
@@ -398,11 +402,8 @@ TEST(HashJoinTest, InnerJoinWithDuplicatesAndNullKeys) {
 
 TEST(HashJoinTest, LeftOuterPadsNulls) {
   auto [l, r] = MakeJoinInputs();
-  HashJoinOptions options;
-  options.type = JoinType::kLeftOuter;
-  options.condition = EquiCondition();
-  options.left_prefix = "l";
-  options.right_prefix = "r";
+  HashJoinOptions options =
+      PrefixedJoin(JoinType::kLeftOuter, EquiCondition());
   auto out = HashJoinBatches(l, r, options);
   ASSERT_TRUE(out.ok());
   // 2 matches + 3 unmatched left rows (k=1, k=3, k=NULL).
@@ -418,11 +419,8 @@ TEST(HashJoinTest, LeftOuterPadsNulls) {
 
 TEST(HashJoinTest, RightOuterPadsNulls) {
   auto [l, r] = MakeJoinInputs();
-  HashJoinOptions options;
-  options.type = JoinType::kRightOuter;
-  options.condition = EquiCondition();
-  options.left_prefix = "l";
-  options.right_prefix = "r";
+  HashJoinOptions options =
+      PrefixedJoin(JoinType::kRightOuter, EquiCondition());
   auto out = HashJoinBatches(l, r, options);
   ASSERT_TRUE(out.ok());
   // 2 matches + 2 unmatched right rows (k=4, k=NULL).
@@ -431,10 +429,7 @@ TEST(HashJoinTest, RightOuterPadsNulls) {
 
 TEST(HashJoinTest, CrossJoin) {
   auto [l, r] = MakeJoinInputs();
-  HashJoinOptions options;
-  options.type = JoinType::kCross;
-  options.left_prefix = "l";
-  options.right_prefix = "r";
+  HashJoinOptions options = PrefixedJoin(JoinType::kCross);
   auto out = HashJoinBatches(l, r, options);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 16u);
@@ -442,13 +437,11 @@ TEST(HashJoinTest, CrossJoin) {
 
 TEST(HashJoinTest, ResidualRangeCondition) {
   auto [l, r] = MakeJoinInputs();
-  HashJoinOptions options;
-  options.type = JoinType::kInner;
   // Pure range join: no equi key -> nested loop with residual.
-  options.condition = Expr::Compare(
-      CompareOp::kLt, Expr::ColumnRef("l", "k"), Expr::ColumnRef("r", "k"));
-  options.left_prefix = "l";
-  options.right_prefix = "r";
+  HashJoinOptions options = PrefixedJoin(
+      JoinType::kInner,
+      Expr::Compare(CompareOp::kLt, Expr::ColumnRef("l", "k"),
+                    Expr::ColumnRef("r", "k")));
   auto out = HashJoinBatches(l, r, options);
   ASSERT_TRUE(out.ok());
   // pairs with l.k < r.k: (1,2),(1,2),(1,4),(2,4),(3,4) = 5.
@@ -457,14 +450,11 @@ TEST(HashJoinTest, ResidualRangeCondition) {
 
 TEST(HashJoinTest, EquiPlusResidual) {
   auto [l, r] = MakeJoinInputs();
-  HashJoinOptions options;
-  options.type = JoinType::kInner;
-  options.condition = Expr::And(
-      EquiCondition(),
-      Expr::Compare(CompareOp::kEq, Expr::ColumnRef("rv"),
-                    Expr::Literal(Value::String("y"))));
-  options.left_prefix = "l";
-  options.right_prefix = "r";
+  HashJoinOptions options = PrefixedJoin(
+      JoinType::kInner,
+      Expr::And(EquiCondition(),
+                Expr::Compare(CompareOp::kEq, Expr::ColumnRef("rv"),
+                              Expr::Literal(Value::String("y")))));
   auto out = HashJoinBatches(l, r, options);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 1u);
@@ -477,10 +467,7 @@ TEST(HashJoinTest, NoCollisionKeepsPlainNames) {
   RecordBatch r(right);
   ASSERT_TRUE(l.AppendRow({Value::Int64(1)}).ok());
   ASSERT_TRUE(r.AppendRow({Value::Int64(1)}).ok());
-  HashJoinOptions options;
-  options.type = JoinType::kCross;
-  options.left_prefix = "l";
-  options.right_prefix = "r";
+  HashJoinOptions options = PrefixedJoin(JoinType::kCross);
   auto out = HashJoinBatches(l, r, options);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->schema().HasField("a"));

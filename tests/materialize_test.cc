@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "columnar/block.h"
 #include "columnar/column_vector.h"
 #include "columnar/encoding.h"
 #include "columnar/record_batch.h"
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "expr/evaluator.h"
 #include "expr/expr.h"
+#include "expr/normalize.h"
 
 namespace feisu {
 namespace {
@@ -35,7 +37,8 @@ ColumnVector MakeColumn(DataType type, size_t rows, bool with_nulls,
     int64_t iv = rng.NextInt64(0, 40);
     double dv = rng.NextDouble() * 100.0;
     bool bv = rng.NextBool(0.5);
-    std::string sv = "v" + std::to_string(rng.NextUint64(12));
+    std::string sv = "v";
+    sv += std::to_string(rng.NextUint64(12));
     for (size_t k = 0; k < run && i < rows; ++k, ++i) {
       if (is_null) {
         col.AppendNull();
@@ -476,6 +479,138 @@ TEST(CompressedPredicateTest, RleRunBoundariesCrossWordEdges) {
     }
   }
   EXPECT_EQ(handled_count, 18u);  // every cell must hit the RLE kernel
+}
+
+// ---------- Compressed-domain predicate trees over a block ----------
+
+// What TryEvaluatePredicateEncoded must answer: every comparison leaf is
+// column-vs-literal with a kernel for the column's actual encoding (the
+// support matrix above); AND/OR/NOT only combine their children.
+bool TreeShouldHandle(const Expr& expr, const ColumnarBlock& block) {
+  switch (expr.kind()) {
+    case ExprKind::kLogical:
+      for (const ExprPtr& child : expr.children()) {
+        if (!TreeShouldHandle(*child, block)) return false;
+      }
+      return true;
+    case ExprKind::kComparison: {
+      if (expr.child(0)->kind() != ExprKind::kColumnRef ||
+          expr.child(1)->kind() != ExprKind::kLiteral) {
+        return false;
+      }
+      int idx = block.schema().FieldIndex(expr.child(0)->column());
+      if (idx < 0) return false;
+      return KernelShouldHandle(
+          block.ColumnEncoding(static_cast<size_t>(idx)),
+          block.schema().field(idx).type,
+          static_cast<EncodedCompareOp>(expr.compare_op()),
+          expr.child(1)->value());
+    }
+    default:
+      return false;
+  }
+}
+
+// Checks one tree: handledness must match TreeShouldHandle, and a handled
+// tree's TRUE and FALSE bitmaps must equal the 3VL evaluator's over the
+// decoded batch.
+void CheckEncodedTree(const ExprPtr& expr, const ColumnarBlock& block,
+                      const RecordBatch& decoded, size_t* handled_count,
+                      size_t* fallback_count) {
+  TriStateVector tri;
+  auto handled = TryEvaluatePredicateEncoded(*expr, block, &tri);
+  ASSERT_TRUE(handled.ok()) << handled.status().ToString();
+  ASSERT_EQ(*handled, TreeShouldHandle(*expr, block)) << expr->ToString();
+  if (!*handled) {
+    ++*fallback_count;
+    return;
+  }
+  ++*handled_count;
+  auto ref = EvaluatePredicate3VL(*expr, decoded);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(tri.is_true.SerializeRle(), ref->is_true.SerializeRle())
+      << expr->ToString() << " rows=" << decoded.num_rows();
+  EXPECT_EQ(tri.is_false.SerializeRle(), ref->is_false.SerializeRle())
+      << expr->ToString() << " rows=" << decoded.num_rows();
+}
+
+// One block holding every encoding the kernels serve (dict strings, RLE
+// and bit-packed ints) next to plain columns they must decline, all with
+// NULLs. AND/OR/NOT trees over it are checked as written, normalized, and
+// conjunct by conjunct as the leaf evaluates them (NormalizePredicate).
+TEST(CompressedPredicateTest, PredicateTreesMatchDecodeThenEvaluate) {
+  size_t handled_count = 0;
+  size_t fallback_count = 0;
+  for (size_t rows : {size_t{64}, size_t{777}}) {
+    Rng rng(rows);
+    ColumnVector packed(DataType::kInt64);  // short runs, narrow range
+    ColumnVector wide(DataType::kString);   // too many values for a dict
+    for (size_t i = 0; i < rows; ++i) {
+      if (rng.NextBool(0.15)) {
+        packed.AppendNull();
+      } else {
+        packed.AppendInt64(rng.NextInt64(0, 40));
+      }
+      std::string value = "w";
+      value += std::to_string(i);
+      wide.AppendString(value);
+    }
+    RecordBatch batch(Schema({{"s", DataType::kString, true},
+                              {"r", DataType::kInt64, true},
+                              {"b", DataType::kInt64, true},
+                              {"d", DataType::kDouble, true},
+                              {"w", DataType::kString, true}}),
+                      {MakeColumn(DataType::kString, rows, true, rows + 1),
+                       MakeColumn(DataType::kInt64, rows, true, rows + 2),
+                       packed,
+                       MakeColumn(DataType::kDouble, rows, true, rows + 3),
+                       wide});
+    ColumnarBlock block = ColumnarBlock::FromBatch(0, batch);
+    ASSERT_EQ(block.ColumnEncoding(0), Encoding::kDict);
+    ASSERT_EQ(block.ColumnEncoding(1), Encoding::kRle);
+    ASSERT_EQ(block.ColumnEncoding(2), Encoding::kBitPack);
+    ASSERT_EQ(block.ColumnEncoding(3), Encoding::kPlain);
+    ASSERT_EQ(block.ColumnEncoding(4), Encoding::kPlain);
+    auto decoded = block.DecodeBatch();
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+
+    auto atom = [](CompareOp op, const char* column, Value literal) {
+      return Expr::Compare(op, Expr::ColumnRef(column),
+                           Expr::Literal(std::move(literal)));
+    };
+    const std::vector<ExprPtr> atoms = {
+        atom(CompareOp::kEq, "s", Value::String("v5")),
+        atom(CompareOp::kContains, "s", Value::String("v1")),
+        atom(CompareOp::kNe, "s", Value::Null()),
+        atom(CompareOp::kLt, "r", Value::Int64(20)),
+        atom(CompareOp::kGe, "r", Value::Double(12.5)),
+        atom(CompareOp::kGt, "b", Value::Int64(30)),
+        atom(CompareOp::kLe, "b", Value::Null()),
+        atom(CompareOp::kLe, "d", Value::Double(50.0)),
+        atom(CompareOp::kEq, "w", Value::String("w3")),
+    };
+    for (const ExprPtr& a : atoms) {
+      for (const ExprPtr& b : atoms) {
+        if (a == b) continue;
+        for (const ExprPtr& tree :
+             {Expr::And(a, b), Expr::Or(a, b),
+              Expr::Not(Expr::And(a, Expr::Not(b))),
+              Expr::Or(Expr::Not(a), Expr::And(b, a))}) {
+          CheckEncodedTree(tree, block, *decoded, &handled_count,
+                           &fallback_count);
+          CheckEncodedTree(CanonicalizeAtoms(PushDownNot(tree)), block,
+                           *decoded, &handled_count, &fallback_count);
+          for (const ExprPtr& conjunct : NormalizePredicate(tree)) {
+            CheckEncodedTree(conjunct, block, *decoded, &handled_count,
+                             &fallback_count);
+          }
+        }
+      }
+    }
+  }
+  // Both sides of the support matrix must actually be exercised.
+  EXPECT_GT(handled_count, 500u);
+  EXPECT_GT(fallback_count, 500u);
 }
 
 }  // namespace

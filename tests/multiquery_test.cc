@@ -196,7 +196,7 @@ TEST(EntryGuardAdmissionTest, ConcurrentAdmitsRespectDailyQuota) {
         }
         // Race credential checks and auth failures against the mints.
         guard.AuthorizeDomain(*seed_credential, "hdfs-domain");
-        guard.Admit("ghost", "open", 0);
+        EXPECT_FALSE(guard.Admit("ghost", "open", 0).ok());
       }
     });
   }
@@ -240,6 +240,24 @@ TEST(FairShareGateTest, WeightedCapsBlockAtLimitAndGrowOnExit) {
   EXPECT_TRUE(acquired.load());
   EXPECT_EQ(sched.PeakLeafTasks(1), 2u);
   EXPECT_GE(sched.leaf_slot_waits(), 1u);
+}
+
+// A job that never registered a share — the serial master running on a
+// leaf pool, or ResumeJob — passes the gate untouched: the pooled dispatch
+// relies on acquire/release being immediate no-ops for it.
+TEST(FairShareGateTest, UnregisteredJobPassesGateUntouched) {
+  ClusterManager cluster;
+  PathRouter router;
+  JobScheduler sched(&cluster, &router, NetworkModel{}, ScheduleConfig{},
+                     /*seed=*/1);
+  sched.SetLeafPoolWidth(1);
+  sched.RegisterJobShare(1, /*weight=*/1);
+  sched.AcquireLeafSlot(1);  // the only registered job sits at its cap
+  for (int i = 0; i < 16; ++i) sched.AcquireLeafSlot(7);
+  for (int i = 0; i < 16; ++i) sched.ReleaseLeafSlot(7);
+  EXPECT_EQ(sched.leaf_slot_waits(), 0u);
+  EXPECT_EQ(sched.PeakLeafTasks(7), 0u);
+  EXPECT_EQ(sched.PeakLeafTasks(1), 1u);
 }
 
 // ---------- Engine integration ----------

@@ -297,7 +297,7 @@ TEST(ParserFuzzTest, RandomMutationsNeverCrash) {
           mutated.insert(pos, 1, kNoise[next() % (sizeof(kNoise) - 1)]);
           break;
       }
-      if (mutated.empty()) mutated = "x";
+      if (mutated.empty()) mutated.push_back('x');
     }
     auto stmt = ParseSql(mutated);
     if (stmt.ok()) {
