@@ -453,31 +453,32 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
   // predicate bitmap, so only matching rows ever materialize.
   const BitVector* decode_selection =
       conjuncts.empty() ? nullptr : &selection;
+  const uint64_t selected =
+      decode_selection != nullptr ? stats.rows_matched : block->num_rows();
+  // Distributed LIMIT: this leaf's contribution is capped; the master trims
+  // the union to the global limit. Without an order hint the cap is the
+  // first `limit` selected rows, so only those decode.
+  const bool capped = !task.has_aggregate && task.limit >= 0 &&
+                      selected > static_cast<uint64_t>(task.limit);
+  if (capped && task.order_by.empty()) {
+    selection.KeepFirstSetBits(static_cast<size_t>(task.limit));
+    decode_selection = &selection;
+  }
   FEISU_ASSIGN_OR_RETURN(
       RecordBatch filtered,
       DecodeDataBatch(*block, task.columns, decode_selection));
-  stats.values_decoded +=
-      static_cast<uint64_t>(filtered.num_rows()) * filtered.num_columns();
-  stats.cpu_time +=
-      RowCost(filtered.num_rows(), config_.cpu_per_row_materialize);
+  // Materialization is charged on every selected row, whether or not a
+  // LIMIT cut it from the decode.
+  stats.values_decoded += selected * filtered.num_columns();
+  stats.cpu_time += RowCost(selected, config_.cpu_per_row_materialize);
 
-  if (!task.has_aggregate && task.limit >= 0 &&
-      filtered.num_rows() > static_cast<size_t>(task.limit)) {
-    // Distributed LIMIT: this leaf's contribution is capped; the master
-    // trims the union to the global limit. With an order hint the cap is
-    // the local top-k under that ordering (bounded heap).
-    if (!task.order_by.empty()) {
-      FEISU_ASSIGN_OR_RETURN(filtered,
-                             TopNBatch(filtered, task.order_by, task.limit));
-      stats.cpu_time +=
-          RowCost(filtered.num_rows(), config_.cpu_per_row_materialize);
-    } else {
-      BitVector head(filtered.num_rows(), false);
-      for (int64_t i = 0; i < task.limit; ++i) {
-        head.Set(static_cast<size_t>(i), true);
-      }
-      filtered = filtered.Filter(head);
-    }
+  if (capped && !task.order_by.empty()) {
+    // With an order hint the cap is the local top-k under that ordering
+    // (bounded heap).
+    FEISU_ASSIGN_OR_RETURN(filtered,
+                           TopNBatch(filtered, task.order_by, task.limit));
+    stats.cpu_time +=
+        RowCost(filtered.num_rows(), config_.cpu_per_row_materialize);
   }
 
   if (task.has_aggregate) {

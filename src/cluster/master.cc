@@ -33,6 +33,17 @@ bool IsRetryableTaskFailure(const Status& status) {
          status.code() == StatusCode::kTimedOut;
 }
 
+/// Payload bytes and rows of a batch list: what its concatenation would
+/// hold, since ByteSize and row counts add up across Append.
+StemInput BatchListTotals(const std::vector<RecordBatch>& batches) {
+  StemInput totals;
+  for (const RecordBatch& batch : batches) {
+    totals.bytes += batch.ByteSize();
+    totals.rows += batch.num_rows();
+  }
+  return totals;
+}
+
 }  // namespace
 
 /// One block's leaf task plus the outcome slot the pooled path fills:
@@ -40,7 +51,7 @@ bool IsRetryableTaskFailure(const Status& status) {
 /// phase folds the slots into scheduler/stats state in block order.
 struct MasterServer::PendingLeafTask {
   LeafTask task;
-  std::string signature;
+  std::string signature;  ///< built only when task-result reuse is on
   std::vector<uint32_t> replicas;
   TaskResult result;
   Placement placement;
@@ -589,13 +600,14 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     ++stats->total_tasks;
 
     p.replicas = router_->ReplicaNodes(block.path);
-    p.signature = p.task.Signature();
-    if (config_.enable_task_result_reuse &&
-        job_manager_.TryReuse(p.signature, &p.result)) {
-      p.reused = true;
-      ++stats->reused_tasks;
-      p.placement.start_time = now;
-      p.placement.finish_time = now + config_.network.ControlRoundTrip();
+    if (config_.enable_task_result_reuse) {
+      p.signature = p.task.Signature();
+      if (job_manager_.TryReuse(p.signature, &p.result)) {
+        p.reused = true;
+        ++stats->reused_tasks;
+        p.placement.start_time = now;
+        p.placement.finish_time = now + config_.network.ControlRoundTrip();
+      }
     }
     slots.push_back(std::move(p));
   }
@@ -693,7 +705,9 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
   // get ids from a reserved range, handed out in (deterministic) merge
   // order. ---
   struct StemLevel {
-    std::vector<RecordBatch> batches;
+    // Per entry: one partial for aggregate plans; the leaf batches in block
+    // order for row plans (see StemOutput).
+    std::vector<std::vector<RecordBatch>> batches;
     std::vector<SimTime> finishes;
     std::vector<uint64_t> task_counts;
   };
@@ -704,24 +718,25 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
                          const StemGroups& groups) -> Result<StemLevel> {
     StemLevel out;
     for (const auto& [stem_id, members] : groups) {
-      std::vector<RecordBatch> batches;
+      std::vector<std::vector<RecordBatch>> children;
       std::vector<SimTime> times;
       uint64_t group_tasks = 0;
       for (size_t m : members) {
-        batches.push_back(std::move(in.batches[m]));
+        children.push_back(std::move(in.batches[m]));
         times.push_back(in.finishes[m]);
         group_tasks += in.task_counts[m];
       }
       FEISU_ASSIGN_OR_RETURN(
-          std::optional<StemResult> merged,
-          MergeWithStemRecovery(stem_id, batches, times, has_aggregate,
-                                group_by, aggregates, meta->schema(),
+          std::optional<StemOutput> merged,
+          MergeWithStemRecovery(stem_id, std::move(children),
+                                std::move(times), has_aggregate, group_by,
+                                aggregates, meta->schema(),
                                 &next_replacement_id, stats));
       if (!merged.has_value()) {
         stats->abandoned_tasks += group_tasks;
         continue;
       }
-      out.batches.push_back(std::move(merged->batch));
+      out.batches.push_back(std::move(merged->batches));
       out.finishes.push_back(merged->finish_time);
       out.task_counts.push_back(group_tasks);
     }
@@ -746,7 +761,8 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
         pending[i].placement.node_id / std::max<size_t>(1,
                                                         config_.stem_fanout));
     by_stem[stem_id].push_back(level.batches.size());
-    level.batches.push_back(std::move(pending[i].result.batch));
+    level.batches.emplace_back().push_back(
+        std::move(pending[i].result.batch));
     level.finishes.push_back(pending[i].placement.finish_time);
     level.task_counts.push_back(1);
   }
@@ -776,7 +792,8 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
   SimTime ready = now;
   uint64_t rows = 0;
   for (size_t i = 0; i < level.batches.size(); ++i) {
-    uint64_t bytes = level.batches[i].ByteSize();
+    StemInput entry = BatchListTotals(level.batches[i]);
+    uint64_t bytes = entry.bytes;
     stats->bytes_shuffled += bytes;
     SimTime transfer;
     if (config_.result_spill_threshold_bytes > 0 &&
@@ -793,7 +810,7 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
       transfer = config_.network.Transfer(bytes, TrafficClass::kRead);
     }
     ready = std::max(ready, level.finishes[i] + transfer);
-    rows += level.batches[i].num_rows();
+    rows += entry.rows;
   }
   stats->leaf_finish_time = sorted.empty() ? now : std::min(cutoff,
                                                             sorted.back());
@@ -803,8 +820,10 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     FEISU_ASSIGN_OR_RETURN(
         Aggregator final_agg,
         Aggregator::Make(group_by, aggregates, meta->schema()));
-    for (const auto& batch : level.batches) {
-      FEISU_RETURN_IF_ERROR(final_agg.ConsumePartial(batch));
+    for (const auto& entry : level.batches) {
+      for (const auto& batch : entry) {
+        FEISU_RETURN_IF_ERROR(final_agg.ConsumePartial(batch));
+      }
     }
     FEISU_ASSIGN_OR_RETURN(staged.batch, final_agg.FinalResult());
     stats->leaf.AccumulateAgg(final_agg.stats());
@@ -815,12 +834,14 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
       Schema schema = meta->schema().Select(columns);
       staged.batch = RecordBatch(schema);
     } else {
-      RecordBatch merged(level.batches[0].schema());
-      size_t total_rows = 0;
-      for (const auto& batch : level.batches) total_rows += batch.num_rows();
-      merged.Reserve(total_rows);
-      for (const auto& batch : level.batches) {
-        FEISU_RETURN_IF_ERROR(merged.Append(batch));
+      // The one concatenation of the row exchange, in block order within
+      // each stem and stem order across them.
+      RecordBatch merged(level.batches[0][0].schema());
+      merged.Reserve(rows);
+      for (const auto& entry : level.batches) {
+        for (const auto& batch : entry) {
+          FEISU_RETURN_IF_ERROR(merged.Append(batch));
+        }
       }
       staged.batch = std::move(merged);
     }
@@ -1099,26 +1120,44 @@ void MasterServer::LaunchSpeculativeBackups(
   }
 }
 
-Result<std::optional<StemResult>> MasterServer::MergeWithStemRecovery(
-    uint32_t stem_id, const std::vector<RecordBatch>& batches,
+Result<std::optional<MasterServer::StemOutput>>
+MasterServer::MergeWithStemRecovery(
+    uint32_t stem_id, std::vector<std::vector<RecordBatch>> children,
     std::vector<SimTime> times, bool has_aggregate,
     const std::vector<ExprPtr>& group_by,
     const std::vector<AggSpec>& aggregates, const Schema& schema,
     uint32_t* next_replacement_id, QueryStats* stats) {
   FaultInjector* faults = router_->fault_injector();
+  // Aggregate plans hand the stem one partial per child; row plans charge
+  // it from each child's totals.
+  std::vector<RecordBatch> partials;
+  std::vector<StemInput> inputs;
+  for (std::vector<RecordBatch>& child : children) {
+    if (has_aggregate) {
+      for (RecordBatch& batch : child) partials.push_back(std::move(batch));
+    } else {
+      inputs.push_back(BatchListTotals(child));
+    }
+  }
   uint32_t current_id = stem_id;
   for (int attempt = 0; attempt <= config_.max_task_retries; ++attempt) {
+    StemResult merged;
     // A fresh aggregator per attempt: a replacement stem restarts the
     // partial merge from the children's resent partials.
-    StemServer stem(current_id, config_.network);
     std::unique_ptr<Aggregator> stem_agg;
     if (has_aggregate) {
       FEISU_ASSIGN_OR_RETURN(Aggregator a,
                              Aggregator::Make(group_by, aggregates, schema));
       stem_agg = std::make_unique<Aggregator>(std::move(a));
+      StemServer stem(current_id, config_.network);
+      FEISU_ASSIGN_OR_RETURN(merged,
+                             stem.Merge(partials, times, stem_agg.get()));
+    } else {
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        inputs[i].finish_time = times[i];
+      }
+      merged = ChargeStemMerge(inputs, config_.network);
     }
-    FEISU_ASSIGN_OR_RETURN(StemResult merged,
-                           stem.Merge(batches, times, stem_agg.get()));
     if (faults != nullptr) {
       std::optional<SimTime> crash = faults->StemCrashWithin(
           current_id, merged.start_time, merged.finish_time);
@@ -1135,12 +1174,23 @@ Result<std::optional<StemResult>> MasterServer::MergeWithStemRecovery(
         continue;
       }
     }
-    if (stem_agg != nullptr) stats->leaf.AccumulateAgg(stem_agg->stats());
     stats->bytes_shuffled += merged.bytes_received;
-    return std::optional<StemResult>(std::move(merged));
+    StemOutput out;
+    out.finish_time = merged.finish_time;
+    if (has_aggregate) {
+      stats->leaf.AccumulateAgg(stem_agg->stats());
+      out.batches.push_back(std::move(merged.batch));
+    } else {
+      for (std::vector<RecordBatch>& child : children) {
+        for (RecordBatch& batch : child) {
+          out.batches.push_back(std::move(batch));
+        }
+      }
+    }
+    return std::optional<StemOutput>(std::move(out));
   }
   // Every replacement died too: the subtree's partials are lost.
-  return std::optional<StemResult>();
+  return std::optional<StemOutput>();
 }
 
 MasterCheckpoint MasterServer::Checkpoint() const {

@@ -362,14 +362,26 @@ class MasterServer {
   void LaunchSpeculativeBackups(std::vector<PendingLeafTask>* pending,
                                 const JobContext& ctx, QueryStats* stats);
 
-  /// Stem-level merge with death recovery: when the stem-death schedule
-  /// kills `stem_id` inside its merge window (start_time, finish_time],
-  /// the partial merge is reassigned to a replacement stem — the children
-  /// resend their partials one heartbeat interval after the crash — up to
+  /// What one stem forwards up the tree: aggregate plans carry the one
+  /// merged partial; row plans carry their leaf batches in block order,
+  /// which only the master concatenates.
+  struct StemOutput {
+    std::vector<RecordBatch> batches;
+    SimTime finish_time = 0;
+  };
+
+  /// Stem-level merge with death recovery. `children[i]` is child i's
+  /// batch list, ready at `times[i]`. Aggregate plans merge the children's
+  /// partials through StemServer::Merge; row plans pay the stem's
+  /// ChargeStemMerge from per-child byte and row totals and forward the
+  /// batches unchanged. When the stem-death schedule kills `stem_id`
+  /// inside its merge window (start_time, finish_time], the partial merge
+  /// is reassigned to a replacement stem — the children resend their
+  /// partials one heartbeat interval after the crash — up to
   /// max_task_retries times. Returns nullopt (not an error) when every
   /// replacement dies too; the caller abandons the subtree honestly.
-  Result<std::optional<StemResult>> MergeWithStemRecovery(
-      uint32_t stem_id, const std::vector<RecordBatch>& batches,
+  Result<std::optional<StemOutput>> MergeWithStemRecovery(
+      uint32_t stem_id, std::vector<std::vector<RecordBatch>> children,
       std::vector<SimTime> times, bool has_aggregate,
       const std::vector<ExprPtr>& group_by,
       const std::vector<AggSpec>& aggregates, const Schema& schema,

@@ -1,7 +1,6 @@
 #include "cluster/scheduler.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/fault_injector.h"
 
@@ -33,27 +32,21 @@ SimTime JobScheduler::EarliestSlot(
   if (it == node_slots.end()) return now;
   const std::vector<SimTime>& booked = it->second;
   if (booked.size() < static_cast<size_t>(slots)) return now;
-  // With all slots busy, the earliest start is the smallest of the `slots`
-  // latest finish times; keep it simple: sort a copy of the tail.
-  std::vector<SimTime> copy = booked;
-  std::sort(copy.begin(), copy.end());
   // Occupancy at time t = number of bookings finishing after t. A new task
-  // can start when occupancy < slots, i.e. after the (n - slots)-th finish.
-  size_t idx = copy.size() - static_cast<size_t>(slots);
-  return std::max(now, copy[idx]);
+  // can start when occupancy < slots, i.e. after the (n - slots)-th finish;
+  // BookSlot keeps `booked` sorted, so that is one index.
+  return std::max(now, booked[booked.size() - static_cast<size_t>(slots)]);
 }
 
 void JobScheduler::BookSlot(
     std::map<uint32_t, std::vector<SimTime>>* node_slots, uint32_t node_id,
     SimTime finish) {
   std::vector<SimTime>& booked = (*node_slots)[node_id];
-  booked.push_back(finish);
+  booked.insert(std::upper_bound(booked.begin(), booked.end(), finish),
+                finish);
   // Bound growth: drop bookings that can no longer constrain anything
   // (older than the 64 most recent).
-  if (booked.size() > 256) {
-    std::sort(booked.begin(), booked.end());
-    booked.erase(booked.begin(), booked.end() - 64);
-  }
+  if (booked.size() > 256) booked.erase(booked.begin(), booked.end() - 64);
 }
 
 Placement JobScheduler::PlaceTask(const std::vector<uint32_t>& replicas,

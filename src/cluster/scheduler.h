@@ -58,7 +58,7 @@ struct StragglerVerdict {
 /// thread at a time.
 struct SlotLedger {
   explicit SlotLedger(uint64_t seed) : rng(seed) {}
-  // node -> finish times of booked tasks (bounded multiset per node).
+  // node -> finish times of booked tasks, ascending (bounded per node).
   std::map<uint32_t, std::vector<SimTime>> node_slots;
   Rng rng;
 };
@@ -156,10 +156,13 @@ class JobScheduler {
   uint64_t leaf_slot_waits() const FEISU_EXCLUDES(share_mutex_);
 
  private:
-  /// Earliest available slot time on a node with `slots` parallel slots.
+  /// Earliest available slot time on a node with `slots` parallel slots:
+  /// one lookup into the node's sorted bookings.
   static SimTime EarliestSlot(
       const std::map<uint32_t, std::vector<SimTime>>& node_slots,
       uint32_t node_id, int slots, SimTime now);
+  /// Inserts `finish` in order and trims the node to its 64 latest
+  /// bookings once it holds more than 256.
   static void BookSlot(std::map<uint32_t, std::vector<SimTime>>* node_slots,
                        uint32_t node_id, SimTime finish);
 

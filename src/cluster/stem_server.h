@@ -22,13 +22,33 @@ struct StemResult {
   uint64_t bytes_received = 0;
 };
 
+/// Per-row CPU charge of a stem combine.
+inline constexpr SimTime kStemCpuPerRowMerge = 8;
+
+/// What one child hands its stem: its output's payload bytes and rows, and
+/// the simulated time it finished.
+struct StemInput {
+  uint64_t bytes = 0;
+  uint64_t rows = 0;
+  SimTime finish_time = 0;
+};
+
+/// The simulated cost of one stem merge, shared by StemServer::Merge and
+/// the master's row exchange (which forwards leaf batches up the tree
+/// without concatenating them): each child's bytes travel on the read data
+/// flow once it finishes, and the stem combines all child rows after the
+/// last input has arrived. Fills every StemResult field except `batch`.
+StemResult ChargeStemMerge(const std::vector<StemInput>& children,
+                           const NetworkModel& network,
+                           SimTime cpu_per_row_merge = kStemCpuPerRowMerge);
+
 /// A stem server aggregates task results from leaf servers (or from other
 /// stems) on the way up the execution tree (paper Fig. 3). For aggregation
 /// queries it merges partial states; for plain scans it concatenates rows.
 class StemServer {
  public:
   StemServer(uint32_t node_id, NetworkModel network,
-             SimTime cpu_per_row_merge = 8);
+             SimTime cpu_per_row_merge = kStemCpuPerRowMerge);
 
   uint32_t node_id() const { return node_id_; }
 

@@ -43,9 +43,10 @@ struct TaskStats {
   uint64_t bytes_read = 0;
   uint64_t rows_scanned = 0;           ///< rows whose predicate was evaluated
   uint64_t rows_matched = 0;
-  /// Values actually materialized for the output projection. With selection
-  /// pushdown this counts only selected rows × projected columns, so the
-  /// ratio to rows_scanned × columns shows the late-materialization win.
+  /// Charged materialization count: selected rows × output columns. An
+  /// unordered LIMIT leaf decodes only its first `limit` selected rows but
+  /// is still charged for all of them. The ratio to rows_scanned × columns
+  /// shows the late-materialization win.
   uint64_t values_decoded = 0;
   /// Values whose predicate was answered in the compressed domain (dict
   /// codes / RLE runs / bit-packed words) and therefore never decoded for

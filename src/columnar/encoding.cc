@@ -935,7 +935,9 @@ Encoding ChooseEncoding(const ColumnVector& col) {
       if (runs * 4 <= v.size()) return Encoding::kRle;
       // Otherwise frame-of-reference bit packing when the value range is
       // materially narrower than 64 bits.
-      uint64_t range = static_cast<uint64_t>(max - min);
+      // Unsigned subtraction: `max - min` overflows int64_t on wide ranges.
+      uint64_t range =
+          static_cast<uint64_t>(max) - static_cast<uint64_t>(min);
       int width = 1;
       while (width < 64 && (range >> width) != 0) ++width;
       return width <= 32 ? Encoding::kBitPack : Encoding::kPlain;

@@ -283,6 +283,22 @@ bool BitVector::AnyInRange(size_t begin, size_t end) const {
   return false;
 }
 
+void BitVector::KeepFirstSetBits(size_t n) {
+  size_t w = 0;
+  for (; w < words_.size(); ++w) {
+    size_t ones = static_cast<size_t>(std::popcount(words_[w]));
+    if (ones > n) break;
+    n -= ones;
+  }
+  if (w == words_.size()) return;
+  // Keep the word's lowest n set bits: `rest` is what lies above them.
+  uint64_t rest = words_[w];
+  for (; n > 0; --n) rest &= rest - 1;
+  words_[w] &= ~rest;
+  std::fill(words_.begin() + static_cast<std::ptrdiff_t>(w) + 1, words_.end(),
+            0);
+}
+
 void BitVector::And(const BitVector& other) {
   assert(size_ == other.size_);
   for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];

@@ -52,6 +52,11 @@ class BitVector {
   /// fully unselected range costs one load per 64 rows.
   bool AnyInRange(size_t begin, size_t end) const;
 
+  /// Clears every set bit after the first `n`. Word-level: one popcount
+  /// per word up to the word holding the n-th set bit, then whole-word
+  /// clears.
+  void KeepFirstSetBits(size_t n);
+
   /// In-place bitwise ops; `other` must have the same size.
   void And(const BitVector& other);
   void Or(const BitVector& other);

@@ -55,12 +55,15 @@ double NumericWord(DataType type, uint64_t word) {
 
 /// Replicates RecordBatch::AppendRow's per-cell type check (NULL always
 /// accepted, exact type match otherwise, numeric widened into a double
-/// column) so typed emission errors exactly where the row path did.
+/// column) so typed emission errors exactly where the row path did. The
+/// column name is `field_name` + `suffix`, built only for the error.
 Status AppendCell(ColumnVector* col, const Value& v,
-                  const std::string& field_name) {
+                  const std::string& field_name, const char* suffix = "") {
   if (!v.is_null() && v.type() != col->type() &&
       !(v.is_numeric() && col->type() == DataType::kDouble)) {
-    return Status::InvalidArgument("type mismatch for column " + field_name);
+    std::string message = "type mismatch for column ";
+    message.append(field_name).append(suffix);
+    return Status::InvalidArgument(message);
   }
   col->AppendValue(v);
   return Status::OK();
@@ -809,9 +812,9 @@ Result<RecordBatch> Aggregator::PartialResult() const {
       const std::string& name = specs_[s].output_name;
       for (uint32_t g : order) {
         FEISU_RETURN_IF_ERROR(
-            AppendCell(min_col, st.min_boxed[g], name + "#min"));
+            AppendCell(min_col, st.min_boxed[g], name, "#min"));
         FEISU_RETURN_IF_ERROR(
-            AppendCell(max_col, st.max_boxed[g], name + "#max"));
+            AppendCell(max_col, st.max_boxed[g], name, "#max"));
       }
     }
   }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "cluster/cluster_manager.h"
 #include "cluster/entry_guard.h"
 #include "cluster/job_manager.h"
@@ -10,6 +14,8 @@
 #include "cluster/master_load.h"
 #include "cluster/task.h"
 #include "columnar/block.h"
+#include "columnar/encoding.h"
+#include "common/rng.h"
 #include "sql/parser.h"
 #include "storage/storage_factory.h"
 
@@ -235,6 +241,74 @@ TEST(SchedulerTest, SlowdownFactorStretchesTasks) {
   Placement p = scheduler.PlaceTask({0}, 4, 0, scheduler.serial_ledger());
   scheduler.CommitTask(&p, kSimSecond, 0, scheduler.serial_ledger());
   EXPECT_GE(p.finish_time - p.start_time, 3 * kSimSecond);
+}
+
+// The slot arithmetic the sorted ledger must reproduce: sort a copy of a
+// node's bookings on every query, and sort-then-trim to the 64 latest once
+// it holds more than 256.
+struct NaiveSlots {
+  std::map<uint32_t, std::vector<SimTime>> booked;
+
+  SimTime Earliest(uint32_t node, int slots, SimTime now) const {
+    auto it = booked.find(node);
+    if (it == booked.end() || it->second.size() < static_cast<size_t>(slots)) {
+      return now;
+    }
+    std::vector<SimTime> copy = it->second;
+    std::sort(copy.begin(), copy.end());
+    return std::max(now, copy[copy.size() - static_cast<size_t>(slots)]);
+  }
+
+  void Book(uint32_t node, SimTime finish) {
+    std::vector<SimTime>& v = booked[node];
+    v.push_back(finish);
+    if (v.size() > 256) {
+      std::sort(v.begin(), v.end());
+      v.erase(v.begin(), v.end() - 64);
+    }
+  }
+};
+
+TEST(SchedulerTest, SortedLedgerMatchesNaiveReferencePastTrim) {
+  ClusterManager cluster;
+  cluster.AddNode(false, 4, 3);
+  cluster.AddNode(false, 4, 3);
+  PathRouter router;
+  JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
+                         1);
+  SlotLedger* ledger = scheduler.serial_ledger();
+  NaiveSlots reference;
+  Rng rng(20260617);
+  const int max_tasks_per_node = 3;
+  SimTime now = 0;
+  // Enough commits that both nodes pass the 256 trim more than once.
+  for (int i = 0; i < 1500; ++i) {
+    // `now` wanders backwards as well as forwards, and durations span
+    // three orders of magnitude, so finish times arrive out of order.
+    now = std::max<SimTime>(
+        0, now + rng.NextInt64(-20, 30) * kSimMillisecond);
+    SimTime duration = rng.NextInt64(1, 2000) * kSimMillisecond;
+    SimTime expected_start = 0;
+    uint32_t expected_node = 0;
+    for (uint32_t node : {0u, 1u}) {
+      SimTime start = reference.Earliest(node, max_tasks_per_node, now);
+      if (node == 0 || start < expected_start) {
+        expected_start = start;
+        expected_node = node;
+      }
+    }
+    Placement p =
+        scheduler.PlaceTask({0, 1}, max_tasks_per_node, now, ledger);
+    ASSERT_EQ(p.node_id, expected_node) << "commit " << i;
+    ASSERT_EQ(p.start_time, expected_start) << "commit " << i;
+    scheduler.CommitTask(&p, duration, now, ledger);
+    reference.Book(p.node_id, p.finish_time);
+  }
+  for (uint32_t node : {0u, 1u}) {
+    std::vector<SimTime> expected = reference.booked[node];
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(ledger->node_slots[node], expected);
+  }
 }
 
 TEST(SchedulerTest, DetectStragglersFlagsQuantileOutlier) {
@@ -506,6 +580,68 @@ TEST(LeafServerTest, NoPredicateReturnsAllRows) {
   auto result = leaf.Execute(fixture.MakeTask(""), 0);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->batch.num_rows(), 1000u);
+}
+
+void ExpectSameTaskStats(const TaskStats& a, const TaskStats& b) {
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+  EXPECT_EQ(a.rows_matched, b.rows_matched);
+  EXPECT_EQ(a.values_decoded, b.values_decoded);
+  EXPECT_EQ(a.values_skipped_encoded, b.values_skipped_encoded);
+  EXPECT_EQ(a.index_direct_hits, b.index_direct_hits);
+  EXPECT_EQ(a.index_composed_hits, b.index_composed_hits);
+  EXPECT_EQ(a.index_misses, b.index_misses);
+  EXPECT_EQ(a.btree_probes, b.btree_probes);
+  EXPECT_EQ(a.btree_builds, b.btree_builds);
+  EXPECT_EQ(a.agg_groups, b.agg_groups);
+  EXPECT_EQ(a.agg_hash_probes, b.agg_hash_probes);
+  EXPECT_EQ(a.agg_rehashes, b.agg_rehashes);
+  EXPECT_EQ(a.agg_null_fast_batches, b.agg_null_fast_batches);
+  EXPECT_EQ(a.agg_code_domain_groups, b.agg_code_domain_groups);
+  EXPECT_EQ(a.block_skipped, b.block_skipped);
+  EXPECT_EQ(a.io_time, b.io_time);
+  EXPECT_EQ(a.cpu_time, b.cpu_time);
+}
+
+// An unordered LIMIT leaf decodes only its first `limit` selected rows: its
+// batch is the first `limit` rows of the uncapped task's, and every charge
+// (values_decoded, cpu and io time) is the uncapped task's, with and
+// without a predicate and with no data columns at all (row-id output).
+TEST(LeafServerTest, UnorderedLimitIsPrefixOfUncappedTask) {
+  LeafFixture fixture;
+  const std::vector<std::string> kColumnSets[] = {{"c1"}, {"c1", "s"}, {}};
+  for (const char* condition : {"", "c2 < 3", "s CONTAINS 'eve'"}) {
+    for (const std::vector<std::string>& columns : kColumnSets) {
+      LeafTask uncapped = fixture.MakeTask(condition, columns);
+      // A fresh leaf per run, so SmartIndex warmth cannot differ.
+      LeafServer reference_leaf(0, &fixture.router, LeafServerConfig());
+      auto all = reference_leaf.Execute(uncapped, 0);
+      ASSERT_TRUE(all.ok()) << all.status().ToString();
+      ASSERT_GT(all->batch.num_rows(), 250u) << condition;
+      for (int64_t limit : {0, 1, 63, 64, 65, 250}) {
+        LeafTask capped = uncapped;
+        capped.limit = limit;
+        LeafServer leaf(0, &fixture.router, LeafServerConfig());
+        auto head = leaf.Execute(capped, 0);
+        ASSERT_TRUE(head.ok()) << head.status().ToString();
+        SCOPED_TRACE(std::string("WHERE ") + condition + ", " +
+                     std::to_string(columns.size()) + " columns, LIMIT " +
+                     std::to_string(limit));
+        BitVector prefix(all->batch.num_rows(), false);
+        prefix.SetRange(0, static_cast<size_t>(limit), true);
+        RecordBatch expected = all->batch.Filter(prefix);
+        ASSERT_EQ(head->batch.schema(), expected.schema());
+        ASSERT_EQ(head->batch.num_rows(), expected.num_rows());
+        for (size_t c = 0; c < expected.num_columns(); ++c) {
+          EXPECT_EQ(EncodeColumnAs(head->batch.column(c), Encoding::kPlain)
+                        .payload,
+                    EncodeColumnAs(expected.column(c), Encoding::kPlain)
+                        .payload);
+        }
+        ExpectSameTaskStats(head->stats, all->stats);
+      }
+    }
+  }
 }
 
 TEST(LeafServerTest, MissingBlockErrors) {

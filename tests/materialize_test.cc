@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,11 @@ std::vector<BitVector> SelectionGrid(size_t rows, uint64_t seed) {
     grid.push_back(std::move(one));
     BitVector half(rows, false);
     for (size_t i = 0; i < rows; ++i) half.Set(i, rng.NextBool(0.5));
+    // The half selection cut to its first set bits: what an unordered
+    // LIMIT leaf decodes through.
+    BitVector head = half;
+    head.KeepFirstSetBits(head.CountOnes() / 3);
+    grid.push_back(std::move(head));
     grid.push_back(std::move(half));
     // Clustered low selectivity: a single short range of set bits, the
     // shape where run skipping actually pays.
@@ -217,6 +223,28 @@ TEST(BitVectorScanTest, ForEachSetBitMatchesSetIndices) {
     bits.ForEachSetBit(
         [&seen](size_t i) { seen.push_back(static_cast<uint32_t>(i)); });
     EXPECT_EQ(seen, bits.SetIndices());
+  }
+}
+
+TEST(BitVectorScanTest, KeepFirstSetBitsMatchesIndexPrefix) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{517}}) {
+    for (double density : {0.0, 0.2, 1.0}) {
+      Rng rng(n + 3);
+      BitVector bits(n, false);
+      for (size_t i = 0; i < n; ++i) bits.Set(i, rng.NextBool(density));
+      const std::vector<uint32_t> all = bits.SetIndices();
+      for (size_t keep : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                          all.size() / 2, all.size(), all.size() + 1}) {
+        BitVector cut = bits;
+        cut.KeepFirstSetBits(keep);
+        std::vector<uint32_t> expected(
+            all.begin(), all.begin() + std::min(keep, all.size()));
+        EXPECT_EQ(cut.SetIndices(), expected)
+            << n << " bits, density " << density << ", keep " << keep;
+        EXPECT_EQ(cut.size(), n);
+      }
+    }
   }
 }
 

@@ -43,9 +43,22 @@ const char* const kChaosQueries[] = {
     "SELECT c1, COUNT(*) FROM t1 GROUP BY c1",
     "SELECT SUM(c0) FROM t1 WHERE c3 < 500",
     "SELECT c0, COUNT(*) FROM t1 WHERE c2 >= 10 GROUP BY c0",
+    // Row plans ride the batch-list exchange, uncapped and as an unordered
+    // LIMIT (any 40 matching rows are a correct answer).
+    "SELECT c0, c1 FROM t1 WHERE c3 < 500",
+    "SELECT c0, c1 FROM t1 WHERE c3 < 500 LIMIT 40",
 };
 
-std::string CanonicalRows(const RecordBatch& batch) {
+// Stem trees the chaos sweep runs under: the default one-level tree (4
+// leaves under stem 0), and 8 leaves at stem_fanout 2, whose 4 leaf-level
+// stems collapse into 2 upper-level ones.
+struct StemTopology {
+  size_t leaves;
+  size_t stem_fanout;
+};
+constexpr StemTopology kStemTopologies[] = {{4, 50}, {8, 2}};
+
+std::vector<std::string> CanonicalRowList(const RecordBatch& batch) {
   std::vector<std::string> rows;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     std::string row;
@@ -63,8 +76,12 @@ std::string CanonicalRows(const RecordBatch& batch) {
     rows.push_back(std::move(row));
   }
   std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::string CanonicalRows(const RecordBatch& batch) {
   std::string out;
-  for (const auto& row : rows) out += row + "\n";
+  for (const auto& row : CanonicalRowList(batch)) out += row + "\n";
   return out;
 }
 
@@ -105,6 +122,30 @@ std::string ReferenceRows(const ReferenceExecutor& reference,
   auto out = reference.Execute(*stmt);
   EXPECT_TRUE(out.ok()) << sql << ": " << out.status().ToString();
   return out.ok() ? CanonicalRows(*out) : std::string();
+}
+
+/// Checks a complete answer against the oracle. An unordered LIMIT may
+/// return any `limit` matching rows, so its rows must be a sub-multiset of
+/// the uncapped answer, of the capped size.
+void ExpectOracleAnswer(const ReferenceExecutor& reference,
+                        const std::string& sql, const RecordBatch& batch) {
+  auto stmt = ParseSql(sql);
+  ASSERT_TRUE(stmt.ok()) << sql;
+  if (stmt->limit < 0 || !stmt->order_by.empty()) {
+    EXPECT_EQ(CanonicalRows(batch), ReferenceRows(reference, sql)) << sql;
+    return;
+  }
+  SelectStatement uncapped = *stmt;
+  uncapped.limit = -1;
+  auto all = reference.Execute(uncapped);
+  ASSERT_TRUE(all.ok()) << sql << ": " << all.status().ToString();
+  std::vector<std::string> got = CanonicalRowList(batch);
+  std::vector<std::string> want = CanonicalRowList(*all);
+  EXPECT_EQ(got.size(),
+            std::min(want.size(), static_cast<size_t>(stmt->limit)))
+      << sql;
+  EXPECT_TRUE(std::includes(want.begin(), want.end(), got.begin(), got.end()))
+      << sql;
 }
 
 // ---------- TimeoutManager unit tests ----------
@@ -635,9 +676,11 @@ TEST(StemDeathSuite, AllReplacementsDeadDegradesHonestly) {
 
 // Mixed chaos derived from the sweep seed: one degraded node, one short
 // partition, transient read errors, light corruption, a doomed primary
-// stem, speculation on, and a deadline with a 0.5 honesty floor. Twin
-// engines replay the same seed. The invariant, per query:
-//   - full results are byte-identical to the reference oracle;
+// stem, speculation on, and a deadline with a 0.5 honesty floor, under each
+// of kStemTopologies. Twin engines replay the same seed. The invariant, per
+// query:
+//   - full results are byte-identical to the reference oracle (an
+//     unordered LIMIT: `limit` of the oracle's rows);
 //   - partials are honest (ratio < 1, consistent with the abandoned/lost
 //     accounting, COUNT(*) matching the committed rows) and the deadline
 //     alone never cuts below the floor — only genuine data loss can;
@@ -658,71 +701,76 @@ TEST_P(ChaosSweep, FullOrHonestPartialAcrossMixedFaults) {
                               kSimMillisecond, 11 * kSimMillisecond});
   fault.stem_events.push_back({1, 0, true});
 
-  auto tweak = [](EngineConfig* config) {
-    config->master.response_deadline = 2 * kSimSecond;
-    config->master.min_processed_ratio = 0.5;
-  };
-  RecordBatch all_rows;
-  auto engine = MakeEngine(fault, &all_rows, tweak);
-  auto twin = MakeEngine(fault, nullptr, tweak);
-  ReferenceExecutor reference;
-  reference.AddTable("t1", all_rows);
+  for (const StemTopology& topology : kStemTopologies) {
+    SCOPED_TRACE("leaves " + std::to_string(topology.leaves) +
+                 ", stem_fanout " + std::to_string(topology.stem_fanout));
+    auto tweak = [&topology](EngineConfig* config) {
+      config->num_leaf_nodes = topology.leaves;
+      config->master.stem_fanout = topology.stem_fanout;
+      config->master.response_deadline = 2 * kSimSecond;
+      config->master.min_processed_ratio = 0.5;
+    };
+    RecordBatch all_rows;
+    auto engine = MakeEngine(fault, &all_rows, tweak);
+    auto twin = MakeEngine(fault, nullptr, tweak);
+    ReferenceExecutor reference;
+    reference.AddTable("t1", all_rows);
 
-  for (const char* sql : kChaosQueries) {
-    auto a = engine->Query("chaos", sql);
-    auto b = twin->Query("chaos", sql);
-    ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
-    const QueryStats& stats = a->stats;
-    if (!stats.partial) {
-      EXPECT_DOUBLE_EQ(stats.processed_ratio, 1.0) << sql;
-      EXPECT_EQ(CanonicalRows(a->batch), ReferenceRows(reference, sql))
-          << sql;
-    } else {
-      EXPECT_LT(stats.processed_ratio, 1.0) << sql;
-      // Self-consistency with the task accounting.
-      ASSERT_GT(stats.total_tasks, 0u) << sql;
-      EXPECT_DOUBLE_EQ(
-          stats.processed_ratio,
-          1.0 - static_cast<double>(stats.abandoned_tasks +
-                                    stats.lost_blocks) /
-                    static_cast<double>(stats.total_tasks))
-          << sql;
-      // The deadline honors the floor; only real data loss may go lower.
-      if (stats.lost_blocks == 0 && stats.stem_failures == 0) {
-        EXPECT_GE(stats.processed_ratio, 0.5) << sql;
-      }
-      // Committed-row honesty on the plain count.
-      if (std::string(sql) == "SELECT COUNT(*) FROM t1" &&
-          a->batch.num_rows() == 1) {
-        EXPECT_EQ(a->batch.column(0).GetInt64(0),
-                  std::llround(stats.processed_ratio *
-                               static_cast<double>(kTotalRows)))
+    for (const char* sql : kChaosQueries) {
+      auto a = engine->Query("chaos", sql);
+      auto b = twin->Query("chaos", sql);
+      ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
+      const QueryStats& stats = a->stats;
+      if (!stats.partial) {
+        EXPECT_DOUBLE_EQ(stats.processed_ratio, 1.0) << sql;
+        ExpectOracleAnswer(reference, sql, a->batch);
+      } else {
+        EXPECT_LT(stats.processed_ratio, 1.0) << sql;
+        // Self-consistency with the task accounting.
+        ASSERT_GT(stats.total_tasks, 0u) << sql;
+        EXPECT_DOUBLE_EQ(
+            stats.processed_ratio,
+            1.0 - static_cast<double>(stats.abandoned_tasks +
+                                      stats.lost_blocks) /
+                      static_cast<double>(stats.total_tasks))
             << sql;
+        // The deadline honors the floor; only real data loss may go lower.
+        if (stats.lost_blocks == 0 && stats.stem_failures == 0) {
+          EXPECT_GE(stats.processed_ratio, 0.5) << sql;
+        }
+        // Committed-row honesty on the plain count.
+        if (std::string(sql) == "SELECT COUNT(*) FROM t1" &&
+            a->batch.num_rows() == 1) {
+          EXPECT_EQ(a->batch.column(0).GetInt64(0),
+                    std::llround(stats.processed_ratio *
+                                 static_cast<double>(kTotalRows)))
+              << sql;
+        }
       }
+      // Twin determinism: bytes and accounting replay identically.
+      EXPECT_EQ(CanonicalRows(a->batch), CanonicalRows(b->batch)) << sql;
+      EXPECT_EQ(stats.response_time, b->stats.response_time) << sql;
+      EXPECT_EQ(stats.backup_tasks_launched, b->stats.backup_tasks_launched)
+          << sql;
+      EXPECT_EQ(stats.backup_tasks_won, b->stats.backup_tasks_won) << sql;
+      EXPECT_EQ(stats.tasks_terminated_early, b->stats.tasks_terminated_early)
+          << sql;
+      EXPECT_EQ(stats.partitioned_tasks, b->stats.partitioned_tasks) << sql;
+      EXPECT_EQ(stats.stem_failures, b->stats.stem_failures) << sql;
+      EXPECT_EQ(stats.stem_retries, b->stats.stem_retries) << sql;
+      EXPECT_EQ(stats.abandoned_tasks, b->stats.abandoned_tasks) << sql;
+      EXPECT_EQ(stats.lost_blocks, b->stats.lost_blocks) << sql;
+      EXPECT_EQ(stats.partial, b->stats.partial) << sql;
+      EXPECT_DOUBLE_EQ(stats.processed_ratio, b->stats.processed_ratio)
+          << sql;
     }
-    // Twin determinism: bytes and accounting replay identically.
-    EXPECT_EQ(CanonicalRows(a->batch), CanonicalRows(b->batch)) << sql;
-    EXPECT_EQ(stats.response_time, b->stats.response_time) << sql;
-    EXPECT_EQ(stats.backup_tasks_launched, b->stats.backup_tasks_launched)
-        << sql;
-    EXPECT_EQ(stats.backup_tasks_won, b->stats.backup_tasks_won) << sql;
-    EXPECT_EQ(stats.tasks_terminated_early, b->stats.tasks_terminated_early)
-        << sql;
-    EXPECT_EQ(stats.partitioned_tasks, b->stats.partitioned_tasks) << sql;
-    EXPECT_EQ(stats.stem_failures, b->stats.stem_failures) << sql;
-    EXPECT_EQ(stats.stem_retries, b->stats.stem_retries) << sql;
-    EXPECT_EQ(stats.abandoned_tasks, b->stats.abandoned_tasks) << sql;
-    EXPECT_EQ(stats.lost_blocks, b->stats.lost_blocks) << sql;
-    EXPECT_EQ(stats.partial, b->stats.partial) << sql;
-    EXPECT_DOUBLE_EQ(stats.processed_ratio, b->stats.processed_ratio)
-        << sql;
+    const FaultStats fa = engine->fault_injector().stats();
+    const FaultStats fb = twin->fault_injector().stats();
+    EXPECT_EQ(fa.injected_read_errors, fb.injected_read_errors);
+    EXPECT_EQ(fa.injected_corrupt_reads, fb.injected_corrupt_reads);
+    EXPECT_EQ(fa.slowed_tasks, fb.slowed_tasks);
   }
-  const FaultStats fa = engine->fault_injector().stats();
-  const FaultStats fb = twin->fault_injector().stats();
-  EXPECT_EQ(fa.injected_read_errors, fb.injected_read_errors);
-  EXPECT_EQ(fa.injected_corrupt_reads, fb.injected_corrupt_reads);
-  EXPECT_EQ(fa.slowed_tasks, fb.slowed_tasks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep,
@@ -756,8 +804,7 @@ TEST(StragglerSuite, ParallelLeafPathKeepsInvariantUnderChaos) {
     ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
     if (!a->stats.partial) {
-      EXPECT_EQ(CanonicalRows(a->batch), ReferenceRows(reference, sql))
-          << sql;
+      ExpectOracleAnswer(reference, sql, a->batch);
     } else {
       EXPECT_LT(a->stats.processed_ratio, 1.0) << sql;
     }
