@@ -142,11 +142,6 @@ void EntryGuard::FinishJob(const std::string& user,
   }
 }
 
-void EntryGuard::CountImmediateJob() {
-  MutexLock lock(mutex_);
-  ++jobs_admitted_;
-}
-
 AdmissionSnapshot EntryGuard::admission_snapshot() const {
   MutexLock lock(mutex_);
   AdmissionSnapshot snapshot;

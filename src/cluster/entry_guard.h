@@ -91,10 +91,6 @@ class EntryGuard {
   void FinishJob(const std::string& user, const std::string& domain)
       FEISU_EXCLUDES(mutex_);
 
-  /// Counts a job served directly by the serial (single-query) master
-  /// path, so admission totals stay honest in both modes.
-  void CountImmediateJob() FEISU_EXCLUDES(mutex_);
-
   AdmissionSnapshot admission_snapshot() const FEISU_EXCLUDES(mutex_);
 
   uint64_t rejected_count() const FEISU_EXCLUDES(mutex_);

@@ -44,11 +44,47 @@ StemInput BatchListTotals(const std::vector<RecordBatch>& batches) {
   return totals;
 }
 
+/// The shape every leaf task of a scan shares: the pruned column set
+/// (restricted to group keys + aggregate arguments when the aggregation
+/// is pushed down), the scan predicate, and the pushed-down aggregation
+/// or LIMIT/ORDER hints. Block and task id are set per block.
+LeafTask ScanTaskShape(const PlanNode& scan, const PlanNode* agg,
+                       int64_t job_id) {
+  LeafTask shape;
+  shape.job_id = job_id;
+  shape.table = scan.table;
+  shape.columns = scan.columns;
+  shape.predicate = scan.scan_predicate;
+  shape.has_aggregate = agg != nullptr;
+  if (agg == nullptr) {
+    shape.limit = scan.limit_hint;
+    shape.order_by = scan.order_hint;
+    return shape;
+  }
+  shape.group_by = agg->group_by;
+  shape.aggregates = agg->aggregates;
+  std::set<std::string> needed;
+  for (const auto& g : shape.group_by) {
+    std::vector<std::string> cols;
+    g->CollectColumns(&cols);
+    needed.insert(cols.begin(), cols.end());
+  }
+  for (const auto& spec : shape.aggregates) {
+    if (spec.arg != nullptr) {
+      std::vector<std::string> cols;
+      spec.arg->CollectColumns(&cols);
+      needed.insert(cols.begin(), cols.end());
+    }
+  }
+  shape.columns.assign(needed.begin(), needed.end());
+  return shape;
+}
+
 }  // namespace
 
-/// One block's leaf task plus the outcome slot the pooled path fills:
-/// pool workers write only their own slot; the job coordinator's commit
-/// phase folds the slots into scheduler/stats state in block order.
+/// One block's leaf task plus the outcome slot the execute stage fills:
+/// a worker writes only its own slot; the job's commit stage folds the
+/// slots into scheduler/stats state in block order.
 struct MasterServer::PendingLeafTask {
   LeafTask task;
   std::string signature;  ///< built only when task-result reuse is on
@@ -56,19 +92,22 @@ struct MasterServer::PendingLeafTask {
   TaskResult result;
   Placement placement;
   bool reused = false;
-  // Pooled-phase outcome (written by a pool worker).
+  // Worker outcome (written by ExecuteLeafTask).
   Status exec_status;          ///< terminal (non-retryable) failure, if any
   bool completed = false;
-  int retries = 0;             ///< failed attempts that were retried
-  SimTime backoff_total = 0;   ///< accumulated retry backoff
+  SimTime attempt_time = 0;    ///< start of the latest attempt
+  int attempts = 0;            ///< attempts spent before the latest one
+  std::set<uint32_t> excluded;  ///< hosts that failed or orphaned the task
+  // Recovery counters, folded into QueryStats by the commit stage.
+  uint64_t retries = 0;
   uint64_t corrupt_reads = 0;
   uint64_t io_errors = 0;
+  uint64_t partition_waits = 0;
 };
 
 /// One admitted submission parked in the admission queue until a
-/// coordinator pops it. Owned by pending_jobs_ (guarded by
-/// admission_mutex_) until popped, then exclusively by the popping
-/// coordinator.
+/// drainer pops it. Owned by pending_jobs_ (guarded by admission_mutex_)
+/// until popped, then exclusively by the popping drainer.
 struct MasterServer::PendingJob {
   SelectStatement stmt;
   std::string user;
@@ -213,19 +252,6 @@ Result<SelectStatement> MasterServer::AdmitStatement(const std::string& user,
 Result<QueryResult> MasterServer::ExecuteQuery(const std::string& user,
                                                const std::string& sql,
                                                SimTime now) {
-  if (job_pool_ == nullptr) {
-    // Serial master: everything inline on the caller's thread, exactly the
-    // classic single-query path.
-    std::string domain;
-    int domain_job_limit = 0;
-    FEISU_ASSIGN_OR_RETURN(
-        SelectStatement stmt,
-        AdmitStatement(user, sql, now, &domain, &domain_job_limit));
-    entry_guard_.CountImmediateJob();
-    int64_t job_id =
-        job_manager_.CreateJob(user, sql, now, config_.default_priority);
-    return RunSerialJob(stmt, job_id, user, now);
-  }
   FEISU_ASSIGN_OR_RETURN(int64_t job_id, SubmitQuery(user, sql, now));
   return WaitQuery(job_id);
 }
@@ -233,10 +259,6 @@ Result<QueryResult> MasterServer::ExecuteQuery(const std::string& user,
 Result<int64_t> MasterServer::SubmitQuery(const std::string& user,
                                           const std::string& sql, SimTime now,
                                           const SubmitOptions& options) {
-  if (job_pool_ == nullptr) {
-    return Status::InvalidArgument(
-        "async submission requires max_concurrent_jobs > 1");
-  }
   std::string domain;
   int domain_job_limit = 0;
   FEISU_ASSIGN_OR_RETURN(
@@ -264,13 +286,17 @@ Result<int64_t> MasterServer::SubmitQuery(const std::string& user,
     pending_jobs_.emplace(job_id, std::move(pending));
     job_manager_.EnqueueJob(job_id);
   }
-  // One drain pass per submission guarantees a coordinator looks at the
-  // queue; completing coordinators re-loop, so quota-deferred jobs are
-  // picked up when capacity frees without any further wakeup.
-  job_pool_->Submit([this]() { DrainJobs(); });
+  // One drain pass per submission guarantees a drainer looks at the
+  // queue; completing drainers re-loop, so quota-deferred jobs are picked
+  // up when capacity frees without any further wakeup. At width 1 the
+  // submitting thread is the drainer.
+  if (job_pool_ != nullptr) {
+    job_pool_->Submit([this]() { DrainJobs(); });
+  } else {
+    DrainJobs();
+  }
   return job_id;
 }
-
 void MasterServer::ApplyDueNodeEvents(SimTime now) {
   FaultInjector* faults = router_->fault_injector();
   if (faults == nullptr) return;
@@ -298,11 +324,17 @@ Result<QueryResult> MasterServer::WaitQuery(int64_t job_id) {
 }
 
 void MasterServer::DrainJobs() {
+  bool ran_job = false;
   for (;;) {
     int64_t job_id = 0;
     PendingJob pending;
     {
       MutexLock lock(admission_mutex_);
+      // Releasing the finished job's run slot and popping the next job in
+      // one critical section: a submission either sees this drainer still
+      // running (and leaves its job to this pop) or a free slot.
+      if (ran_job) --running_jobs_;
+      if (running_jobs_ >= config_.max_concurrent_jobs) return;
       // Highest band first, FIFO within, aged every Nth pop; eligibility
       // = tenant concurrency quota + per-storage job agreement. The
       // predicate only consults the entry guard (admission -> job-manager
@@ -315,9 +347,11 @@ void MasterServer::DrainJobs() {
       if (!popped.has_value()) return;
       job_id = *popped;
       auto it = pending_jobs_.find(job_id);
-      if (it == pending_jobs_.end()) continue;
+      ran_job = it != pending_jobs_.end();
+      if (!ran_job) continue;
       pending = std::move(it->second);
       pending_jobs_.erase(it);
+      ++running_jobs_;
       entry_guard_.StartJob(pending.user, pending.domain);
       if (config_.host_clock_ns && pending.enqueue_ns > 0) {
         uint64_t now_ns = config_.host_clock_ns();
@@ -326,30 +360,16 @@ void MasterServer::DrainJobs() {
       }
       job_manager_.SetQueueWait(job_id, pending.queue_wait_ms);
     }
-    RunAdmittedJob(job_id, std::move(pending));
+    Result<QueryResult> result = RunAdmittedJob(job_id, pending);
+    entry_guard_.FinishJob(pending.user, pending.domain);
+    pending.promise.set_value(std::move(result));
     // Finishing this job may have freed tenant/storage quota: loop and
     // pop the next runnable job instead of relying on a fresh submission.
   }
 }
 
-Result<QueryResult> MasterServer::RunSerialJob(const SelectStatement& stmt,
-                                               int64_t job_id,
-                                               const std::string& tenant,
-                                               SimTime now) {
-  // A node that crashed before this query must not receive placements
-  // even if the maintenance loop has not run since.
-  {
-    MutexLock lock(admission_mutex_);
-    ApplyDueNodeEvents(now);
-  }
-  JobContext ctx;
-  ctx.job_id = job_id;
-  ctx.ledger = scheduler_.serial_ledger();
-  ctx.tenant = tenant;
-  return RunPlannedQuery(stmt, ctx, now);
-}
-
-void MasterServer::RunAdmittedJob(int64_t job_id, PendingJob&& pending) {
+Result<QueryResult> MasterServer::RunAdmittedJob(int64_t job_id,
+                                                 const PendingJob& job) {
   std::optional<JobInfo> info = job_manager_.Find(job_id);
   int priority =
       info.has_value() ? info->priority : config_.default_priority;
@@ -360,12 +380,11 @@ void MasterServer::RunAdmittedJob(int64_t job_id, PendingJob&& pending) {
   JobContext ctx;
   ctx.job_id = job_id;
   ctx.ledger = &ledger;
-  ctx.tenant = pending.user;
-  ctx.queue_wait_ms = pending.queue_wait_ms;
-  Result<QueryResult> result = RunPlannedQuery(pending.stmt, ctx, pending.now);
+  ctx.tenant = job.user;
+  ctx.queue_wait_ms = job.queue_wait_ms;
+  Result<QueryResult> result = RunPlannedQuery(job.stmt, ctx, job.now);
   scheduler_.UnregisterJobShare(job_id);
-  entry_guard_.FinishJob(pending.user, pending.domain);
-  pending.promise.set_value(std::move(result));
+  return result;
 }
 
 Result<QueryResult> MasterServer::RunPlannedQuery(const SelectStatement& stmt,
@@ -542,63 +561,38 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     const PlanNode& scan, const PlanNode* agg, const JobContext& ctx,
     SimTime now, QueryStats* stats) {
   FEISU_ASSIGN_OR_RETURN(const TableMeta* meta, catalog_->Get(scan.table));
-  const std::vector<TableBlockMeta>& blocks = meta->blocks();
-
-  // Column set: scan.columns already pruned by the optimizer; when the
-  // aggregation is pushed down, restrict further to group keys + agg args.
-  std::vector<std::string> columns = scan.columns;
-  bool has_aggregate = agg != nullptr;
-  std::vector<ExprPtr> group_by;
-  std::vector<AggSpec> aggregates;
-  if (has_aggregate) {
-    group_by = agg->group_by;
-    aggregates = agg->aggregates;
-    std::set<std::string> needed;
-    for (const auto& g : group_by) {
-      std::vector<std::string> cols;
-      g->CollectColumns(&cols);
-      needed.insert(cols.begin(), cols.end());
-    }
-    for (const auto& spec : aggregates) {
-      if (spec.arg != nullptr) {
-        std::vector<std::string> cols;
-        spec.arg->CollectColumns(&cols);
-        needed.insert(cols.begin(), cols.end());
-      }
-    }
-    columns.assign(needed.begin(), needed.end());
-  }
-
+  LeafTask shape = ScanTaskShape(scan, agg, ctx.job_id);
   // Storage agreement of the system holding this table's blocks.
   int max_tasks_per_node = 4;
-  if (!blocks.empty()) {
-    auto storage = router_->Resolve(blocks[0].path);
+  if (!meta->blocks().empty()) {
+    auto storage = router_->Resolve(meta->blocks()[0].path);
     if (storage.ok()) {
       max_tasks_per_node = (*storage)->agreement().max_concurrent_tasks;
     }
   }
+  std::vector<PendingLeafTask> tasks =
+      MakeLeafTasks(shape, *meta, now, stats);
+  ExecuteLeafTasks(&tasks, ctx.job_id, now);
+  FEISU_ASSIGN_OR_RETURN(
+      tasks, CommitLeafTasks(std::move(tasks), max_tasks_per_node, ctx,
+                             stats));
+  LaunchSpeculativeBackups(&tasks, ctx, stats);
+  CutOffLeafTasks(&tasks, now, stats);
+  return MergeLeafResults(std::move(tasks), shape, meta->schema(), now,
+                          stats);
+}
 
-  // --- Create, reuse, place and execute leaf tasks. ---
-  std::vector<PendingLeafTask> slots;
-  slots.reserve(blocks.size());
-  int64_t task_id = 0;
-  for (const auto& block : blocks) {
+std::vector<MasterServer::PendingLeafTask> MasterServer::MakeLeafTasks(
+    const LeafTask& shape, const TableMeta& meta, SimTime now,
+    QueryStats* stats) {
+  std::vector<PendingLeafTask> tasks;
+  tasks.reserve(meta.blocks().size());
+  for (const TableBlockMeta& block : meta.blocks()) {
     PendingLeafTask p;
-    p.task.job_id = ctx.job_id;
-    p.task.task_id = task_id++;
-    p.task.table = scan.table;
+    p.task = shape;
+    p.task.task_id = static_cast<int64_t>(tasks.size());
     p.task.block = block;
-    p.task.columns = columns;
-    p.task.predicate = scan.scan_predicate;
-    p.task.has_aggregate = has_aggregate;
-    p.task.group_by = group_by;
-    p.task.aggregates = aggregates;
-    if (!has_aggregate) {
-      p.task.limit = scan.limit_hint;
-      p.task.order_by = scan.order_hint;
-    }
     ++stats->total_tasks;
-
     p.replicas = router_->ReplicaNodes(block.path);
     if (config_.enable_task_result_reuse) {
       p.signature = p.task.Signature();
@@ -609,66 +603,171 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
         p.placement.finish_time = now + config_.network.ControlRoundTrip();
       }
     }
-    slots.push_back(std::move(p));
+    tasks.push_back(std::move(p));
   }
+  return tasks;
+}
 
-  // Pooled leaf path: fan the non-reused sub-plans across the pool.
-  // Host-level concurrency only — every worker computes its slot's result
-  // and outcome flags; all scheduler bookings, SimTime accounting and
-  // stats updates happen afterwards, on this job's coordinator thread and
-  // in block order. Each task holds one of the job's fair-share leaf
-  // slots, capping a concurrent job's outstanding leaf tasks at its
-  // weighted share of the pool; a job that never registered a share (the
-  // serial master on a pool, ResumeJob) passes the gate untouched.
-  if (pool_ != nullptr) {
-    std::vector<std::future<void>> outstanding;
-    outstanding.reserve(slots.size());
-    for (PendingLeafTask& slot : slots) {
-      if (slot.reused) continue;
-      scheduler_.AcquireLeafSlot(ctx.job_id);
-      outstanding.push_back(
-          pool_->Submit([this, p = &slot, now, job_id = ctx.job_id]() {
-            ExecutePooledTask(p, now);
-            scheduler_.ReleaseLeafSlot(job_id);
-          }));
+void MasterServer::ExecuteLeafTasks(std::vector<PendingLeafTask>* tasks,
+                                    int64_t job_id, SimTime now) {
+  // Host-level concurrency only: every worker computes its slot's result
+  // and outcome; all scheduler bookings, SimTime accounting and stats
+  // updates happen in the commit stage, in block order. Each task holds
+  // one of the job's fair-share leaf slots, capping a concurrent job's
+  // outstanding leaf tasks at its weighted share of the pool.
+  std::vector<std::future<void>> outstanding;
+  for (PendingLeafTask& slot : *tasks) {
+    if (slot.reused) continue;
+    scheduler_.AcquireLeafSlot(job_id);
+    auto work = [this, p = &slot, now, job_id]() {
+      ExecuteLeafTask(p, now);
+      scheduler_.ReleaseLeafSlot(job_id);
+    };
+    if (pool_ == nullptr) {
+      work();
+    } else {
+      outstanding.push_back(pool_->Submit(std::move(work)));
     }
-    for (std::future<void>& f : outstanding) f.get();
   }
+  for (std::future<void>& f : outstanding) f.get();
+}
 
-  // --- Commit (pooled) or place-execute-commit (serial) each task in
-  // block order. A task whose every replica failed is declared lost and
-  // the job degrades to an honest partial result. ---
-  std::vector<PendingLeafTask> pending;
-  pending.reserve(slots.size());
-  for (PendingLeafTask& p : slots) {
+void MasterServer::ExecuteLeafTask(PendingLeafTask* p, SimTime start) {
+  // Deterministic host choice independent of scheduler state (which only
+  // the commit stage may touch): the first usable replica, then any
+  // usable leaf in id order. The executing host affects cache warmth and
+  // fault draws, never result bytes — every leaf reads the same blocks
+  // through the router.
+  Reachability reach(router_->fault_injector());
+  p->completed = false;
+  p->attempt_time = start;
+  for (;;) {
+    std::optional<uint32_t> host;
+    bool any_alive = false;
+    bool any_candidate = false;  // alive and not excluded, maybe cut off
+    auto consider = [&](uint32_t id) {
+      const NodeInfo* node = cluster_->Node(id);
+      if (host.has_value() || id >= leaves_->size() || node == nullptr ||
+          !node->alive) {
+        return;
+      }
+      any_alive = true;
+      if (p->excluded.contains(id)) return;
+      any_candidate = true;
+      if (reach.Reachable(id, p->attempt_time)) host = id;
+    };
+    for (uint32_t id : p->replicas) consider(id);
+    for (uint32_t id = 0; id < leaves_->size(); ++id) consider(id);
+    if (!any_alive) {
+      p->exec_status = Status::Unavailable("no alive leaf server for task");
+      return;
+    }
+    if (!any_candidate) return;  // every alive host failed: block lost
+    SimTime wait = 0;
+    if (!host.has_value()) {
+      // Every candidate sits behind a partition: wait out one heartbeat
+      // interval for a heal.
+      ++p->partition_waits;
+      wait = cluster_->heartbeat_interval();
+    } else {
+      Result<TaskResult> executed =
+          (*leaves_)[*host]->Execute(p->task, p->attempt_time);
+      if (executed.ok()) {
+        p->result = std::move(*executed);
+        p->completed = true;
+        return;
+      }
+      const Status& failure = executed.status();
+      if (!IsRetryableTaskFailure(failure)) {
+        p->exec_status = failure;
+        return;
+      }
+      if (failure.code() == StatusCode::kCorruption) {
+        ++p->corrupt_reads;
+      } else {
+        ++p->io_errors;
+      }
+      p->excluded.insert(*host);
+      wait = RetryBackoff(p->attempts);
+    }
+    if (p->attempts >= config_.max_task_retries) return;  // block lost
+    ++p->attempts;
+    ++p->retries;
+    p->attempt_time += wait;
+  }
+}
+
+Result<std::vector<MasterServer::PendingLeafTask>>
+MasterServer::CommitLeafTasks(std::vector<PendingLeafTask> tasks,
+                              int max_tasks_per_node, const JobContext& ctx,
+                              QueryStats* stats) {
+  // A task whose every host failed is declared lost and the job degrades
+  // to an honest partial result.
+  std::vector<PendingLeafTask> committed;
+  committed.reserve(tasks.size());
+  for (PendingLeafTask& p : tasks) {
     if (!p.reused) {
-      Result<bool> completed =
-          pool_ != nullptr
-              ? CommitPooledTask(max_tasks_per_node, now, ctx, stats, &p)
-              : ExecuteTaskWithRecovery(max_tasks_per_node, now, {}, ctx,
-                                        stats, &p);
-      if (!completed.ok()) return completed.status();
-      if (!*completed) {
+      FEISU_ASSIGN_OR_RETURN(
+          bool stands, CommitLeafTask(max_tasks_per_node, ctx, stats, &p));
+      if (!stands) {
         ++stats->lost_blocks;
         continue;
       }
     }
-    pending.push_back(std::move(p));
+    committed.push_back(std::move(p));
   }
+  return committed;
+}
 
-  // --- Speculative backup tasks for stragglers (first-commit-wins). ---
-  LaunchSpeculativeBackups(&pending, ctx, stats);
+Result<bool> MasterServer::CommitLeafTask(int max_tasks_per_node,
+                                          const JobContext& ctx,
+                                          QueryStats* stats,
+                                          PendingLeafTask* p) {
+  Reachability reach(router_->fault_injector());
+  bool stands = false;
+  while (p->exec_status.ok() && p->completed) {
+    p->placement =
+        scheduler_.PlaceTask(p->replicas, max_tasks_per_node,
+                             p->attempt_time, ctx.ledger, &p->excluded);
+    const NodeInfo* node = cluster_->Node(p->placement.node_id);
+    if (p->placement.node_id >= leaves_->size() || node == nullptr ||
+        !node->alive || p->excluded.contains(p->placement.node_id) ||
+        !reach.Reachable(p->placement.node_id, p->attempt_time)) {
+      break;  // hosts died since the execute stage: nowhere to book
+    }
+    SimTime resume = p->attempt_time;
+    if (CommitLeafResult(p->attempt_time, ctx, stats, p, &resume)) {
+      stands = true;
+      break;
+    }
+    // Orphaned by a crash or partition (counted by CommitLeafResult): the
+    // same worker body re-runs from when the master notices, away from
+    // the orphaning host, on the task's remaining attempts.
+    p->excluded.insert(p->placement.node_id);
+    if (p->attempts >= config_.max_task_retries) break;
+    ++p->attempts;
+    ++p->retries;
+    ExecuteLeafTask(p, resume);
+  }
+  stats->task_retries += p->retries;
+  stats->corrupt_blocks += p->corrupt_reads;
+  stats->io_errors += p->io_errors;
+  stats->partitioned_tasks += p->partition_waits;
+  if (!p->exec_status.ok()) return p->exec_status;
+  return stands;
+}
 
-  // --- Early termination: processed-ratio / deadline knobs. ---
+void MasterServer::CutOffLeafTasks(std::vector<PendingLeafTask>* tasks,
+                                   SimTime now, QueryStats* stats) {
   // Deadline bookkeeping goes through the TimeoutManager (deterministic,
   // SimTime-keyed): every task's projected finish is armed as a deadline,
   // and the tokens popped at the cutoff instant form the survivor set.
   TimeoutManager timeouts;
   std::vector<SimTime> sorted;
-  sorted.reserve(pending.size());
-  for (size_t i = 0; i < pending.size(); ++i) {
-    timeouts.Arm(i, pending[i].placement.finish_time);
-    sorted.push_back(pending[i].placement.finish_time);
+  sorted.reserve(tasks->size());
+  for (size_t i = 0; i < tasks->size(); ++i) {
+    timeouts.Arm(i, (*tasks)[i].placement.finish_time);
+    sorted.push_back((*tasks)[i].placement.finish_time);
   }
   std::sort(sorted.begin(), sorted.end());
   SimTime cutoff = sorted.empty() ? now : sorted.back();
@@ -698,7 +797,29 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
   }
   std::vector<uint64_t> due = timeouts.PopDue(cutoff);
   std::set<uint64_t> survivors(due.begin(), due.end());
+  // Survivors keep block order, so the merged bytes never depend on which
+  // timeout token popped first.
+  std::vector<PendingLeafTask> kept;
+  kept.reserve(survivors.size());
+  for (size_t i = 0; i < tasks->size(); ++i) {
+    if (survivors.contains(i)) {
+      kept.push_back(std::move((*tasks)[i]));
+      continue;
+    }
+    ++stats->abandoned_tasks;
+    if (config_.response_deadline > 0 &&
+        (*tasks)[i].placement.finish_time > deadline_cutoff) {
+      ++stats->tasks_terminated_early;
+    }
+  }
+  *tasks = std::move(kept);
+  stats->leaf_finish_time =
+      sorted.empty() ? now : std::min(cutoff, sorted.back());
+}
 
+Result<MasterServer::Staged> MasterServer::MergeLeafResults(
+    std::vector<PendingLeafTask> tasks, const LeafTask& shape,
+    const Schema& schema, SimTime now, QueryStats* stats) {
   // --- Stem merge. Every level merges groups of its entries through one
   // (recoverable) stem each; a group whose stem and every replacement died
   // abandons its tasks honestly. Replacement stems for mid-merge deaths
@@ -729,8 +850,8 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
       FEISU_ASSIGN_OR_RETURN(
           std::optional<StemOutput> merged,
           MergeWithStemRecovery(stem_id, std::move(children),
-                                std::move(times), has_aggregate, group_by,
-                                aggregates, meta->schema(),
+                                std::move(times), shape.has_aggregate,
+                                shape.group_by, shape.aggregates, schema,
                                 &next_replacement_id, stats));
       if (!merged.has_value()) {
         stats->abandoned_tasks += group_tasks;
@@ -743,27 +864,16 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     return out;
   };
 
-  // Leaf level: surviving tasks are grouped into stems by node id and keep
-  // block order inside each group, so the concatenated bytes never depend
-  // on which timeout token popped first.
+  // Leaf level: tasks are grouped into stems by node id and keep block
+  // order inside each group.
   StemLevel level;
   StemGroups by_stem;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    if (!survivors.contains(i)) {
-      ++stats->abandoned_tasks;
-      if (config_.response_deadline > 0 &&
-          pending[i].placement.finish_time > deadline_cutoff) {
-        ++stats->tasks_terminated_early;
-      }
-      continue;
-    }
+  for (PendingLeafTask& p : tasks) {
     uint32_t stem_id = static_cast<uint32_t>(
-        pending[i].placement.node_id / std::max<size_t>(1,
-                                                        config_.stem_fanout));
+        p.placement.node_id / std::max<size_t>(1, config_.stem_fanout));
     by_stem[stem_id].push_back(level.batches.size());
-    level.batches.emplace_back().push_back(
-        std::move(pending[i].result.batch));
-    level.finishes.push_back(pending[i].placement.finish_time);
+    level.batches.emplace_back().push_back(std::move(p.result.batch));
+    level.finishes.push_back(p.placement.finish_time);
     level.task_counts.push_back(1);
   }
   FEISU_ASSIGN_OR_RETURN(level, merge_level(std::move(level), by_stem));
@@ -812,14 +922,12 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     ready = std::max(ready, level.finishes[i] + transfer);
     rows += entry.rows;
   }
-  stats->leaf_finish_time = sorted.empty() ? now : std::min(cutoff,
-                                                            sorted.back());
   stats->stem_finish_time = ready;
 
-  if (has_aggregate) {
+  if (shape.has_aggregate) {
     FEISU_ASSIGN_OR_RETURN(
         Aggregator final_agg,
-        Aggregator::Make(group_by, aggregates, meta->schema()));
+        Aggregator::Make(shape.group_by, shape.aggregates, schema));
     for (const auto& entry : level.batches) {
       for (const auto& batch : entry) {
         FEISU_RETURN_IF_ERROR(final_agg.ConsumePartial(batch));
@@ -831,8 +939,7 @@ Result<MasterServer::Staged> MasterServer::RunDistributedScan(
     if (level.batches.empty()) {
       // All tasks abandoned or table empty: synthesize an empty batch with
       // the pruned scan schema.
-      Schema schema = meta->schema().Select(columns);
-      staged.batch = RecordBatch(schema);
+      staged.batch = RecordBatch(schema.Select(shape.columns));
     } else {
       // The one concatenation of the row exchange, in block order within
       // each stem and stem order across them.
@@ -910,155 +1017,6 @@ bool MasterServer::CommitLeafResult(SimTime attempt_time,
     job_manager_.CacheResult(p->signature, p->result);
   }
   return true;
-}
-
-Result<bool> MasterServer::ExecuteTaskWithRecovery(
-    int max_tasks_per_node, SimTime start_time,
-    const std::set<uint32_t>& pre_excluded, const JobContext& ctx,
-    QueryStats* stats, PendingLeafTask* p) {
-  FaultInjector* faults = router_->fault_injector();
-  std::set<uint32_t> excluded = pre_excluded;
-  SimTime attempt_time = start_time;
-  for (int attempt = 0; attempt <= config_.max_task_retries; ++attempt) {
-    if (cluster_->AliveLeafNodes().empty()) {
-      return Status::Unavailable("no alive leaf server for task");
-    }
-    p->placement = scheduler_.PlaceTask(
-        p->replicas, max_tasks_per_node, attempt_time, ctx.ledger,
-        excluded.empty() ? nullptr : &excluded);
-    const NodeInfo* node = cluster_->Node(p->placement.node_id);
-    if (p->placement.node_id >= leaves_->size() || node == nullptr ||
-        !node->alive || excluded.contains(p->placement.node_id)) {
-      break;  // every eligible node has already failed this task
-    }
-    if (faults != nullptr &&
-        faults->IsPartitioned(p->placement.node_id, attempt_time)) {
-      // PlaceTask avoids partitioned hosts, so landing on one means no
-      // reachable candidate exists right now. Wait out one heartbeat
-      // interval for a heal, burning a retry so the loop stays bounded.
-      ++stats->partitioned_tasks;
-      if (attempt >= config_.max_task_retries) break;
-      ++stats->task_retries;
-      attempt_time += cluster_->heartbeat_interval();
-      continue;
-    }
-    LeafServer* leaf = (*leaves_)[p->placement.node_id].get();
-    Result<TaskResult> executed = leaf->Execute(p->task, attempt_time);
-    if (executed.ok()) {
-      p->result = std::move(*executed);
-      if (CommitLeafResult(attempt_time, ctx, stats, p, &attempt_time)) {
-        return true;
-      }
-      // Orphaned by a crash or partition (counted by CommitLeafResult).
-    } else {
-      const Status& failure = executed.status();
-      if (!IsRetryableTaskFailure(failure)) return failure;
-      if (failure.code() == StatusCode::kCorruption) {
-        ++stats->corrupt_blocks;
-      } else {
-        ++stats->io_errors;
-      }
-    }
-    excluded.insert(p->placement.node_id);
-    if (attempt < config_.max_task_retries) {
-      ++stats->task_retries;
-      attempt_time += RetryBackoff(attempt);
-    }
-  }
-  return false;
-}
-
-Result<bool> MasterServer::CommitPooledTask(int max_tasks_per_node,
-                                            SimTime now,
-                                            const JobContext& ctx,
-                                            QueryStats* stats,
-                                            PendingLeafTask* p) {
-  if (!p->exec_status.ok()) return p->exec_status;
-  stats->task_retries += static_cast<uint64_t>(p->retries);
-  stats->corrupt_blocks += p->corrupt_reads;
-  stats->io_errors += p->io_errors;
-  if (!p->completed) return false;  // no replica of this block survived
-  if (cluster_->AliveLeafNodes().empty()) {
-    return Status::Unavailable("no alive leaf server for task");
-  }
-  SimTime attempt_time = now + p->backoff_total;
-  p->placement = scheduler_.PlaceTask(p->replicas, max_tasks_per_node,
-                                      attempt_time, ctx.ledger);
-  const NodeInfo* node = cluster_->Node(p->placement.node_id);
-  if (p->placement.node_id >= leaves_->size() || node == nullptr ||
-      !node->alive) {
-    return false;
-  }
-  // When the pooled result cannot stand, fall back to the recovery loop
-  // from the instant the master notices.
-  SimTime resume = 0;
-  std::set<uint32_t> excluded;
-  FaultInjector* faults = router_->fault_injector();
-  if (faults != nullptr &&
-      faults->IsPartitioned(p->placement.node_id, attempt_time)) {
-    // PlaceTask avoids partitioned hosts, so landing on one means no
-    // reachable candidate existed; wait out a heartbeat interval for a
-    // heal.
-    ++stats->partitioned_tasks;
-    resume = attempt_time + cluster_->heartbeat_interval();
-  } else if (CommitLeafResult(attempt_time, ctx, stats, p, &resume)) {
-    return true;
-  } else {
-    excluded.insert(p->placement.node_id);  // the orphaning host
-  }
-  return ExecuteTaskWithRecovery(max_tasks_per_node, resume, excluded, ctx,
-                                 stats, p);
-}
-
-void MasterServer::ExecutePooledTask(PendingLeafTask* p, SimTime now) {
-  // Deterministic node choice independent of scheduler state (which only
-  // the commit phase may touch): the first alive replica, then any alive
-  // leaf in id order. The executing node affects cache warmth and fault
-  // draws, never result bytes — every leaf reads the same blocks through
-  // the router.
-  std::set<uint32_t> excluded;
-  auto pick_node = [&]() -> int64_t {
-    for (uint32_t r : p->replicas) {
-      const NodeInfo* node = cluster_->Node(r);
-      if (r < leaves_->size() && node != nullptr && node->alive &&
-          !excluded.contains(r)) {
-        return static_cast<int64_t>(r);
-      }
-    }
-    for (uint32_t id = 0; id < leaves_->size(); ++id) {
-      const NodeInfo* node = cluster_->Node(id);
-      if (node != nullptr && node->alive && !excluded.contains(id)) {
-        return static_cast<int64_t>(id);
-      }
-    }
-    return -1;
-  };
-  for (int attempt = 0; attempt <= config_.max_task_retries; ++attempt) {
-    int64_t node_id = pick_node();
-    if (node_id < 0) return;  // no candidate left: the block is lost
-    LeafServer* leaf = (*leaves_)[static_cast<size_t>(node_id)].get();
-    Result<TaskResult> executed = leaf->Execute(p->task, now);
-    if (executed.ok()) {
-      p->result = std::move(*executed);
-      p->completed = true;
-      return;
-    }
-    const Status& failure = executed.status();
-    if (!IsRetryableTaskFailure(failure)) {
-      p->exec_status = failure;
-      return;
-    }
-    if (failure.code() == StatusCode::kCorruption) {
-      ++p->corrupt_reads;
-    } else {
-      ++p->io_errors;
-    }
-    excluded.insert(static_cast<uint32_t>(node_id));
-    if (attempt < config_.max_task_retries) {
-      ++p->retries;
-      p->backoff_total += RetryBackoff(attempt);
-    }
-  }
 }
 
 void MasterServer::LaunchSpeculativeBackups(
@@ -1228,10 +1186,17 @@ Result<QueryResult> MasterServer::ResumeJob(int64_t job_id, SimTime now) {
                                    std::to_string(job_id));
   }
   // Admission already happened on the failed primary; re-run from the
-  // recorded SQL under the same job id on the serial path (a promoted
-  // backup resumes jobs one at a time).
-  FEISU_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(job->sql));
-  return RunSerialJob(stmt, job_id, job->user, now);
+  // recorded SQL under the same job id, on this thread (a promoted backup
+  // resumes jobs one at a time).
+  PendingJob pending;
+  FEISU_ASSIGN_OR_RETURN(pending.stmt, ParseSql(job->sql));
+  pending.user = job->user;
+  pending.now = now;
+  {
+    MutexLock lock(admission_mutex_);
+    ApplyDueNodeEvents(now);
+  }
+  return RunAdmittedJob(job_id, pending);
 }
 
 }  // namespace feisu

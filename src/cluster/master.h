@@ -62,21 +62,19 @@ struct MasterConfig {
   int max_task_retries = 3;
   SimTime retry_backoff_base = 100 * kSimMillisecond;
   SimTime retry_backoff_cap = 5 * kSimSecond;
-  /// Width of the leaf pool: how many leaf sub-plans the master executes
-  /// concurrently on host threads. With 1 (and max_concurrent_jobs 1) each
-  /// task is placed, executed and committed inline. Otherwise every task
-  /// executes on the pool first — on its first alive replica — and the
-  /// job's coordinator then places and commits the results in block
-  /// order, falling back to the inline recovery loop for orphaned tasks.
-  /// Result batches match the inline path's when no faults are injected;
-  /// timing statistics may differ, since the executing node differs, but
-  /// each width is deterministic run-to-run.
+  /// Width of the leaf pool: how many leaf tasks the master executes
+  /// concurrently on host threads. Every width runs the same stages: each
+  /// task first executes on its first alive, reachable replica (inline
+  /// at width 1, on the pool otherwise), then the job places, books and
+  /// commits the results in block order. Result batches and QueryStats
+  /// are identical at every width (concurrency_test checks 1 against 4).
   size_t leaf_parallelism = 1;
   /// --- Multi-query pipeline. ---
-  /// > 1 turns ExecuteQuery into thin submit-and-wait over an async job
-  /// pipeline: that many coordinator threads drain the priority admission
-  /// queue concurrently, fair-sharing the leaf pool. 1 = the classic
-  /// serial master (everything inline, zero behavior change).
+  /// How many admitted jobs run at once. Every query goes through the
+  /// same admission queue; with > 1 that many coordinator threads drain
+  /// it concurrently, fair-sharing the leaf pool. With 1 the submitting
+  /// thread drains the queue itself (no coordinator thread, no handoff),
+  /// one job at a time.
   size_t max_concurrent_jobs = 1;
   /// Bound of the admission queue. A submission arriving with this many
   /// jobs already waiting is rejected (ResourceExhausted) instead of
@@ -132,8 +130,8 @@ struct QueryStats {
   /// early termination abandoned tasks or replicas were lost.
   double processed_ratio = 1.0;
   bool partial = false;  ///< result is knowingly incomplete
-  // Admission observability (multi-query master; zeros on the serial
-  // path, which never queues).
+  // Admission observability. At max_concurrent_jobs = 1 a single client's
+  // job is popped by its own submitting thread, so it waits near zero.
   double queue_wait_ms = 0;        ///< host wall-clock wait in the queue
   uint64_t jobs_admitted = 0;      ///< master-lifetime jobs accepted
   uint64_t jobs_rejected = 0;      ///< master-lifetime jobs bounced
@@ -190,15 +188,17 @@ class MasterServer {
   ~MasterServer();
 
   /// Parses, admits, plans, optimizes, schedules and executes one query at
-  /// simulated time `now`. With max_concurrent_jobs > 1 this is a thin
-  /// submit-and-wait over the async pipeline (safe to call from many
-  /// client threads); otherwise the classic inline serial path.
+  /// simulated time `now`: SubmitQuery + WaitQuery at every width (safe to
+  /// call from many client threads).
   Result<QueryResult> ExecuteQuery(const std::string& user,
                                    const std::string& sql, SimTime now);
 
-  /// Asynchronous submission (requires max_concurrent_jobs > 1): parses,
-  /// admits against quotas and the bounded queue, enqueues, and returns
-  /// the job id immediately. Rejections (backpressure, tenant backlog)
+  /// Asynchronous submission: parses, admits against quotas and the
+  /// bounded queue, enqueues, and returns the job id. With
+  /// max_concurrent_jobs > 1 it returns at once and a coordinator runs
+  /// the job; with 1 the calling thread drains the queue before
+  /// returning, unless another thread is already draining it (that thread
+  /// then runs this job too). Rejections (backpressure, tenant backlog)
   /// surface here as ResourceExhausted.
   Result<int64_t> SubmitQuery(const std::string& user, const std::string& sql,
                               SimTime now, const SubmitOptions& options = {});
@@ -226,7 +226,9 @@ class MasterServer {
   /// Re-runs a job that was interrupted by a master failover (state still
   /// kRunning/kQueued/kFailed in the restored job table). The job keeps
   /// its id; execution restarts from the recorded SQL — the engine's
-  /// determinism makes the resumed run equal the uninterrupted one.
+  /// determinism makes the resumed run equal the uninterrupted one. Runs
+  /// on the calling thread the way a coordinator runs an admitted job,
+  /// bypassing the queue (admission happened on the failed primary).
   Result<QueryResult> ResumeJob(int64_t job_id, SimTime now);
 
  private:
@@ -235,15 +237,14 @@ class MasterServer {
     SimTime finish_time = 0;
   };
 
-  /// One block's leaf task plus everything the commit phase needs; defined
-  /// in master.cc.
+  /// One block's leaf task plus its execution outcome; defined in
+  /// master.cc.
   struct PendingLeafTask;
 
   /// Everything a job's execution chain needs to know about which job it
   /// is serving: the id (which also keys its fair-share leaf slots), the
-  /// scheduling ledger every placement books on — the coordinator's own
-  /// per-job ledger, or the scheduler's serial ledger for serial callers —
-  /// and admission observability carried into the job's QueryStats.
+  /// job's own scheduling ledger every placement books on, and admission
+  /// observability carried into the job's QueryStats.
   struct JobContext {
     int64_t job_id = 0;
     SlotLedger* ledger = nullptr;  ///< never null once the job runs
@@ -255,41 +256,34 @@ class MasterServer {
   /// master.cc.
   struct PendingJob;
 
-  /// Coordinator body: repeatedly pops runnable jobs from the priority
-  /// queue (quota-eligible only) and executes each to completion,
-  /// fulfilling its promise. Runs on job_pool_; loops until no queued job
-  /// is eligible so no submission is stranded without a wakeup.
+  /// Drain loop: repeatedly pops runnable jobs from the priority queue
+  /// (quota-eligible only, at most max_concurrent_jobs running) and runs
+  /// each to completion, fulfilling its promise. Runs on job_pool_, or on
+  /// the submitting thread at width 1; loops until no queued job is
+  /// eligible so no submission is stranded without a wakeup.
   void DrainJobs();
 
-  /// Runs one admitted pending job end to end on the calling coordinator
-  /// thread (fair-share registration, ledger setup, RunPlannedQuery,
-  /// admission bookkeeping) and fulfills its promise.
-  void RunAdmittedJob(int64_t job_id, PendingJob&& pending);
-
-  /// Runs one already-admitted job inline on the calling thread (the
-  /// serial master and ResumeJob): applies due node events, then executes
-  /// on the scheduler's serial ledger.
-  Result<QueryResult> RunSerialJob(const SelectStatement& stmt,
-                                   int64_t job_id, const std::string& tenant,
-                                   SimTime now);
+  /// Runs one admitted job end to end on the calling thread: fair-share
+  /// registration, a fresh MakeJobLedger ledger, RunPlannedQuery. Shared
+  /// by DrainJobs and ResumeJob.
+  Result<QueryResult> RunAdmittedJob(int64_t job_id, const PendingJob& job);
 
   /// Applies the chaos schedule's node crash/restart events due by `now`.
-  /// Called once per job at admission, serialized by admission_mutex_
-  /// because NodeInfo's non-atomic control fields are single-writer;
-  /// coordinators never apply events themselves.
+  /// Called once per job at admission (SubmitQuery, ResumeJob),
+  /// serialized by admission_mutex_ because NodeInfo's non-atomic control
+  /// fields are single-writer; drainers never apply events themselves.
   void ApplyDueNodeEvents(SimTime now) FEISU_REQUIRES(admission_mutex_);
 
-  /// Shared admission front of both master modes: parse, authenticate,
-  /// per-table ACLs and cross-domain authorization. Also reports the
-  /// first table's storage domain and that system's concurrent-job
-  /// agreement (0 = unlimited) for the admission queue.
+  /// Admission front of every query: parse, authenticate, per-table ACLs
+  /// and cross-domain authorization. Also reports the first table's
+  /// storage domain and that system's concurrent-job agreement (0 =
+  /// unlimited) for the admission queue.
   Result<SelectStatement> AdmitStatement(const std::string& user,
                                          const std::string& sql, SimTime now,
                                          std::string* domain,
                                          int* domain_job_limit);
 
-  /// Plans, optimizes and executes an admitted statement under `ctx`
-  /// (shared tail of ExecuteQuery, the job coordinators and ResumeJob);
+  /// Plans, optimizes and executes an admitted statement under `ctx`;
   /// finalizes job state and recovery accounting.
   Result<QueryResult> RunPlannedQuery(const SelectStatement& stmt,
                                       const JobContext& ctx, SimTime now);
@@ -302,48 +296,61 @@ class MasterServer {
 
   /// Distributed scan (optionally with partial-aggregation pushdown).
   /// `agg` == nullptr => plain filtered scan returning concatenated rows.
+  /// Runs the leaf stages in order: MakeLeafTasks -> ExecuteLeafTasks ->
+  /// CommitLeafTasks -> LaunchSpeculativeBackups -> CutOffLeafTasks ->
+  /// MergeLeafResults.
   Result<Staged> RunDistributedScan(const PlanNode& scan,
                                     const PlanNode* agg,
                                     const JobContext& ctx, SimTime now,
                                     QueryStats* stats);
 
-  /// The one recovery loop for a task: place, execute, and on a retryable
-  /// failure or an orphaning crash/partition re-place on a different
-  /// replica with capped exponential backoff. Returns true when the task
-  /// completed (committed through CommitLeafResult), false when every
-  /// eligible replica failed (the caller declares the block lost), and an
-  /// error for non-retryable failures.
-  Result<bool> ExecuteTaskWithRecovery(int max_tasks_per_node,
-                                       SimTime start_time,
-                                       const std::set<uint32_t>& pre_excluded,
-                                       const JobContext& ctx,
-                                       QueryStats* stats, PendingLeafTask* p);
+  /// One task per block of `meta`, shaped like `shape`; tasks whose
+  /// signature hits the result-reuse cache are served from it.
+  std::vector<PendingLeafTask> MakeLeafTasks(const LeafTask& shape,
+                                             const TableMeta& meta,
+                                             SimTime now, QueryStats* stats);
 
-  /// Commit tail shared by the recovery loop and the pooled commit phase,
-  /// run once a leaf result exists for `p->placement`: books its
-  /// TaskDuration in the job's ledger (counting a remote read) and checks
-  /// whether the host crashed or partitioned away while it ran. Returns
-  /// true when the result stands (accounted and cached); false when it
-  /// was orphaned, with `*resume` set to when the master notices (one
-  /// heartbeat interval after the event).
+  /// Execute stage: runs ExecuteLeafTask for every non-reused task, each
+  /// holding one of the job's fair-share leaf slots. Inline when the
+  /// master has no leaf pool, on pool_ otherwise; either way no scheduler
+  /// or stats state is touched until the commit stage.
+  void ExecuteLeafTasks(std::vector<PendingLeafTask>* tasks, int64_t job_id,
+                        SimTime now);
+
+  /// The one worker body. Runs the task from `start` on the first replica
+  /// that is alive, reachable and not excluded, else on any such leaf. A
+  /// retryable failure excludes that host and retries after capped
+  /// exponential backoff; when every candidate sits behind a partition it
+  /// waits one heartbeat interval. Every wait spends one of the task's
+  /// max_task_retries + 1 attempts. Writes only the task's own slot.
+  void ExecuteLeafTask(PendingLeafTask* p, SimTime start);
+
+  /// Commit stage: commits every task in block order (CommitLeafTask) and
+  /// returns the tasks whose results stand; lost blocks are counted and
+  /// dropped.
+  Result<std::vector<PendingLeafTask>> CommitLeafTasks(
+      std::vector<PendingLeafTask> tasks, int max_tasks_per_node,
+      const JobContext& ctx, QueryStats* stats);
+
+  /// Places an executed task (never on a host it failed on), books it and
+  /// commits it through CommitLeafResult. A result orphaned by a crash or
+  /// partition re-runs ExecuteLeafTask from when the master notices, with
+  /// the orphaning host excluded, spending one attempt. Folds the task's
+  /// recovery counters into `stats`. Returns true when the result stands,
+  /// false when the block is lost, and the error of a non-retryable
+  /// failure.
+  Result<bool> CommitLeafTask(int max_tasks_per_node, const JobContext& ctx,
+                              QueryStats* stats, PendingLeafTask* p);
+
+  /// Commit tail run once a leaf result exists for `p->placement`: books
+  /// its TaskDuration in the job's ledger (counting a remote read) and
+  /// checks whether the host crashed or partitioned away while it ran.
+  /// Returns true when the result stands (accounted and cached); false
+  /// when it was orphaned, with `*resume` set to when the master notices
+  /// (one heartbeat interval after the event).
   bool CommitLeafResult(SimTime attempt_time, const JobContext& ctx,
                         QueryStats* stats, PendingLeafTask* p,
                         SimTime* resume);
-
-  /// Commit phase of the pooled path for one task: folds the worker's
-  /// outcome into the stats, places the finished task and commits it;
-  /// a result that cannot stand falls back to ExecuteTaskWithRecovery.
-  /// Same return contract as ExecuteTaskWithRecovery.
-  Result<bool> CommitPooledTask(int max_tasks_per_node, SimTime now,
-                                const JobContext& ctx, QueryStats* stats,
-                                PendingLeafTask* p);
-
-  /// Pool-worker body of the pooled path: executes one task on a
-  /// deterministically chosen leaf (first alive replica, then any alive
-  /// leaf), retrying on retryable failures, and records the outcome in the
-  /// task's slot. Touches no scheduler or stats state — those are applied
-  /// by the job's coordinator thread in its commit phase, in block order.
-  void ExecutePooledTask(PendingLeafTask* p, SimTime now);
 
   /// Capped exponential backoff before retry number `attempt + 1`.
   SimTime RetryBackoff(int attempt) const;
@@ -357,10 +364,21 @@ class MasterServer {
   /// backup copy of each on a different replica, and resolves
   /// first-commit-wins through the ordered slots — the earlier finisher's
   /// result stays in the slot, so result bytes are independent of the
-  /// winner. Runs in the job coordinator's commit phase (one thread per
-  /// job; concurrent jobs book on their own ledgers).
+  /// winner. Runs on the job's own thread after the commit stage.
   void LaunchSpeculativeBackups(std::vector<PendingLeafTask>* pending,
                                 const JobContext& ctx, QueryStats* stats);
+
+  /// Early termination (processed_ratio / response_deadline knobs): drops
+  /// the tasks that finish after the cutoff, keeping block order, counts
+  /// them as abandoned, and sets stats->leaf_finish_time.
+  void CutOffLeafTasks(std::vector<PendingLeafTask>* tasks, SimTime now,
+                       QueryStats* stats);
+
+  /// Merges the surviving leaf results up the stem tree and finishes them
+  /// at the master (final aggregation or the one row concatenation).
+  Result<Staged> MergeLeafResults(std::vector<PendingLeafTask> tasks,
+                                  const LeafTask& shape, const Schema& schema,
+                                  SimTime now, QueryStats* stats);
 
   /// What one stem forwards up the tree: aggregate plans carry the one
   /// merged partial; row plans carry their leaf batches in block order,
@@ -399,30 +417,34 @@ class MasterServer {
   JobManager job_manager_;
   EntryGuard entry_guard_;
   JobScheduler scheduler_;
-  /// Workers for the pooled leaf path; null when both leaf_parallelism
-  /// and max_concurrent_jobs are <= 1. Shared-state discipline: pool
-  /// workers may touch only (a) their own PendingLeafTask slot, (b) the
-  /// internally synchronized leaf-server caches, and (c) read-only master
-  /// state (cluster_, leaves_, config_). job_manager_, scheduler_ booking
-  /// and QueryStats are per-job: each job's coordinator commits its
-  /// workers' outcomes in block order against its own SlotLedger, so jobs
-  /// never contend on scheduling state (annotated Mutexes guard the few
-  /// genuinely shared pieces: the admission queue, the entry guard and
-  /// the fair-share gate).
+  /// Leaf-task workers; null when both leaf_parallelism and
+  /// max_concurrent_jobs are <= 1 (the execute stage then runs inline).
+  /// Shared-state discipline: workers may touch only (a) their own
+  /// PendingLeafTask slot, (b) the internally synchronized leaf-server
+  /// caches, and (c) read-only master state (cluster_, leaves_, config_).
+  /// job_manager_, scheduler_ booking and QueryStats are per-job: each
+  /// job's thread commits its workers' outcomes in block order against
+  /// its own SlotLedger, so jobs never contend on scheduling state
+  /// (annotated Mutexes guard the few genuinely shared pieces: the
+  /// admission queue, the entry guard and the fair-share gate).
   std::unique_ptr<ThreadPool> pool_;
 
-  /// --- Async multi-query pipeline (null / empty in serial mode). ---
+  /// --- Admission pipeline. ---
   /// Lock order: admission_mutex_ -> JobManager::mutex_ ->
   /// EntryGuard::mutex_. JobScheduler::share_mutex_ is a leaf acquired on
-  /// its own. Coordinators hold admission_mutex_ only for queue pops and
+  /// its own. Drainers hold admission_mutex_ only for queue pops and
   /// bookkeeping, never across query execution.
   Mutex admission_mutex_;
+  /// Jobs popped and not yet finished; DrainJobs keeps it at or below
+  /// max_concurrent_jobs.
+  size_t running_jobs_ FEISU_GUARDED_BY(admission_mutex_) = 0;
   std::map<int64_t, PendingJob> pending_jobs_
       FEISU_GUARDED_BY(admission_mutex_);
   std::map<int64_t, std::future<Result<QueryResult>>> job_futures_
       FEISU_GUARDED_BY(admission_mutex_);
-  /// Coordinator threads draining the admission queue; declared after
-  /// pool_ so coordinators (which submit into pool_) are joined first.
+  /// Coordinator threads draining the admission queue (null at width 1);
+  /// declared after pool_ so coordinators (which submit into pool_) are
+  /// joined first.
   std::unique_ptr<ThreadPool> job_pool_;
 };
 

@@ -13,8 +13,7 @@ JobScheduler::JobScheduler(ClusterManager* cluster, PathRouter* router,
       router_(router),
       network_(network),
       config_(config),
-      seed_(seed),
-      serial_ledger_(seed) {}
+      seed_(seed) {}
 
 SlotLedger JobScheduler::MakeJobLedger(int64_t job_id) const {
   // Same splitmix-style derivation the fault injector uses for per-entity
@@ -64,33 +63,28 @@ Placement JobScheduler::PlaceTask(const std::vector<uint32_t>& replicas,
   };
   Placement placement;
   // 1. Prefer the replica whose slots free up earliest.
-  if (config_.prefer_data_locality) {
-    uint32_t best_node = 0;
-    SimTime best_start = 0;
-    bool found = false;
-    for (uint32_t node_id : replicas) {
-      if (is_excluded(node_id)) continue;
-      const NodeInfo* node = cluster_->Node(node_id);
-      if (node == nullptr || !node->alive) continue;
-      int slots = std::min(node->task_slots, max_tasks_per_node);
-      SimTime start = EarliestSlot(node_slots, node_id, slots, now);
-      if (!found || start < best_start) {
-        found = true;
-        best_node = node_id;
-        best_start = start;
-      }
-    }
-    if (found) {
-      placement.node_id = best_node;
-      placement.local = true;
-      placement.start_time = best_start;
-      return placement;
-    }
-  }
-  // 2. Fall back: least-loaded alive leaf (remote read).
   uint32_t best_node = 0;
   SimTime best_start = 0;
   bool found = false;
+  for (uint32_t node_id : replicas) {
+    if (is_excluded(node_id)) continue;
+    const NodeInfo* node = cluster_->Node(node_id);
+    if (node == nullptr || !node->alive) continue;
+    int slots = std::min(node->task_slots, max_tasks_per_node);
+    SimTime start = EarliestSlot(node_slots, node_id, slots, now);
+    if (!found || start < best_start) {
+      found = true;
+      best_node = node_id;
+      best_start = start;
+    }
+  }
+  if (found) {
+    placement.node_id = best_node;
+    placement.local = true;
+    placement.start_time = best_start;
+    return placement;
+  }
+  // 2. Fall back: least-loaded alive leaf (remote read).
   for (uint32_t node_id : cluster_->AliveLeafNodes()) {
     if (is_excluded(node_id)) continue;
     const NodeInfo* node = cluster_->Node(node_id);
@@ -187,7 +181,6 @@ std::optional<uint32_t> JobScheduler::PickBackupNode(
 }
 
 void JobScheduler::ResetLoad() {
-  serial_ledger_.node_slots.clear();
   MutexLock lock(share_mutex_);
   peak_in_flight_.clear();
   leaf_slot_waits_ = 0;

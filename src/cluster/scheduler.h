@@ -17,7 +17,6 @@ namespace feisu {
 
 /// Scheduling policy knobs.
 struct ScheduleConfig {
-  bool prefer_data_locality = true;
   bool enable_backup_tasks = true;
   /// Straggler detection is quantile-based (paper: task runtime vs. peers):
   /// a task whose elapsed runtime exceeds `backup_threshold` x the
@@ -49,13 +48,12 @@ struct StragglerVerdict {
   SimTime detect_time = 0;
 };
 
-/// Scheduling state for one stream of placements: the slot-booking table
-/// and the straggler-injection RNG. Each concurrent job books on its own
-/// ledger, so a query's simulated placements — and therefore its result
-/// bytes under early termination and stem grouping — are identical to a
-/// solo run no matter what else is in flight. Serial callers share the
-/// scheduler's own ledger (serial_ledger()). A ledger is used by one
-/// thread at a time.
+/// Scheduling state for one job's placements: the slot-booking table and
+/// the straggler-injection RNG. Every job books on its own fresh ledger
+/// (MakeJobLedger), so a query's simulated placements — and therefore
+/// its result bytes under early termination and stem grouping — are
+/// identical to a solo run no matter what else is in flight or ran
+/// before. A ledger is used by one thread at a time.
 struct SlotLedger {
   explicit SlotLedger(uint64_t seed) : rng(seed) {}
   // node -> finish times of booked tasks, ascending (bounded per node).
@@ -70,15 +68,13 @@ struct SlotLedger {
 /// honoring each storage system's resource agreement.
 ///
 /// Concurrency: every PlaceTask/CommitTask books on the SlotLedger it is
-/// given. Concurrent job coordinators each pass their own (from
-/// MakeJobLedger) and may call in from any thread. Serial callers — the
-/// serial master and ResumeJob — pass serial_ledger(), which persists
-/// across their queries and must only be used by one thread at a time.
-/// The fair-share leaf gate (RegisterJobShare/AcquireLeafSlot/...) is the
-/// one genuinely shared piece of state and is guarded by the annotated
-/// `share_mutex_`; it is a leaf of the master's lock order (nothing is
-/// acquired while it is held) so coordinators may block on its CondVar
-/// without deadlock risk.
+/// given; the master passes the running job's own ledger (from
+/// MakeJobLedger), so jobs may call in from any thread. The scheduler
+/// itself keeps no booking state. The fair-share leaf gate
+/// (RegisterJobShare/AcquireLeafSlot/...) is the one genuinely shared
+/// piece of state and is guarded by the annotated `share_mutex_`; it is a
+/// leaf of the master's lock order (nothing is acquired while it is held)
+/// so job threads may block on its CondVar without deadlock risk.
 class JobScheduler {
  public:
   JobScheduler(ClusterManager* cluster, PathRouter* router,
@@ -91,15 +87,12 @@ class JobScheduler {
   /// scheduler seed and the job id (deterministic per job).
   SlotLedger MakeJobLedger(int64_t job_id) const;
 
-  /// The ledger serial callers book on, seeded with the scheduler seed.
-  SlotLedger* serial_ledger() { return &serial_ledger_; }
-
-  /// Picks the execution node for a block's task, booking-aware through
-  /// `ledger`. `replicas` are the nodes holding the block. Returns the
-  /// chosen node and whether it is local. `excluded` (optional) lists
-  /// nodes that must not be chosen — the master's failure-driven recovery
-  /// passes the nodes where this task already failed so a retry lands on
-  /// a different replica.
+  /// Picks the booking node for a block's task through `ledger`: the
+  /// alive, reachable replica whose slots free up earliest, else the
+  /// least-loaded alive reachable leaf (a remote read). `replicas` are the
+  /// nodes holding the block. Returns the chosen node and whether it is
+  /// local. `excluded` (optional) lists nodes that must not be chosen —
+  /// the master passes the hosts where the task failed or was orphaned.
   Placement PlaceTask(const std::vector<uint32_t>& replicas,
                       int max_tasks_per_node, SimTime now,
                       SlotLedger* ledger,
@@ -129,8 +122,7 @@ class JobScheduler {
       const std::vector<uint32_t>& replicas, uint32_t original,
       SimTime now) const;
 
-  /// Clears the serial ledger's bookings and the fair-share peaks between
-  /// benchmark phases.
+  /// Clears the fair-share peaks and wait count between benchmark phases.
   void ResetLoad() FEISU_EXCLUDES(share_mutex_);
 
   /// --- Fair leaf sharing across in-flight jobs. ---
@@ -177,7 +169,6 @@ class JobScheduler {
   NetworkModel network_;
   ScheduleConfig config_;
   uint64_t seed_;
-  SlotLedger serial_ledger_;
 
   mutable Mutex share_mutex_;
   CondVar share_cv_;

@@ -91,11 +91,12 @@ class FeisuEngine {
   Result<QueryResult> QueryAt(const std::string& user, const std::string& sql,
                               SimTime now);
 
-  /// Async pair of QueryAt for the multi-query master
-  /// (master.max_concurrent_jobs > 1): submit returns the job id once the
-  /// job is admitted and queued; wait blocks for its result. Safe to call
-  /// from many client threads; the engine clock does not advance (each
-  /// job's simulated response time is measured from its own `now`).
+  /// Async pair of QueryAt: submit returns the job id once the job is
+  /// admitted and queued (at master.max_concurrent_jobs = 1, once the
+  /// calling thread has drained the queue); wait blocks for its result.
+  /// Safe to call from many client threads; the engine clock does not
+  /// advance (each job's simulated response time is measured from its
+  /// own `now`).
   Result<int64_t> SubmitQueryAt(const std::string& user,
                                 const std::string& sql, SimTime now,
                                 const SubmitOptions& options = {});

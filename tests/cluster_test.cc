@@ -186,7 +186,8 @@ TEST(SchedulerTest, PrefersLocalReplica) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, scheduler.serial_ledger());
+  SlotLedger ledger(1);
+  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, &ledger);
   EXPECT_TRUE(p.local);
   EXPECT_TRUE(p.node_id == 2 || p.node_id == 3);
 }
@@ -199,7 +200,8 @@ TEST(SchedulerTest, FallsBackWhenReplicasDead) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, scheduler.serial_ledger());
+  SlotLedger ledger(1);
+  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, &ledger);
   EXPECT_FALSE(p.local);
   EXPECT_TRUE(p.node_id == 0 || p.node_id == 1);
 }
@@ -210,11 +212,12 @@ TEST(SchedulerTest, LoadBalancesAcrossReplicas) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
+  SlotLedger ledger(1);
   // With 1 slot per node, consecutive tasks should alternate nodes.
-  Placement p1 = scheduler.PlaceTask({0, 1}, 1, 0, scheduler.serial_ledger());
-  scheduler.CommitTask(&p1, kSimSecond, 0, scheduler.serial_ledger());
-  Placement p2 = scheduler.PlaceTask({0, 1}, 1, 0, scheduler.serial_ledger());
-  scheduler.CommitTask(&p2, kSimSecond, 0, scheduler.serial_ledger());
+  Placement p1 = scheduler.PlaceTask({0, 1}, 1, 0, &ledger);
+  scheduler.CommitTask(&p1, kSimSecond, 0, &ledger);
+  Placement p2 = scheduler.PlaceTask({0, 1}, 1, 0, &ledger);
+  scheduler.CommitTask(&p2, kSimSecond, 0, &ledger);
   EXPECT_NE(p1.node_id, p2.node_id);
 }
 
@@ -224,10 +227,11 @@ TEST(SchedulerTest, SlotQueueingDelaysStart) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p1 = scheduler.PlaceTask({0}, 1, 0, scheduler.serial_ledger());
-  scheduler.CommitTask(&p1, kSimSecond, 0, scheduler.serial_ledger());
-  Placement p2 = scheduler.PlaceTask({0}, 1, 0, scheduler.serial_ledger());
-  scheduler.CommitTask(&p2, kSimSecond, 0, scheduler.serial_ledger());
+  SlotLedger ledger(1);
+  Placement p1 = scheduler.PlaceTask({0}, 1, 0, &ledger);
+  scheduler.CommitTask(&p1, kSimSecond, 0, &ledger);
+  Placement p2 = scheduler.PlaceTask({0}, 1, 0, &ledger);
+  scheduler.CommitTask(&p2, kSimSecond, 0, &ledger);
   EXPECT_GE(p2.start_time, p1.finish_time);
 }
 
@@ -238,8 +242,9 @@ TEST(SchedulerTest, SlowdownFactorStretchesTasks) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p = scheduler.PlaceTask({0}, 4, 0, scheduler.serial_ledger());
-  scheduler.CommitTask(&p, kSimSecond, 0, scheduler.serial_ledger());
+  SlotLedger ledger(1);
+  Placement p = scheduler.PlaceTask({0}, 4, 0, &ledger);
+  scheduler.CommitTask(&p, kSimSecond, 0, &ledger);
   EXPECT_GE(p.finish_time - p.start_time, 3 * kSimSecond);
 }
 
@@ -276,7 +281,7 @@ TEST(SchedulerTest, SortedLedgerMatchesNaiveReferencePastTrim) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  SlotLedger* ledger = scheduler.serial_ledger();
+  SlotLedger ledger(1);
   NaiveSlots reference;
   Rng rng(20260617);
   const int max_tasks_per_node = 3;
@@ -298,16 +303,16 @@ TEST(SchedulerTest, SortedLedgerMatchesNaiveReferencePastTrim) {
       }
     }
     Placement p =
-        scheduler.PlaceTask({0, 1}, max_tasks_per_node, now, ledger);
+        scheduler.PlaceTask({0, 1}, max_tasks_per_node, now, &ledger);
     ASSERT_EQ(p.node_id, expected_node) << "commit " << i;
     ASSERT_EQ(p.start_time, expected_start) << "commit " << i;
-    scheduler.CommitTask(&p, duration, now, ledger);
+    scheduler.CommitTask(&p, duration, now, &ledger);
     reference.Book(p.node_id, p.finish_time);
   }
   for (uint32_t node : {0u, 1u}) {
     std::vector<SimTime> expected = reference.booked[node];
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(ledger->node_slots[node], expected);
+    EXPECT_EQ(ledger.node_slots[node], expected);
   }
 }
 
@@ -690,7 +695,8 @@ TEST(SchedulerTest, AllNodesDeadStillPlaces) {
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  Placement p = scheduler.PlaceTask({0}, 4, 0, scheduler.serial_ledger());
+  SlotLedger ledger(1);
+  Placement p = scheduler.PlaceTask({0}, 4, 0, &ledger);
   EXPECT_FALSE(p.local);
 }
 

@@ -1,12 +1,14 @@
 #include <atomic>
 #include <gtest/gtest.h>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "columnar/block.h"
+#include "common/fault_injector.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
@@ -209,47 +211,75 @@ std::string Fingerprint(const RecordBatch& batch) {
   return ColumnarBlock::FromBatch(0, batch).Serialize();
 }
 
+// FormatQueryStats without its admission line, which holds the host
+// wall-clock queue wait.
+std::string StatsWithoutAdmission(const QueryStats& stats) {
+  std::istringstream report(FormatQueryStats(stats));
+  std::string line;
+  std::string out;
+  while (std::getline(report, line)) {
+    if (line.rfind("admission:", 0) == 0) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+struct QueryOutcome {
+  std::string fingerprint;
+  SimTime response_time = 0;
+  std::string stats;  ///< StatsWithoutAdmission
+  bool operator==(const QueryOutcome&) const = default;
+};
+
 // Runs the query list on one engine at fixed simulated timestamps and
-// returns the per-query result fingerprints.
-std::vector<std::string> RunWorkload(FeisuEngine* engine) {
-  std::vector<std::string> fingerprints;
+// returns each query's result fingerprint, response time and stats.
+std::vector<QueryOutcome> RunWorkload(FeisuEngine* engine) {
+  std::vector<QueryOutcome> outcomes;
   SimTime at = kSimMinute;
   for (const char* sql : kDeterminismQueries) {
     auto result = engine->QueryAt("ana", sql, at);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    QueryOutcome outcome;
     if (!result.ok()) {
-      fingerprints.emplace_back("<error>");
+      outcome.fingerprint = "<error>";
     } else {
-      fingerprints.push_back(Fingerprint(result->batch));
+      outcome.fingerprint = Fingerprint(result->batch);
+      outcome.response_time = result->stats.response_time;
+      outcome.stats = StatsWithoutAdmission(result->stats);
     }
+    outcomes.push_back(std::move(outcome));
     at += kSimMinute;
   }
-  return fingerprints;
+  return outcomes;
 }
 
 class ParallelDeterminism : public ::testing::TestWithParam<uint64_t> {};
 
-// The tentpole guarantee: with fault injection disabled, the parallel leaf
-// path produces byte-identical result batches to the sequential path, for
-// every query shape, across a grid of data seeds. Timing statistics may
-// differ between the modes (cache warmth depends on which leaf executed),
-// which is why only result bytes are compared.
+// One query path for every width: with fault injection disabled, width 4
+// produces byte-identical result batches, the same response time and the
+// same stats report (admission line aside) as width 1, for every query
+// shape, across a grid of data seeds.
 TEST_P(ParallelDeterminism, ParallelMatchesSequentialByteForByte) {
   uint64_t seed = GetParam();
   auto sequential = MakeEngine(seed, /*parallelism=*/1);
   auto parallel = MakeEngine(seed, /*parallelism=*/4);
-  std::vector<std::string> seq_prints = RunWorkload(sequential.get());
-  std::vector<std::string> par_prints = RunWorkload(parallel.get());
-  ASSERT_EQ(seq_prints.size(), par_prints.size());
-  for (size_t i = 0; i < seq_prints.size(); ++i) {
-    EXPECT_EQ(seq_prints[i], par_prints[i])
-        << "query diverged: " << kDeterminismQueries[i];
+  std::vector<QueryOutcome> seq = RunWorkload(sequential.get());
+  std::vector<QueryOutcome> par = RunWorkload(parallel.get());
+  ASSERT_EQ(seq.size(), par.size());
+  for (size_t i = 0; i < seq.size(); ++i) {
+    EXPECT_EQ(seq[i].fingerprint, par[i].fingerprint)
+        << "result bytes diverged: " << kDeterminismQueries[i];
+    EXPECT_EQ(seq[i].response_time, par[i].response_time)
+        << "response time diverged: " << kDeterminismQueries[i];
+    EXPECT_EQ(seq[i].stats, par[i].stats)
+        << "stats diverged: " << kDeterminismQueries[i];
   }
 }
 
 // Parallel mode must also be deterministic run-to-run: two identically
-// seeded parallel engines give identical bytes regardless of worker
-// interleaving.
+// seeded parallel engines give identical bytes, times and stats
+// regardless of worker interleaving.
 TEST_P(ParallelDeterminism, ParallelIsDeterministicRunToRun) {
   uint64_t seed = GetParam();
   auto first = MakeEngine(seed, /*parallelism=*/4);
@@ -316,6 +346,36 @@ TEST(ParallelFaultToleranceTest, ParallelPathSurvivesInjectedFaults) {
       << "fault rates this high must leave traces in the recovery counters";
   EXPECT_GE(stats.processed_ratio, 0.0);
   EXPECT_LE(stats.processed_ratio, 1.0);
+}
+
+// Partitioned hosts receive no work at any width: the execute stage skips
+// replicas the master cannot reach, so a leaf cut off for the whole query
+// window gains no SmartIndex entries from the query.
+TEST(ParallelFaultToleranceTest, PartitionedReplicaExecutesNothing) {
+  auto engine = MakeEngine(/*seed=*/7, /*parallelism=*/4);
+  const TableMeta* meta = engine->catalog().Find("t1");
+  ASSERT_NE(meta, nullptr);
+  ASSERT_FALSE(meta->blocks().empty());
+  std::vector<uint32_t> replicas =
+      engine->router().ReplicaNodes(meta->blocks()[0].path);
+  ASSERT_FALSE(replicas.empty());
+  const uint32_t cut = replicas[0];
+  const SimTime at = kSimMinute;
+  FaultConfig faults;
+  faults.enabled = true;
+  faults.partitions.push_back(
+      PartitionSpec{/*node_id=*/cut, /*start=*/0, /*end=*/at + kSimHour});
+  engine->fault_injector().Configure(faults);
+
+  const size_t entries_before = engine->leaf(cut).index_cache().size();
+  auto result =
+      engine->QueryAt("ana", "SELECT COUNT(*) FROM t1 WHERE c1 = 'kw_1'", at);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->stats.partial);
+  EXPECT_GT(result->stats.leaf.index_misses, 0u)
+      << "the query must build SmartIndex entries somewhere";
+  EXPECT_EQ(engine->leaf(cut).index_cache().size(), entries_before)
+      << "leaf " << cut << " executed a task while partitioned";
 }
 
 }  // namespace

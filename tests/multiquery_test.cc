@@ -242,9 +242,8 @@ TEST(FairShareGateTest, WeightedCapsBlockAtLimitAndGrowOnExit) {
   EXPECT_GE(sched.leaf_slot_waits(), 1u);
 }
 
-// A job that never registered a share — the serial master running on a
-// leaf pool, or ResumeJob — passes the gate untouched: the pooled dispatch
-// relies on acquire/release being immediate no-ops for it.
+// A job that never registered a share passes the gate untouched:
+// acquire/release are immediate no-ops for it and leave no peak behind.
 TEST(FairShareGateTest, UnregisteredJobPassesGateUntouched) {
   ClusterManager cluster;
   PathRouter router;
@@ -483,18 +482,63 @@ TEST(MultiQueryMasterTest, QuotaDeferralAndQueueBackpressure) {
   EXPECT_NE(report.find("rejected"), std::string::npos);
 }
 
-// The serial master is untouched by the pipeline: SubmitQuery without
-// max_concurrent_jobs > 1 is an explicit error, ExecuteQuery still runs
-// inline, and the admitted-job counter stays honest across both modes.
-TEST(MultiQueryMasterTest, SerialModeRejectsAsyncSubmission) {
-  auto engine = MakeEngine(3, /*concurrent_jobs=*/1, /*leaf_parallelism=*/1);
-  auto submitted =
-      engine->SubmitQueryAt("ana", "SELECT COUNT(*) FROM t1", kSimMinute);
-  EXPECT_FALSE(submitted.ok());
-  auto result = engine->QueryAt("ana", "SELECT COUNT(*) FROM t1", kSimMinute);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.jobs_admitted, 1u);
-  EXPECT_EQ(result->stats.queue_wait_ms, 0.0);
+// Width 1 is the same admission pipeline run by the submitting thread:
+// SubmitQueryAt + WaitQuery returns exactly QueryAt's answer and stats,
+// and every query counts one admitted job.
+TEST(MultiQueryMasterTest, SerialWidthSubmitMatchesQueryAt) {
+  auto submitted = MakeEngine(3, /*concurrent_jobs=*/1, /*leaf_parallelism=*/1);
+  auto direct = MakeEngine(3, /*concurrent_jobs=*/1, /*leaf_parallelism=*/1);
+  uint64_t queries = 0;
+  for (const MixedJob& job : kMixedJobs) {
+    ++queries;
+    auto expected = direct->QueryAt(job.user, job.sql, kSimMinute);
+    ASSERT_TRUE(expected.ok()) << job.sql;
+    auto id = submitted->SubmitQueryAt(job.user, job.sql, kSimMinute);
+    ASSERT_TRUE(id.ok()) << job.sql << ": " << id.status().ToString();
+    auto result = submitted->WaitQuery(*id);
+    ASSERT_TRUE(result.ok()) << job.sql << ": " << result.status().ToString();
+    EXPECT_EQ(Fingerprint(result->batch), Fingerprint(expected->batch))
+        << job.sql;
+    EXPECT_EQ(result->stats.response_time, expected->stats.response_time)
+        << job.sql;
+    EXPECT_EQ(result->stats.jobs_admitted, queries);
+    EXPECT_EQ(expected->stats.jobs_admitted, queries);
+    EXPECT_EQ(result->stats.jobs_queued, 0u);
+  }
+  EXPECT_FALSE(submitted->WaitQuery(999).ok());
+}
+
+// Width 1 under concurrent clients and a tenant concurrency quota: a
+// submission that cannot start because another client's job holds the
+// one run slot is run by that client's drain loop, so every job finishes
+// and nothing is left queued or running.
+TEST(MultiQueryMasterTest, SerialWidthConcurrentClientsNeverStrand) {
+  auto engine = MakeEngine(4, /*concurrent_jobs=*/1, /*leaf_parallelism=*/2);
+  TenantQuota quota;
+  quota.max_concurrent_jobs = 1;
+  engine->master().entry_guard().SetTenantQuota("bob", quota);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  std::atomic<int> completed{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t]() {
+      for (int i = 0; i < kPerThread; ++i) {
+        const MixedJob& job = kMixedJobs[static_cast<size_t>(
+            (t * kPerThread + i) % static_cast<int>(std::size(kMixedJobs)))];
+        auto id = engine->SubmitQueryAt(job.user, job.sql, kSimMinute);
+        if (id.ok() && engine->WaitQuery(*id).ok()) completed.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(completed.load(), kThreads * kPerThread);
+  AdmissionSnapshot snapshot =
+      engine->master().entry_guard().admission_snapshot();
+  EXPECT_EQ(snapshot.jobs_admitted,
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(snapshot.jobs_queued, 0u);
+  EXPECT_EQ(snapshot.jobs_running, 0u);
 }
 
 // Concurrent clients hammering WaitQuery/SubmitQuery from many threads:
