@@ -64,6 +64,14 @@ class ColumnVector {
   const std::vector<uint8_t>& bools() const { return bools_; }
   const BitVector& validity() const { return validity_; }
 
+  /// Mutable storage for kernels that update cells in place (the
+  /// aggregation state). A NULL cell given a value must be SetValid.
+  std::vector<int64_t>& mutable_ints() { return ints_; }
+  std::vector<double>& mutable_doubles() { return doubles_; }
+  std::vector<std::string>& mutable_strings() { return strings_; }
+  std::vector<uint8_t>& mutable_bools() { return bools_; }
+  void SetValid(size_t i) { validity_.Set(i, true); }
+
  private:
   DataType type_;
   BitVector validity_;  // 1 = valid, 0 = NULL

@@ -192,21 +192,6 @@ BitVector BitVector::FromWords(std::vector<uint64_t> words, size_t size) {
   return out;
 }
 
-bool BitVector::Get(size_t i) const {
-  assert(i < size_);
-  return (words_[i >> 6] >> (i & 63)) & 1;
-}
-
-void BitVector::Set(size_t i, bool value) {
-  assert(i < size_);
-  uint64_t mask = 1ULL << (i & 63);
-  if (value) {
-    words_[i >> 6] |= mask;
-  } else {
-    words_[i >> 6] &= ~mask;
-  }
-}
-
 void BitVector::SetRange(size_t begin, size_t end, bool value) {
   if (end > size_) end = size_;
   if (begin >= end) return;

@@ -2,6 +2,7 @@
 #define FEISU_COMMON_BIT_VECTOR_H_
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -29,8 +30,20 @@ class BitVector {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  bool Get(size_t i) const;
-  void Set(size_t i, bool value);
+  /// Inline: per-row validity checks in every kernel go through these.
+  bool Get(size_t i) const {
+    assert(i < size_);
+    return (words_[i >> 6] >> (i & 63)) & 1;
+  }
+  void Set(size_t i, bool value) {
+    assert(i < size_);
+    const uint64_t mask = 1ULL << (i & 63);
+    if (value) {
+      words_[i >> 6] |= mask;
+    } else {
+      words_[i >> 6] &= ~mask;
+    }
+  }
 
   /// Sets every bit in [begin, end) to `value`. Word-level: a run of 64
   /// rows costs one store, which is what makes run-granular predicate

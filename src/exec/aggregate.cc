@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <type_traits>
 
 #include "common/hash.h"
 #include "columnar/block.h"
@@ -38,35 +39,141 @@ DataType FinalType(AggFunc func, DataType arg_type) {
   return DataType::kInt64;
 }
 
-/// One cell's numeric view, matching Value::AsDouble for the given type.
-double NumericWord(DataType type, uint64_t word) {
-  switch (type) {
-    case DataType::kBool:
-      return word != 0 ? 1.0 : 0.0;
-    case DataType::kInt64:
-      return static_cast<double>(static_cast<int64_t>(word));
-    case DataType::kDouble:
-      return std::bit_cast<double>(word);
-    case DataType::kString:
-      break;
+/// Calls fn(i) for every non-NULL row i < n of `col`, skipping the
+/// per-row validity check when the column is null-free.
+template <typename Fn>
+void ForEachValid(const ColumnVector& col, size_t n, const Fn& fn) {
+  if (col.NullCount() == 0) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if (!col.IsNull(i)) fn(i);
+    }
   }
-  return 0.0;
 }
 
-/// Replicates RecordBatch::AppendRow's per-cell type check (NULL always
-/// accepted, exact type match otherwise, numeric widened into a double
-/// column) so typed emission errors exactly where the row path did. The
-/// column name is `field_name` + `suffix`, built only for the error.
-Status AppendCell(ColumnVector* col, const Value& v,
-                  const std::string& field_name, const char* suffix = "") {
-  if (!v.is_null() && v.type() != col->type() &&
-      !(v.is_numeric() && col->type() == DataType::kDouble)) {
-    std::string message = "type mismatch for column ";
-    message.append(field_name).append(suffix);
+bool NullFree(const std::vector<ColumnVector>& cols) {
+  return std::all_of(cols.begin(), cols.end(), [](const ColumnVector& c) {
+    return c.NullCount() == 0;
+  });
+}
+
+/// Evaluates `expr` over `batch`, rejecting a result whose type is not the
+/// `type` Make inferred: the typed state holds exactly that type.
+Result<ColumnVector> EvaluateTyped(const Expr& expr, const RecordBatch& batch,
+                                   DataType type, const std::string& name) {
+  FEISU_ASSIGN_OR_RETURN(ColumnVector col, EvaluateExpr(expr, batch));
+  if (col.type() != type) {
+    std::string message = "type mismatch for aggregate input ";
+    message.append(name);
     return Status::InvalidArgument(message);
   }
-  col->AppendValue(v);
-  return Status::OK();
+  return col;
+}
+
+/// Appends cell `row` of `src` to `dst`, a column of the same type.
+void AppendKeyCell(ColumnVector* dst, const ColumnVector& src, size_t row) {
+  if (src.IsNull(row)) {
+    dst->AppendNull();
+    return;
+  }
+  switch (src.type()) {
+    case DataType::kBool:
+      dst->AppendBool(src.bools()[row] != 0);
+      break;
+    case DataType::kInt64:
+      dst->AppendInt64(src.ints()[row]);
+      break;
+    case DataType::kDouble:
+      dst->AppendDouble(src.doubles()[row]);
+      break;
+    case DataType::kString:
+      dst->AppendString(src.strings()[row]);
+      break;
+  }
+}
+
+/// Adds the valid cells of `in`, as doubles, into the per-group `sums`.
+void AddSums(const ColumnVector& in, const std::vector<uint32_t>& gids,
+             std::vector<double>& sums) {
+  const size_t n = gids.size();
+  switch (in.type()) {
+    case DataType::kBool: {
+      const auto& v = in.bools();
+      ForEachValid(in, n,
+                   [&](size_t i) { sums[gids[i]] += v[i] != 0 ? 1.0 : 0.0; });
+      break;
+    }
+    case DataType::kInt64: {
+      const auto& v = in.ints();
+      ForEachValid(in, n, [&](size_t i) {
+        sums[gids[i]] += static_cast<double>(v[i]);
+      });
+      break;
+    }
+    case DataType::kDouble: {
+      const auto& v = in.doubles();
+      ForEachValid(in, n, [&](size_t i) { sums[gids[i]] += v[i]; });
+      break;
+    }
+    case DataType::kString:
+      break;  // rejected at Make time
+  }
+}
+
+/// Value::Compare's `a < b` for two non-NULL cells of one type: int64
+/// compares as double, so values above 2^53 can tie, and NaN is neither
+/// less nor greater than anything.
+template <typename T>
+bool Less(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return static_cast<double>(a) < static_cast<double>(b);
+  } else {
+    return a < b;
+  }
+}
+
+/// Folds the valid cells of `in` (values `v`) into the per-group MIN
+/// (`is_min`) or MAX column `extreme` (values `out`), whose validity bit is
+/// the has-value bit. Only a strictly smaller (larger) value replaces the
+/// stored one, so a tie keeps the value seen first and NaN never replaces.
+template <typename T>
+void FoldExtreme(const ColumnVector& in, const std::vector<T>& v,
+                 bool is_min, const std::vector<uint32_t>& gids,
+                 ColumnVector* extreme, std::vector<T>& out) {
+  ForEachValid(in, gids.size(), [&](size_t i) {
+    uint32_t g = gids[i];
+    if (extreme->IsNull(g)) {
+      out[g] = v[i];
+      extreme->SetValid(g);
+    } else if (is_min ? Less(v[i], out[g]) : Less(out[g], v[i])) {
+      out[g] = v[i];
+    }
+  });
+}
+
+/// The MIN/MAX kernel for raw arguments and partial `#min`/`#max` columns
+/// alike: merging partials is aggregation over the partials.
+void FoldExtreme(const ColumnVector& in, bool is_min,
+                 const std::vector<uint32_t>& gids, ColumnVector* extreme) {
+  switch (in.type()) {
+    case DataType::kBool:
+      FoldExtreme(in, in.bools(), is_min, gids, extreme,
+                  extreme->mutable_bools());
+      break;
+    case DataType::kInt64:
+      FoldExtreme(in, in.ints(), is_min, gids, extreme,
+                  extreme->mutable_ints());
+      break;
+    case DataType::kDouble:
+      FoldExtreme(in, in.doubles(), is_min, gids, extreme,
+                  extreme->mutable_doubles());
+      break;
+    case DataType::kString:
+      FoldExtreme(in, in.strings(), is_min, gids, extreme,
+                  extreme->mutable_strings());
+      break;
+  }
 }
 
 }  // namespace
@@ -92,7 +199,6 @@ Result<Aggregator> Aggregator::Make(std::vector<ExprPtr> group_by,
   for (const auto& g : agg.group_by_) {
     std::string name =
         g->kind() == ExprKind::kColumnRef ? g->column() : g->ToString();
-    agg.group_names_.push_back(name);
     FEISU_ASSIGN_OR_RETURN(DataType type, InferType(*g, input_schema));
     partial_fields.push_back({name, type, true});
     final_fields.push_back({name, type, true});
@@ -108,6 +214,7 @@ Result<Aggregator> Aggregator::Make(std::vector<ExprPtr> group_by,
       return Status::InvalidArgument("'*' argument requires COUNT");
     }
     agg.arg_types_.push_back(arg_type);
+    agg.count_cols_.push_back(partial_fields.size());
     partial_fields.push_back(
         {spec.output_name + "#count", DataType::kInt64, false});
     if (NeedsSum(spec.func)) {
@@ -121,10 +228,9 @@ Result<Aggregator> Aggregator::Make(std::vector<ExprPtr> group_by,
     final_fields.push_back(
         {spec.output_name, FinalType(spec.func, arg_type), true});
   }
+  for (const Field& field : partial_fields) agg.state_.emplace_back(field.type);
   agg.partial_schema_ = Schema(std::move(partial_fields));
   agg.final_schema_ = Schema(std::move(final_fields));
-  agg.key_cols_.resize(agg.group_by_.size());
-  agg.states_.resize(agg.specs_.size());
   return agg;
 }
 
@@ -178,51 +284,29 @@ bool Aggregator::GroupEquals(uint32_t group, const BatchKeys& keys,
                              size_t row) const {
   for (size_t c = 0; c < keys.cols.size(); ++c) {
     const ColumnVector& col = *keys.cols[c];
-    const KeyColumn& stored = key_cols_[c];
+    const ColumnVector& stored = state_[c];
     bool row_null = col.IsNull(row);
-    if (row_null != (stored.nulls[group] != 0)) return false;
+    if (row_null != stored.IsNull(group)) return false;
     if (row_null) continue;
-    if (col.type() != stored.types[group]) return false;
-    if (keys.words[c][row] != stored.words[group]) return false;
-    if (col.type() == DataType::kString &&
-        col.strings()[row] != stored.strings[group]) {
-      return false;
+    bool same = false;
+    switch (col.type()) {
+      case DataType::kBool:
+        same = (col.bools()[row] != 0) == (stored.bools()[group] != 0);
+        break;
+      case DataType::kInt64:
+        same = col.ints()[row] == stored.ints()[group];
+        break;
+      case DataType::kDouble:  // bit patterns: -0.0 != +0.0, NaN == NaN
+        same = keys.words[c][row] ==
+               std::bit_cast<uint64_t>(stored.doubles()[group]);
+        break;
+      case DataType::kString:
+        same = col.strings()[row] == stored.strings()[group];
+        break;
     }
+    if (!same) return false;
   }
   return true;
-}
-
-void Aggregator::AppendGroupKeys(const BatchKeys& keys, size_t row) {
-  std::string serialized;
-  for (size_t c = 0; c < keys.cols.size(); ++c) {
-    const ColumnVector& col = *keys.cols[c];
-    KeyColumn& stored = key_cols_[c];
-    bool row_null = col.IsNull(row);
-    stored.nulls.push_back(row_null ? 1 : 0);
-    stored.types.push_back(col.type());
-    stored.words.push_back(row_null ? 0 : keys.words[c][row]);
-    stored.strings.emplace_back(
-        !row_null && col.type() == DataType::kString ? col.strings()[row]
-                                                     : std::string());
-    // Runs once per *group* insert, not per row, and serialization needs
-    // the boxed value anyway. feisu-lint: allow(per-row-getvalue)
-    SerializeValue(&serialized, col.GetValue(row));
-  }
-  serialized_keys_.push_back(std::move(serialized));
-}
-
-void Aggregator::AppendStateSlots() {
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    SpecState& st = states_[s];
-    st.counts.push_back(0);
-    if (NeedsSum(specs_[s].func)) st.sums.push_back(0.0);
-    if (NeedsMinMax(specs_[s].func)) {
-      st.min_boxed.emplace_back();
-      st.max_boxed.emplace_back();
-      st.min_num.push_back(0.0);
-      st.max_num.push_back(0.0);
-    }
-  }
 }
 
 void Aggregator::Grow(size_t capacity) {
@@ -230,7 +314,7 @@ void Aggregator::Grow(size_t capacity) {
   slots_.assign(capacity, 0);
   slot_hashes_.assign(capacity, 0);
   slot_mask_ = capacity - 1;
-  for (size_t g = 0; g < num_groups_; ++g) {
+  for (size_t g = 0; g < num_groups(); ++g) {
     size_t idx = group_hashes_[g] & slot_mask_;
     while (slots_[idx] != 0) idx = (idx + 1) & slot_mask_;
     slots_[idx] = static_cast<uint32_t>(g) + 1;
@@ -238,194 +322,122 @@ void Aggregator::Grow(size_t capacity) {
   }
 }
 
-uint32_t Aggregator::FindOrInsert(const BatchKeys& keys, size_t row) {
+template <typename Equals, typename AppendKeys>
+uint32_t Aggregator::FindOrAppend(uint64_t h, const Equals& equals,
+                                  const AppendKeys& append_keys) {
   if (slots_.empty()) Grow(kInitialSlots);
-  uint64_t h = keys.hashes[row];
   size_t idx = h & slot_mask_;
   while (true) {
     ++stats_.hash_probes;
     uint32_t slot = slots_[idx];
     if (slot == 0) break;
-    if (slot_hashes_[idx] == h && GroupEquals(slot - 1, keys, row)) {
-      return slot - 1;
-    }
+    if (slot_hashes_[idx] == h && equals(slot - 1)) return slot - 1;
     idx = (idx + 1) & slot_mask_;
   }
-  uint32_t group = static_cast<uint32_t>(num_groups_++);
+  uint32_t group = static_cast<uint32_t>(group_hashes_.size());
   ++stats_.groups_created;
   slots_[idx] = group + 1;
   slot_hashes_[idx] = h;
   group_hashes_.push_back(h);
-  AppendGroupKeys(keys, row);
-  AppendStateSlots();
+  append_keys();
+  // A new group's state slots: #count and #sum start at zero, #min/#max
+  // (the nullable state fields) start without a value.
+  for (size_t c = group_by_.size(); c < state_.size(); ++c) {
+    ColumnVector& col = state_[c];
+    if (partial_schema_.field(c).nullable) {
+      col.AppendNull();
+    } else if (col.type() == DataType::kInt64) {
+      col.AppendInt64(0);
+    } else {
+      col.AppendDouble(0.0);
+    }
+  }
   // Keep the load factor under 0.7 so probe chains stay short.
-  if ((num_groups_ + 1) * 10 > slots_.size() * 7) Grow(slots_.size() * 2);
+  if ((num_groups() + 1) * 10 > slots_.size() * 7) Grow(slots_.size() * 2);
+  return group;
+}
+
+uint32_t Aggregator::FindOrInsert(const BatchKeys& keys, size_t row) {
+  return FindOrAppend(
+      keys.hashes[row],
+      [&](uint32_t g) { return GroupEquals(g, keys, row); },
+      [&] {
+        for (size_t c = 0; c < keys.cols.size(); ++c) {
+          AppendKeyCell(&state_[c], *keys.cols[c], row);
+        }
+      });
+}
+
+uint32_t Aggregator::FindOrInsertDictKey(const std::string* key) {
+  uint64_t h = kKeyHashSeed;
+  if (key == nullptr) {
+    h = HashCombine(h, 0);
+  } else {
+    h = HashCombine(h, static_cast<uint64_t>(DataType::kString) + 1);
+    h = HashCombine(h, HashString(*key));
+  }
+  ColumnVector& stored = state_[0];
+  size_t before = num_groups();
+  uint32_t group = FindOrAppend(
+      h,
+      [&](uint32_t g) {
+        if (key == nullptr) return stored.IsNull(g);
+        return !stored.IsNull(g) && stored.strings()[g] == *key;
+      },
+      [&] {
+        if (key == nullptr) {
+          stored.AppendNull();
+        } else {
+          stored.AppendString(*key);
+        }
+      });
+  if (num_groups() > before) ++stats_.code_domain_groups;
   return group;
 }
 
 uint32_t Aggregator::EnsureGlobalGroup() {
-  if (num_groups_ == 0) {
-    if (slots_.empty()) Grow(kInitialSlots);
-    size_t idx = kKeyHashSeed & slot_mask_;
-    ++stats_.hash_probes;
-    slots_[idx] = 1;
-    slot_hashes_[idx] = kKeyHashSeed;
-    group_hashes_.push_back(kKeyHashSeed);
-    serialized_keys_.emplace_back();
-    AppendStateSlots();
-    num_groups_ = 1;
-    ++stats_.groups_created;
+  if (num_groups() == 0) {
+    FindOrAppend(kKeyHashSeed, [](uint32_t) { return true; }, [] {});
   }
   return 0;
 }
 
-namespace {
-
-/// min/max update: replicates `if (state.min.is_null() ||
-/// v.Compare(state.min) < 0) state.min = v;` with the Compare hoisted into
-/// a double comparison whenever the stored value is numeric. `dir` is -1
-/// for MIN, +1 for MAX.
-template <int dir>
-inline void UpdateMinMaxNumeric(std::vector<Value>& boxed,
-                                std::vector<double>& num, uint32_t g,
-                                double v_num, const Value& v_boxed) {
-  if (boxed[g].is_null()) {
-    boxed[g] = v_boxed;
-    num[g] = v_num;
-    return;
-  }
-  if (boxed[g].is_numeric()) {
-    if (dir < 0 ? v_num < num[g] : v_num > num[g]) {
-      boxed[g] = v_boxed;
-      num[g] = v_num;
+Result<std::vector<ColumnVector>> Aggregator::EvaluateArgs(
+    const RecordBatch& batch) const {
+  std::vector<ColumnVector> args;
+  args.reserve(specs_.size());
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    if (specs_[s].arg == nullptr) {  // COUNT(*)
+      args.emplace_back(DataType::kInt64);
+      continue;
     }
-    return;
+    FEISU_ASSIGN_OR_RETURN(ColumnVector col,
+                           EvaluateTyped(*specs_[s].arg, batch,
+                                         arg_types_[s], specs_[s].output_name));
+    args.push_back(std::move(col));
   }
-  // Stored value is a string (mixed runtime types): defer to Value::Compare
-  // so the cross-type ordering matches the boxed path exactly.
-  int cmp = v_boxed.Compare(boxed[g]);
-  if (dir < 0 ? cmp < 0 : cmp > 0) {
-    boxed[g] = v_boxed;
-    num[g] = v_num;
-  }
+  return args;
 }
 
-template <int dir>
-inline void UpdateMinMaxString(std::vector<Value>& boxed,
-                               std::vector<double>& num, uint32_t g,
-                               const std::string& v) {
-  if (boxed[g].is_null()) {
-    boxed[g] = Value::String(v);
-    return;
-  }
-  if (boxed[g].type() == DataType::kString) {
-    int cmp = v.compare(boxed[g].string_value());
-    if (dir < 0 ? cmp < 0 : cmp > 0) boxed[g] = Value::String(v);
-    return;
-  }
-  Value v_boxed = Value::String(v);
-  int cmp = v_boxed.Compare(boxed[g]);
-  if (dir < 0 ? cmp < 0 : cmp > 0) {
-    boxed[g] = std::move(v_boxed);
-    num[g] = 0.0;
-  }
-}
-
-}  // namespace
-
-void Aggregator::AccumulateSpec(size_t s, const ColumnVector* arg,
-                                const std::vector<uint32_t>& gids) {
-  SpecState& st = states_[s];
-  size_t n = gids.size();
-  if (arg == nullptr) {  // COUNT(*)
-    for (size_t i = 0; i < n; ++i) ++st.counts[gids[i]];
-    return;
-  }
-  const AggFunc func = specs_[s].func;
-  const bool needs_sum = NeedsSum(func);
-  const bool needs_minmax = NeedsMinMax(func);
-  const bool null_free = arg->NullCount() == 0;
-
-  // SQL semantics: NULL arguments don't aggregate (skip count/sum/minmax).
-  auto for_each_valid = [&](auto&& fn) {
-    if (null_free) {
-      for (size_t i = 0; i < n; ++i) fn(i);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (!arg->IsNull(i)) fn(i);
-      }
+void Aggregator::Accumulate(const std::vector<ColumnVector>& args,
+                            const std::vector<uint32_t>& gids) {
+  const size_t n = gids.size();
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    const size_t c = count_cols_[s];
+    std::vector<int64_t>& counts = state_[c].mutable_ints();
+    if (specs_[s].arg == nullptr) {  // COUNT(*)
+      for (size_t i = 0; i < n; ++i) ++counts[gids[i]];
+      continue;
     }
-  };
-
-  for_each_valid([&](size_t i) { ++st.counts[gids[i]]; });
-
-  if (needs_sum) {
-    switch (arg->type()) {
-      case DataType::kBool: {
-        const auto& v = arg->bools();
-        for_each_valid(
-            [&](size_t i) { st.sums[gids[i]] += v[i] != 0 ? 1.0 : 0.0; });
-        break;
-      }
-      case DataType::kInt64: {
-        const auto& v = arg->ints();
-        for_each_valid(
-            [&](size_t i) { st.sums[gids[i]] += static_cast<double>(v[i]); });
-        break;
-      }
-      case DataType::kDouble: {
-        const auto& v = arg->doubles();
-        for_each_valid([&](size_t i) { st.sums[gids[i]] += v[i]; });
-        break;
-      }
-      case DataType::kString:
-        break;  // rejected at Make time
+    // SQL semantics: NULL arguments don't aggregate (skip count/sum/minmax).
+    const ColumnVector& arg = args[s];
+    ForEachValid(arg, n, [&](size_t i) { ++counts[gids[i]]; });
+    if (NeedsSum(specs_[s].func)) {
+      AddSums(arg, gids, state_[c + 1].mutable_doubles());
     }
-  }
-
-  if (needs_minmax) {
-    switch (arg->type()) {
-      case DataType::kBool: {
-        const auto& v = arg->bools();
-        for_each_valid([&](size_t i) {
-          bool b = v[i] != 0;
-          double d = b ? 1.0 : 0.0;
-          UpdateMinMaxNumeric<-1>(st.min_boxed, st.min_num, gids[i], d,
-                                  Value::Bool(b));
-          UpdateMinMaxNumeric<+1>(st.max_boxed, st.max_num, gids[i], d,
-                                  Value::Bool(b));
-        });
-        break;
-      }
-      case DataType::kInt64: {
-        const auto& v = arg->ints();
-        for_each_valid([&](size_t i) {
-          double d = static_cast<double>(v[i]);
-          UpdateMinMaxNumeric<-1>(st.min_boxed, st.min_num, gids[i], d,
-                                  Value::Int64(v[i]));
-          UpdateMinMaxNumeric<+1>(st.max_boxed, st.max_num, gids[i], d,
-                                  Value::Int64(v[i]));
-        });
-        break;
-      }
-      case DataType::kDouble: {
-        const auto& v = arg->doubles();
-        for_each_valid([&](size_t i) {
-          UpdateMinMaxNumeric<-1>(st.min_boxed, st.min_num, gids[i], v[i],
-                                  Value::Double(v[i]));
-          UpdateMinMaxNumeric<+1>(st.max_boxed, st.max_num, gids[i], v[i],
-                                  Value::Double(v[i]));
-        });
-        break;
-      }
-      case DataType::kString: {
-        const auto& v = arg->strings();
-        for_each_valid([&](size_t i) {
-          UpdateMinMaxString<-1>(st.min_boxed, st.min_num, gids[i], v[i]);
-          UpdateMinMaxString<+1>(st.max_boxed, st.max_num, gids[i], v[i]);
-        });
-        break;
-      }
+    if (NeedsMinMax(specs_[s].func)) {
+      FoldExtreme(arg, /*is_min=*/true, gids, &state_[c + 1]);
+      FoldExtreme(arg, /*is_min=*/false, gids, &state_[c + 2]);
     }
   }
 }
@@ -436,32 +448,15 @@ Status Aggregator::Consume(const RecordBatch& batch) {
   // Evaluate group keys and aggregate arguments once per batch.
   std::vector<ColumnVector> key_cols;
   key_cols.reserve(group_by_.size());
-  for (const auto& g : group_by_) {
-    FEISU_ASSIGN_OR_RETURN(ColumnVector col, EvaluateExpr(*g, batch));
+  for (size_t k = 0; k < group_by_.size(); ++k) {
+    const Field& field = partial_schema_.field(k);
+    FEISU_ASSIGN_OR_RETURN(
+        ColumnVector col,
+        EvaluateTyped(*group_by_[k], batch, field.type, field.name));
     key_cols.push_back(std::move(col));
   }
-  std::vector<ColumnVector> arg_cols;
-  arg_cols.reserve(specs_.size());
-  std::vector<bool> has_arg(specs_.size(), false);
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    if (specs_[s].arg != nullptr) {
-      FEISU_ASSIGN_OR_RETURN(ColumnVector col,
-                             EvaluateExpr(*specs_[s].arg, batch));
-      arg_cols.push_back(std::move(col));
-      has_arg[s] = true;
-    } else {
-      arg_cols.emplace_back(DataType::kInt64);
-    }
-  }
-
-  bool batch_null_free = true;
-  for (const auto& col : key_cols) {
-    if (col.NullCount() != 0) batch_null_free = false;
-  }
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    if (has_arg[s] && arg_cols[s].NullCount() != 0) batch_null_free = false;
-  }
-  if (batch_null_free) ++stats_.null_fast_path_batches;
+  FEISU_ASSIGN_OR_RETURN(std::vector<ColumnVector> args, EvaluateArgs(batch));
+  if (NullFree(key_cols) && NullFree(args)) ++stats_.null_fast_path_batches;
 
   // Vectorized grouping: typed key words + hashes, then one table probe
   // per row producing the row -> group mapping.
@@ -471,93 +466,24 @@ Status Aggregator::Consume(const RecordBatch& batch) {
   BatchKeys keys = MakeBatchKeys(std::move(key_ptrs), n);
   std::vector<uint32_t> gids(n);
   for (size_t i = 0; i < n; ++i) gids[i] = FindOrInsert(keys, i);
-
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    AccumulateSpec(s, has_arg[s] ? &arg_cols[s] : nullptr, gids);
-  }
+  Accumulate(args, gids);
   return Status::OK();
-}
-
-uint32_t Aggregator::FindOrInsertDictKey(const std::string* key) {
-  if (slots_.empty()) Grow(kInitialSlots);
-  uint64_t word = 0;
-  uint64_t h = kKeyHashSeed;
-  if (key == nullptr) {
-    h = HashCombine(h, 0);
-  } else {
-    word = HashString(*key);
-    h = HashCombine(h, static_cast<uint64_t>(DataType::kString) + 1);
-    h = HashCombine(h, word);
-  }
-  size_t idx = h & slot_mask_;
-  while (true) {
-    ++stats_.hash_probes;
-    uint32_t slot = slots_[idx];
-    if (slot == 0) break;
-    if (slot_hashes_[idx] == h) {
-      uint32_t g = slot - 1;
-      const KeyColumn& stored = key_cols_[0];
-      bool stored_null = stored.nulls[g] != 0;
-      if (key == nullptr) {
-        if (stored_null) return g;
-      } else if (!stored_null && stored.types[g] == DataType::kString &&
-                 stored.words[g] == word && stored.strings[g] == *key) {
-        return g;
-      }
-    }
-    idx = (idx + 1) & slot_mask_;
-  }
-  uint32_t group = static_cast<uint32_t>(num_groups_++);
-  ++stats_.groups_created;
-  ++stats_.code_domain_groups;
-  slots_[idx] = group + 1;
-  slot_hashes_[idx] = h;
-  group_hashes_.push_back(h);
-  KeyColumn& stored = key_cols_[0];
-  stored.nulls.push_back(key == nullptr ? 1 : 0);
-  stored.types.push_back(DataType::kString);
-  stored.words.push_back(word);
-  stored.strings.emplace_back(key == nullptr ? std::string() : *key);
-  std::string serialized;
-  SerializeValue(&serialized,
-                 key == nullptr ? Value::Null() : Value::String(*key));
-  serialized_keys_.push_back(std::move(serialized));
-  AppendStateSlots();
-  // Keep the load factor under 0.7 so probe chains stay short.
-  if ((num_groups_ + 1) * 10 > slots_.size() * 7) Grow(slots_.size() * 2);
-  return group;
 }
 
 Status Aggregator::ConsumeDictKeyed(const RecordBatch& batch,
                                     const DictColumnCodes& codes) {
-  if (group_by_.size() != 1) {
+  if (group_by_.size() != 1 ||
+      partial_schema_.field(0).type != DataType::kString) {
     return Status::InvalidArgument(
-        "ConsumeDictKeyed requires exactly one group key");
+        "ConsumeDictKeyed requires exactly one string group key");
   }
   size_t n = batch.num_rows();
   if (codes.codes.size() != n) {
     return Status::InvalidArgument("dict code count != batch rows");
   }
   if (n == 0) return Status::OK();
-
-  std::vector<ColumnVector> arg_cols;
-  arg_cols.reserve(specs_.size());
-  std::vector<bool> has_arg(specs_.size(), false);
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    if (specs_[s].arg != nullptr) {
-      FEISU_ASSIGN_OR_RETURN(ColumnVector col,
-                             EvaluateExpr(*specs_[s].arg, batch));
-      arg_cols.push_back(std::move(col));
-      has_arg[s] = true;
-    } else {
-      arg_cols.emplace_back(DataType::kInt64);
-    }
-  }
-
-  bool batch_null_free = true;
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    if (has_arg[s] && arg_cols[s].NullCount() != 0) batch_null_free = false;
-  }
+  FEISU_ASSIGN_OR_RETURN(std::vector<ColumnVector> args, EvaluateArgs(batch));
+  bool batch_null_free = NullFree(args);
 
   // Row -> group through the code domain: each distinct code resolves the
   // hash table once per batch, every repeat is a memo hit that never reads
@@ -584,10 +510,7 @@ Status Aggregator::ConsumeDictKeyed(const RecordBatch& batch,
     gids[i] = static_cast<uint32_t>(g);
   }
   if (batch_null_free) ++stats_.null_fast_path_batches;
-
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    AccumulateSpec(s, has_arg[s] ? &arg_cols[s] : nullptr, gids);
-  }
+  Accumulate(args, gids);
   return Status::OK();
 }
 
@@ -601,124 +524,44 @@ Status Aggregator::ConsumeCount(size_t rows) {
     }
   }
   uint32_t group = EnsureGlobalGroup();
-  for (auto& st : states_) {
-    st.counts[group] += static_cast<int64_t>(rows);
+  for (size_t c : count_cols_) {
+    state_[c].mutable_ints()[group] += static_cast<int64_t>(rows);
   }
   return Status::OK();
 }
 
 void Aggregator::MergePartialSpec(size_t s, const RecordBatch& batch,
-                                  size_t* col,
                                   const std::vector<uint32_t>& gids) {
-  SpecState& st = states_[s];
-  size_t n = gids.size();
-  {
-    const ColumnVector& counts = batch.column((*col)++);
-    const auto& v = counts.ints();
-    if (counts.NullCount() == 0) {
-      for (size_t i = 0; i < n; ++i) st.counts[gids[i]] += v[i];
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (!counts.IsNull(i)) st.counts[gids[i]] += v[i];
-      }
-    }
-  }
+  // A partial batch has the state's layout: spec columns sit at the same
+  // indices in both.
+  const size_t c = count_cols_[s];
+  const ColumnVector& counts_in = batch.column(c);
+  const auto& v = counts_in.ints();
+  std::vector<int64_t>& counts = state_[c].mutable_ints();
+  ForEachValid(counts_in, gids.size(),
+               [&](size_t i) { counts[gids[i]] += v[i]; });
   if (NeedsSum(specs_[s].func)) {
-    const ColumnVector& sums = batch.column((*col)++);
-    const auto& v = sums.doubles();
-    if (sums.NullCount() == 0) {
-      for (size_t i = 0; i < n; ++i) st.sums[gids[i]] += v[i];
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (!sums.IsNull(i)) st.sums[gids[i]] += v[i];
-      }
-    }
+    AddSums(batch.column(c + 1), gids, state_[c + 1].mutable_doubles());
   }
   if (NeedsMinMax(specs_[s].func)) {
-    const ColumnVector& mins = batch.column((*col)++);
-    const ColumnVector& maxs = batch.column((*col)++);
-    // The partial min/max columns go through the same typed kernels as raw
-    // arguments: merging partials is aggregation over the partials.
-    auto merge = [&](const ColumnVector& arg, bool is_min) {
-      size_t rows = arg.size();
-      switch (arg.type()) {
-        case DataType::kBool: {
-          const auto& v = arg.bools();
-          for (size_t i = 0; i < rows; ++i) {
-            if (arg.IsNull(i)) continue;
-            bool b = v[i] != 0;
-            double d = b ? 1.0 : 0.0;
-            if (is_min) {
-              UpdateMinMaxNumeric<-1>(st.min_boxed, st.min_num, gids[i], d,
-                                      Value::Bool(b));
-            } else {
-              UpdateMinMaxNumeric<+1>(st.max_boxed, st.max_num, gids[i], d,
-                                      Value::Bool(b));
-            }
-          }
-          break;
-        }
-        case DataType::kInt64: {
-          const auto& v = arg.ints();
-          for (size_t i = 0; i < rows; ++i) {
-            if (arg.IsNull(i)) continue;
-            double d = static_cast<double>(v[i]);
-            if (is_min) {
-              UpdateMinMaxNumeric<-1>(st.min_boxed, st.min_num, gids[i], d,
-                                      Value::Int64(v[i]));
-            } else {
-              UpdateMinMaxNumeric<+1>(st.max_boxed, st.max_num, gids[i], d,
-                                      Value::Int64(v[i]));
-            }
-          }
-          break;
-        }
-        case DataType::kDouble: {
-          const auto& v = arg.doubles();
-          for (size_t i = 0; i < rows; ++i) {
-            if (arg.IsNull(i)) continue;
-            if (is_min) {
-              UpdateMinMaxNumeric<-1>(st.min_boxed, st.min_num, gids[i],
-                                      v[i], Value::Double(v[i]));
-            } else {
-              UpdateMinMaxNumeric<+1>(st.max_boxed, st.max_num, gids[i],
-                                      v[i], Value::Double(v[i]));
-            }
-          }
-          break;
-        }
-        case DataType::kString: {
-          const auto& v = arg.strings();
-          for (size_t i = 0; i < rows; ++i) {
-            if (arg.IsNull(i)) continue;
-            if (is_min) {
-              UpdateMinMaxString<-1>(st.min_boxed, st.min_num, gids[i],
-                                     v[i]);
-            } else {
-              UpdateMinMaxString<+1>(st.max_boxed, st.max_num, gids[i],
-                                     v[i]);
-            }
-          }
-          break;
-        }
-      }
-    };
-    merge(mins, /*is_min=*/true);
-    merge(maxs, /*is_min=*/false);
+    FoldExtreme(batch.column(c + 1), /*is_min=*/true, gids, &state_[c + 1]);
+    FoldExtreme(batch.column(c + 2), /*is_min=*/false, gids, &state_[c + 2]);
   }
 }
 
 Status Aggregator::ConsumePartial(const RecordBatch& batch) {
-  if (!(batch.schema() == partial_schema_)) {
-    return Status::InvalidArgument("partial batch schema mismatch");
-  }
-  size_t n = batch.num_rows();
-  if (n == 0) return Status::OK();
-
+  // The typed kernels index state and input storage by the schema's
+  // types, so every column must really hold its field's type.
+  bool typed = batch.schema() == partial_schema_ &&
+               batch.num_columns() == partial_schema_.num_fields();
   bool batch_null_free = true;
-  for (size_t c = 0; c < batch.num_columns(); ++c) {
+  for (size_t c = 0; typed && c < batch.num_columns(); ++c) {
+    typed = batch.column(c).type() == partial_schema_.field(c).type;
     if (batch.column(c).NullCount() != 0) batch_null_free = false;
   }
+  if (!typed) return Status::InvalidArgument("partial batch schema mismatch");
+  size_t n = batch.num_rows();
+  if (n == 0) return Status::OK();
   if (batch_null_free) ++stats_.null_fast_path_batches;
 
   std::vector<const ColumnVector*> key_ptrs;
@@ -730,101 +573,19 @@ Status Aggregator::ConsumePartial(const RecordBatch& batch) {
   std::vector<uint32_t> gids(n);
   for (size_t i = 0; i < n; ++i) gids[i] = FindOrInsert(keys, i);
 
-  size_t col = group_by_.size();
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    MergePartialSpec(s, batch, &col, gids);
-  }
-  return Status::OK();
-}
-
-std::vector<uint32_t> Aggregator::EmissionOrder() const {
-  std::vector<uint32_t> order(num_groups_);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
-    return serialized_keys_[a] < serialized_keys_[b];
-  });
-  return order;
-}
-
-Status Aggregator::EmitKeyColumns(const std::vector<uint32_t>& order,
-                                  RecordBatch* out) const {
-  for (size_t k = 0; k < group_by_.size(); ++k) {
-    const KeyColumn& stored = key_cols_[k];
-    ColumnVector* col = out->mutable_column(k);
-    col->Reserve(order.size());
-    DataType col_type = col->type();
-    for (uint32_t g : order) {
-      if (stored.nulls[g] != 0) {
-        col->AppendNull();
-        continue;
-      }
-      DataType t = stored.types[g];
-      if (t == col_type) {
-        switch (t) {
-          case DataType::kBool:
-            col->AppendBool(stored.words[g] != 0);
-            break;
-          case DataType::kInt64:
-            col->AppendInt64(static_cast<int64_t>(stored.words[g]));
-            break;
-          case DataType::kDouble:
-            col->AppendDouble(std::bit_cast<double>(stored.words[g]));
-            break;
-          case DataType::kString:
-            col->AppendString(stored.strings[g]);
-            break;
-        }
-        continue;
-      }
-      if (t != DataType::kString && col_type == DataType::kDouble) {
-        col->AppendDouble(NumericWord(t, stored.words[g]));
-        continue;
-      }
-      return Status::InvalidArgument("type mismatch for column " +
-                                     group_names_[k]);
-    }
-  }
+  for (size_t s = 0; s < specs_.size(); ++s) MergePartialSpec(s, batch, gids);
   return Status::OK();
 }
 
 Result<RecordBatch> Aggregator::PartialResult() const {
-  RecordBatch out(partial_schema_);
-  std::vector<uint32_t> order = EmissionOrder();
-  FEISU_RETURN_IF_ERROR(EmitKeyColumns(order, &out));
-  size_t col_idx = group_by_.size();
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    const SpecState& st = states_[s];
-    {
-      ColumnVector* col = out.mutable_column(col_idx++);
-      col->Reserve(order.size());
-      for (uint32_t g : order) col->AppendInt64(st.counts[g]);
-    }
-    if (NeedsSum(specs_[s].func)) {
-      ColumnVector* col = out.mutable_column(col_idx++);
-      col->Reserve(order.size());
-      for (uint32_t g : order) col->AppendDouble(st.sums[g]);
-    }
-    if (NeedsMinMax(specs_[s].func)) {
-      ColumnVector* min_col = out.mutable_column(col_idx++);
-      ColumnVector* max_col = out.mutable_column(col_idx++);
-      min_col->Reserve(order.size());
-      max_col->Reserve(order.size());
-      const std::string& name = specs_[s].output_name;
-      for (uint32_t g : order) {
-        FEISU_RETURN_IF_ERROR(
-            AppendCell(min_col, st.min_boxed[g], name, "#min"));
-        FEISU_RETURN_IF_ERROR(
-            AppendCell(max_col, st.max_boxed[g], name, "#max"));
-      }
-    }
-  }
-  return out;
+  return RecordBatch(partial_schema_, state_);
 }
 
 Result<RecordBatch> Aggregator::FinalResult() const {
-  RecordBatch out(final_schema_);
+  const size_t num_keys = group_by_.size();
   // A global aggregation (no GROUP BY) over zero rows still yields one row.
-  if (num_groups_ == 0 && group_by_.empty()) {
+  if (num_groups() == 0 && num_keys == 0) {
+    RecordBatch out(final_schema_);
     std::vector<Value> row;
     for (size_t s = 0; s < specs_.size(); ++s) {
       row.push_back(specs_[s].func == AggFunc::kCount ? Value::Int64(0)
@@ -833,53 +594,51 @@ Result<RecordBatch> Aggregator::FinalResult() const {
     FEISU_RETURN_IF_ERROR(out.AppendRow(row));
     return out;
   }
-  std::vector<uint32_t> order = EmissionOrder();
-  FEISU_RETURN_IF_ERROR(EmitKeyColumns(order, &out));
-  size_t col_idx = group_by_.size();
+  // Finalize in group-id order first.
+  std::vector<ColumnVector> cols(state_.begin(), state_.begin() + num_keys);
   for (size_t s = 0; s < specs_.size(); ++s) {
-    const SpecState& st = states_[s];
-    ColumnVector* col = out.mutable_column(col_idx++);
-    col->Reserve(order.size());
-    switch (specs_[s].func) {
-      case AggFunc::kCount:
-        for (uint32_t g : order) col->AppendInt64(st.counts[g]);
-        break;
-      case AggFunc::kSum:
-        for (uint32_t g : order) {
-          if (st.counts[g] == 0) {
-            col->AppendNull();
-          } else if (arg_types_[s] == DataType::kDouble) {
-            col->AppendDouble(st.sums[g]);
-          } else {
-            col->AppendInt64(static_cast<int64_t>(st.sums[g]));
-          }
-        }
-        break;
-      case AggFunc::kAvg:
-        for (uint32_t g : order) {
-          if (st.counts[g] == 0) {
-            col->AppendNull();
-          } else {
-            col->AppendDouble(st.sums[g] /
-                              static_cast<double>(st.counts[g]));
-          }
-        }
-        break;
-      case AggFunc::kMin:
-        for (uint32_t g : order) {
-          FEISU_RETURN_IF_ERROR(
-              AppendCell(col, st.min_boxed[g], specs_[s].output_name));
-        }
-        break;
-      case AggFunc::kMax:
-        for (uint32_t g : order) {
-          FEISU_RETURN_IF_ERROR(
-              AppendCell(col, st.max_boxed[g], specs_[s].output_name));
-        }
-        break;
+    const size_t c = count_cols_[s];
+    const std::vector<int64_t>& counts = state_[c].ints();
+    const AggFunc func = specs_[s].func;
+    if (func == AggFunc::kCount) {
+      cols.push_back(state_[c]);
+      continue;
+    }
+    if (NeedsMinMax(func)) {  // the #min or #max state column as is
+      cols.push_back(state_[func == AggFunc::kMin ? c + 1 : c + 2]);
+      continue;
+    }
+    const std::vector<double>& sums = state_[c + 1].doubles();
+    ColumnVector& col = cols.emplace_back(FinalType(func, arg_types_[s]));
+    col.Reserve(counts.size());
+    for (size_t g = 0; g < counts.size(); ++g) {
+      if (counts[g] == 0) {
+        col.AppendNull();
+      } else if (func == AggFunc::kAvg) {
+        col.AppendDouble(sums[g] / static_cast<double>(counts[g]));
+      } else if (arg_types_[s] == DataType::kDouble) {
+        col.AppendDouble(sums[g]);
+      } else {
+        col.AppendInt64(static_cast<int64_t>(sums[g]));
+      }
     }
   }
-  return out;
+  // Then gather once into the canonical order: groups sorted by their
+  // serialized key bytes.
+  std::vector<std::string> serialized(num_groups());
+  for (size_t k = 0; k < num_keys; ++k) {
+    for (size_t g = 0; g < serialized.size(); ++g) {
+      // One serialization per group and key, only at the final result.
+      // feisu-lint: allow(per-row-getvalue)
+      SerializeValue(&serialized[g], state_[k].GetValue(g));
+    }
+  }
+  std::vector<uint32_t> order(serialized.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return serialized[a] < serialized[b];
+  });
+  return RecordBatch(final_schema_, std::move(cols)).Take(order);
 }
 
 }  // namespace feisu

@@ -41,14 +41,21 @@ struct AggStats {
 /// `<name>#sum` (DOUBLE, numeric aggs only) and `<name>#min` / `<name>#max`
 /// (arg type, MIN/MAX only).
 ///
-/// Internally groups live in a flat open-addressing hash table keyed by
-/// typed per-row key words (one 64-bit word per key cell, string cells
-/// verified by content), and aggregate state is columnar: one
-/// count/sum/min/max array per spec, accumulated by batch-at-a-time typed
-/// kernels. Emission sorts groups by their serialized key bytes, which is
-/// exactly the iteration order of the ordered-map implementation this
-/// replaced — partial and final batches are byte-identical to it, and the
-/// output never depends on hash-table iteration order.
+/// The aggregation state is the partial batch: groups are numbered in
+/// first-insertion order, and every partial column is held as one
+/// ColumnVector indexed by group id. Key columns have the type Make
+/// inferred, `#count`/`#sum` are the accumulators, and `#min`/`#max` have
+/// the argument's type with validity as the has-value bit. A flat
+/// open-addressing hash table maps typed per-row key words to group ids;
+/// batch-at-a-time typed kernels accumulate into the columns. PartialResult
+/// is a copy of the state in insertion order. Only FinalResult sorts: once,
+/// by serialized key bytes, so final output never depends on insertion or
+/// hash-table order.
+///
+/// Merging partials is aggregation over the partial columns. A stem
+/// consumes its children's partials in a fixed order and sees each group
+/// at most once per partial, so per-group sums and MIN/MAX ties never
+/// depend on the row order inside a partial.
 ///
 /// The parsed WITHIN scope of an aggregate is accepted and carried but — as
 /// ingested data is already flattened to columns — aggregation within a
@@ -56,12 +63,14 @@ struct AggStats {
 class Aggregator {
  public:
   /// `input_schema` is the schema of raw batches fed to Consume (used to
-  /// type MIN/MAX/SUM outputs). Group expressions must be scalar.
+  /// type the group keys and the MIN/MAX/SUM outputs). Group expressions
+  /// must be scalar.
   static Result<Aggregator> Make(std::vector<ExprPtr> group_by,
                                  std::vector<AggSpec> specs,
                                  const Schema& input_schema);
 
-  /// Accumulates raw input rows.
+  /// Accumulates raw input rows. Fails with InvalidArgument if a group key
+  /// or argument evaluates to a type other than the one Make inferred.
   Status Consume(const RecordBatch& batch);
 
   /// Compressed-domain variant of Consume for a single dictionary-encoded
@@ -70,7 +79,7 @@ class Aggregator {
   /// extracted by TryExtractDictCodes. Each distinct code hashes its key
   /// string into the group table once per batch; every repeat resolves
   /// through a code -> group memo without touching string bytes. Aggregate
-  /// arguments are still evaluated from `batch`. Groups, emission order and
+  /// arguments are still evaluated from `batch`. Groups, their order and
   /// result bytes are identical to Consume over the decoded key column.
   Status ConsumeDictKeyed(const RecordBatch& batch,
                           const DictColumnCodes& codes);
@@ -84,11 +93,11 @@ class Aggregator {
   /// Accumulates a partial-state batch produced by another Aggregator.
   Status ConsumePartial(const RecordBatch& batch);
 
-  /// Emits the current groups as partial state.
+  /// Emits the current groups as partial state, in first-insertion order.
   Result<RecordBatch> PartialResult() const;
 
   /// Emits finalized per-group values: group keys then one column per spec
-  /// named spec.output_name.
+  /// named spec.output_name, sorted by serialized group-key bytes.
   Result<RecordBatch> FinalResult() const;
 
   /// Schema of PartialResult batches.
@@ -96,41 +105,20 @@ class Aggregator {
   /// Schema of FinalResult batches.
   const Schema& final_schema() const { return final_schema_; }
 
-  size_t num_groups() const { return num_groups_; }
+  size_t num_groups() const { return group_hashes_.size(); }
 
   const AggStats& stats() const { return stats_; }
 
  private:
-  /// Typed per-group key storage, struct-of-arrays: one KeyColumn per group
-  /// expression, one entry per group. `words` collapses every cell to one
-  /// 64-bit word (bool 0/1, int64 bits, double bit pattern, string content
-  /// hash); equality additionally requires the runtime type to match and
-  /// string content to compare equal, which reproduces the serialized-byte
-  /// key equality of the previous implementation exactly.
-  struct KeyColumn {
-    std::vector<uint64_t> words;
-    std::vector<uint8_t> nulls;
-    std::vector<DataType> types;      ///< runtime type of the stored value
-    std::vector<std::string> strings; ///< content for kString cells
-  };
-
-  /// Columnar accumulator arrays for one aggregate spec (indexed by group).
-  /// min/max keep the authoritative boxed Value (so emission and
-  /// cross-type ordering match Value::Compare bit for bit) plus a cached
-  /// numeric view so the typed kernels compare doubles, not variants.
-  struct SpecState {
-    std::vector<int64_t> counts;
-    std::vector<double> sums;       ///< NeedsSum specs only
-    std::vector<Value> min_boxed;   ///< MIN/MAX specs only
-    std::vector<Value> max_boxed;
-    std::vector<double> min_num;    ///< AsDouble cache, valid when numeric
-    std::vector<double> max_num;
-  };
-
   /// Per-row typed key view of one input batch; defined in aggregate.cc.
   struct BatchKeys;
 
   Aggregator() = default;
+
+  /// Evaluates every spec's argument over `batch`, type-checked against
+  /// Make's inference; COUNT(*) gets an empty placeholder column.
+  Result<std::vector<ColumnVector>> EvaluateArgs(
+      const RecordBatch& batch) const;
 
   /// Builds words + combined hashes for the given key columns over `n`
   /// rows (`n` is explicit so a key-less global aggregation still gets one
@@ -138,23 +126,23 @@ class Aggregator {
   BatchKeys MakeBatchKeys(std::vector<const ColumnVector*> cols,
                           size_t n) const;
 
-  /// Probes the flat table for the row's key; inserts a new group (typed
-  /// key data, serialized key bytes, zeroed state slots) on miss.
+  /// The one probe-and-append routine: probes the flat table for hash `h`,
+  /// `equals(g)` deciding whether group `g` holds the key. On a miss it
+  /// appends a new group: `append_keys()` writes its key cells, then every
+  /// state column gets an empty slot.
+  template <typename Equals, typename AppendKeys>
+  uint32_t FindOrAppend(uint64_t h, const Equals& equals,
+                        const AppendKeys& append_keys);
+
+  /// Find-or-insert for one row of a batch's key columns.
   uint32_t FindOrInsert(const BatchKeys& keys, size_t row);
 
   /// Single-string-key find-or-insert for the dictionary-code path
-  /// (`key == nullptr` is the NULL key). Hash chain, stored key cells and
-  /// serialized key bytes replicate FindOrInsert over a string column
-  /// exactly, so groups are shared freely between the two paths.
+  /// (`key == nullptr` is the NULL key). Its hash equals FindOrInsert's
+  /// over a string column, so groups are shared freely between the paths.
   uint32_t FindOrInsertDictKey(const std::string* key);
 
   bool GroupEquals(uint32_t group, const BatchKeys& keys, size_t row) const;
-
-  /// Appends the row's key cells as a new group and its serialized bytes.
-  void AppendGroupKeys(const BatchKeys& keys, size_t row);
-
-  /// Appends one zeroed state slot to every spec's arrays.
-  void AppendStateSlots();
 
   /// Creates (if needed) the single key-less group of a global aggregation.
   uint32_t EnsureGlobalGroup();
@@ -162,29 +150,19 @@ class Aggregator {
   /// Re-slots every group into a table of `capacity` slots (a power of 2).
   void Grow(size_t capacity);
 
-  /// Typed accumulation of one spec over one batch. `arg` may be null for
-  /// COUNT(*). `gids` maps batch row -> group id.
-  void AccumulateSpec(size_t s, const ColumnVector* arg,
-                      const std::vector<uint32_t>& gids);
+  /// Accumulates every spec over raw rows; `args` comes from EvaluateArgs
+  /// and `gids` maps batch row -> group id.
+  void Accumulate(const std::vector<ColumnVector>& args,
+                  const std::vector<uint32_t>& gids);
 
-  /// Merges one partial batch's state columns for spec `s`, starting at
-  /// column index `*col` of `batch` (advanced past the consumed columns).
-  void MergePartialSpec(size_t s, const RecordBatch& batch, size_t* col,
+  /// Merges spec `s`'s state columns of one partial batch.
+  void MergePartialSpec(size_t s, const RecordBatch& batch,
                         const std::vector<uint32_t>& gids);
-
-  /// Group ids sorted by serialized key bytes — the deterministic emission
-  /// order (identical to the ordered-map order this class replaced).
-  std::vector<uint32_t> EmissionOrder() const;
-
-  /// Emits the key columns for groups in `order` into `out` (columns
-  /// [0, group_by_.size())), replicating AppendRow's type checking.
-  Status EmitKeyColumns(const std::vector<uint32_t>& order,
-                        RecordBatch* out) const;
 
   std::vector<ExprPtr> group_by_;
   std::vector<AggSpec> specs_;
-  std::vector<DataType> arg_types_;   // per spec (kInt64 for COUNT(*))
-  std::vector<std::string> group_names_;
+  std::vector<DataType> arg_types_;  // per spec (kInt64 for COUNT(*))
+  std::vector<size_t> count_cols_;   // per spec: its `#count` column
   Schema partial_schema_;
   Schema final_schema_;
 
@@ -193,12 +171,10 @@ class Aggregator {
   std::vector<uint32_t> slots_;
   std::vector<uint64_t> slot_hashes_;
   size_t slot_mask_ = 0;
-  size_t num_groups_ = 0;
+  std::vector<uint64_t> group_hashes_;  // per group, for re-slotting
 
-  std::vector<KeyColumn> key_cols_;          // one per group expression
-  std::vector<uint64_t> group_hashes_;       // per group, for re-slotting
-  std::vector<std::string> serialized_keys_; // per group, emission ordering
-  std::vector<SpecState> states_;            // one per spec
+  // One column per partial_schema_ field, one row per group.
+  std::vector<ColumnVector> state_;
 
   AggStats stats_;
 };

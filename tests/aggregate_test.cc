@@ -1,13 +1,17 @@
-// Differential tests for the vectorized hash Aggregator: every partial and
-// final batch must be byte-identical to the ordered-map implementation it
-// replaced (OracleAggregator below is a faithful copy of that seed code).
-// Byte-identity is what keeps the leaf -> stem -> master partial exchange
-// compatible across versions, so it is asserted on serialized block bytes,
-// not on logical equality.
+// Differential tests for the vectorized hash Aggregator against the
+// ordered-map implementation it replaced (OracleAggregator below is a
+// faithful copy of that seed code). Final batches must be byte-identical to
+// the oracle's. Partial batches list groups in first-insertion order (the
+// oracle's are key-sorted), so they must hold the same bytes once both are
+// sorted by serialized group key. Both are asserted on serialized block
+// bytes, not on logical equality.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -260,9 +264,58 @@ std::string Fingerprint(const RecordBatch& batch) {
   return ColumnarBlock::FromBatch(0, batch).Serialize();
 }
 
+// Serialized group key of every row of `batch`, over its first `num_keys`
+// columns.
+std::vector<std::string> KeysPerRow(const RecordBatch& batch,
+                                    size_t num_keys) {
+  std::vector<std::string> keys(batch.num_rows());
+  for (size_t r = 0; r < keys.size(); ++r) {
+    for (size_t k = 0; k < num_keys; ++k) {
+      SerializeValue(&keys[r], batch.column(k).GetValue(r));
+    }
+  }
+  return keys;
+}
+
+// The partial's content independent of its row order: its bytes once the
+// rows are sorted by serialized group key.
+std::string SortedFingerprint(const RecordBatch& partial, size_t num_keys) {
+  std::vector<std::string> keys = KeysPerRow(partial, num_keys);
+  std::vector<uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+  return Fingerprint(partial.Take(order));
+}
+
+// Distinct keys in order of first occurrence.
+std::vector<std::string> FirstOccurrences(
+    const std::vector<std::string>& keys) {
+  std::set<std::string> seen;
+  std::vector<std::string> out;
+  for (const std::string& key : keys) {
+    if (seen.insert(key).second) out.push_back(key);
+  }
+  return out;
+}
+
+// Serialized group key of every input row of `batch`.
+std::vector<std::string> InputKeys(const std::vector<ExprPtr>& group_by,
+                                   const RecordBatch& batch) {
+  std::vector<std::string> keys(batch.num_rows());
+  for (const auto& g : group_by) {
+    auto col = EvaluateExpr(*g, batch);
+    EXPECT_TRUE(col.ok());
+    for (size_t r = 0; r < keys.size(); ++r) {
+      SerializeValue(&keys[r], col->GetValue(r));
+    }
+  }
+  return keys;
+}
+
 struct PipelineOutput {
-  std::vector<std::string> leaf_partials;  ///< per-leaf PartialResult bytes
-  std::string stem_partial;                ///< merged stem PartialResult
+  std::vector<RecordBatch> leaf_partials;  ///< per-leaf PartialResult
+  RecordBatch stem_partial;                ///< merged stem PartialResult
   std::string final_result;                ///< master FinalResult bytes
 };
 
@@ -283,7 +336,6 @@ PipelineOutput RunPipeline(const std::vector<ExprPtr>& group_by,
     EXPECT_TRUE(leaf->Consume(batch).ok());
     auto partial = leaf->PartialResult();
     EXPECT_TRUE(partial.ok()) << partial.status().ToString();
-    out.leaf_partials.push_back(Fingerprint(*partial));
     partials.push_back(std::move(*partial));
   }
   auto stem = A::Make(group_by, specs, schema);
@@ -293,7 +345,8 @@ PipelineOutput RunPipeline(const std::vector<ExprPtr>& group_by,
   }
   auto stem_partial = stem->PartialResult();
   EXPECT_TRUE(stem_partial.ok()) << stem_partial.status().ToString();
-  out.stem_partial = Fingerprint(*stem_partial);
+  out.leaf_partials = std::move(partials);
+  out.stem_partial = *stem_partial;
   auto master = A::Make(group_by, specs, schema);
   EXPECT_TRUE(master.ok());
   EXPECT_TRUE(master->ConsumePartial(*stem_partial).ok());
@@ -357,12 +410,26 @@ void ExpectPipelinesIdentical(const std::vector<ExprPtr>& group_by,
       RunPipeline<Aggregator>(group_by, specs, schema, batches);
   PipelineOutput oracle =
       RunPipeline<OracleAggregator>(group_by, specs, schema, batches);
+  const size_t num_keys = group_by.size();
   ASSERT_EQ(vec.leaf_partials.size(), oracle.leaf_partials.size()) << label;
+  std::vector<std::string> leaf_keys;  // every leaf partial row, in order
   for (size_t i = 0; i < vec.leaf_partials.size(); ++i) {
-    EXPECT_EQ(vec.leaf_partials[i], oracle.leaf_partials[i])
+    const RecordBatch& partial = vec.leaf_partials[i];
+    EXPECT_EQ(SortedFingerprint(partial, num_keys),
+              SortedFingerprint(oracle.leaf_partials[i], num_keys))
         << label << " leaf " << i;
+    // A partial lists its groups in first-insertion order.
+    std::vector<std::string> keys = KeysPerRow(partial, num_keys);
+    EXPECT_EQ(keys, FirstOccurrences(InputKeys(group_by, batches[i])))
+        << label << " leaf " << i << " order";
+    leaf_keys.insert(leaf_keys.end(), keys.begin(), keys.end());
   }
-  EXPECT_EQ(vec.stem_partial, oracle.stem_partial) << label << " stem";
+  EXPECT_EQ(SortedFingerprint(vec.stem_partial, num_keys),
+            SortedFingerprint(oracle.stem_partial, num_keys))
+      << label << " stem";
+  EXPECT_EQ(KeysPerRow(vec.stem_partial, num_keys),
+            FirstOccurrences(leaf_keys))
+      << label << " stem order";
   EXPECT_EQ(vec.final_result, oracle.final_result) << label << " final";
   if (group_by.size() == 1 && group_by[0]->kind() == ExprKind::kColumnRef) {
     int key = schema.FieldIndex(group_by[0]->column());
@@ -428,12 +495,35 @@ Value RandomArg(DataType type, Rng* rng) {
   return Value::Null();
 }
 
+// Arguments at the edges of Value::Compare: int64 values around +-2^60,
+// where 256 neighbours share one double and so tie; doubles drawn from NaN,
+// -0.0, +0.0 and two ordinary values; bools.
+Value EdgeArg(DataType type, Rng* rng) {
+  switch (type) {
+    case DataType::kInt64: {
+      int64_t v = (int64_t{1} << 60) + rng->NextInt64(0, 511);
+      return Value::Int64(rng->NextBool(0.5) ? v : -v);
+    }
+    case DataType::kDouble: {
+      const double kEdges[] = {std::numeric_limits<double>::quiet_NaN(),
+                               -0.0, 0.0, 1.5, -1.5};
+      return Value::Double(kEdges[rng->NextUint64(5)]);
+    }
+    case DataType::kBool:
+    case DataType::kString:
+      break;
+  }
+  return RandomArg(type, rng);
+}
+
 // Batches over schema {k: key_type, a: arg_type} with the given group-key
 // cardinality and NULL density on both columns.
 std::vector<RecordBatch> MakeGrid(DataType key_type, DataType arg_type,
                                   uint64_t cardinality, double null_density,
                                   size_t num_batches, size_t rows_per_batch,
-                                  uint64_t seed) {
+                                  uint64_t seed,
+                                  Value (*arg_gen)(DataType, Rng*) =
+                                      RandomArg) {
   Schema schema({{"k", key_type, true}, {"a", arg_type, true}});
   Rng rng(seed);
   std::vector<RecordBatch> batches;
@@ -444,7 +534,7 @@ std::vector<RecordBatch> MakeGrid(DataType key_type, DataType arg_type,
                       ? Value::Null()
                       : RandomKey(key_type, cardinality, &rng);
       Value arg = rng.NextBool(null_density) ? Value::Null()
-                                             : RandomArg(arg_type, &rng);
+                                             : arg_gen(arg_type, &rng);
       EXPECT_TRUE(batch.AppendRow({key, arg}).ok());
     }
     batches.push_back(std::move(batch));
@@ -498,6 +588,37 @@ TEST(AggregateDifferentialTest, GridStringArgs) {
                                "string-arg nulls=" +
                                    std::to_string(null_density) +
                                    " card=" + std::to_string(cardinality));
+    }
+  }
+}
+
+// MIN/MAX keep Value::Compare's semantics exactly: int64 arguments compare
+// as doubles, so values above 2^53 can tie and the first one seen is kept;
+// NaN compares equal to everything, so it never replaces a stored value;
+// -0.0 and +0.0 tie; bools order FALSE < TRUE. SUM is left out: sums of
+// +-2^60 overflow the int64 the final SUM is cast to.
+TEST(AggregateDifferentialTest, GridMinMaxEdgeArgs) {
+  const std::vector<ExprPtr> group_by = {Expr::ColumnRef("k")};
+  uint64_t seed = 200;
+  for (DataType key_type : {DataType::kInt64, DataType::kString}) {
+    for (DataType arg_type :
+         {DataType::kInt64, DataType::kDouble, DataType::kBool}) {
+      for (double null_density : {0.0, 0.3}) {
+        for (uint64_t cardinality : {4ull, 500ull}) {
+          auto batches = MakeGrid(key_type, arg_type, cardinality,
+                                  null_density, 4, 257, seed++, EdgeArg);
+          ExpectPipelinesIdentical(
+              group_by,
+              Specs({{AggFunc::kCount, "a"},
+                     {AggFunc::kMin, "a"},
+                     {AggFunc::kMax, "a"}}),
+              batches[0].schema(), batches,
+              "edge key=" + std::to_string(static_cast<int>(key_type)) +
+                  " arg=" + std::to_string(static_cast<int>(arg_type)) +
+                  " nulls=" + std::to_string(null_density) +
+                  " card=" + std::to_string(cardinality));
+        }
+      }
     }
   }
 }
@@ -617,10 +738,10 @@ TEST(AggregateStatsTest, NullBatchesSkipFastPath) {
   EXPECT_EQ(agg->stats().null_fast_path_batches, 0u);
 }
 
-// Emission order must be the serialized-key order regardless of insertion
-// or hash order: consuming the same rows in reversed batch order yields
-// byte-identical COUNT/MIN/MAX output (sums are kept out: their float
-// accumulation order legitimately differs).
+// The final result's order is the serialized-key order regardless of
+// insertion or hash order: consuming the same rows in reversed batch order
+// yields byte-identical COUNT/MIN/MAX output (sums are kept out: their
+// float accumulation order legitimately differs).
 TEST(AggregateStatsTest, EmissionOrderInsensitiveToInsertionOrder) {
   auto batches = MakeGrid(DataType::kString, DataType::kInt64, 50, 0.1, 4,
                           200, 44);
@@ -642,6 +763,51 @@ TEST(AggregateStatsTest, EmissionOrderInsensitiveToInsertionOrder) {
   auto b = backward->FinalResult();
   ASSERT_TRUE(f.ok() && b.ok());
   EXPECT_EQ(Fingerprint(*f), Fingerprint(*b));
+}
+
+// Consume rejects a batch whose group key or argument evaluates to a type
+// other than the one Make inferred, as ConsumePartial rejects a foreign
+// partial schema: the per-spec state is typed by that inference.
+TEST(AggregateStatsTest, ConsumeRejectsMistypedInput) {
+  Schema declared({{"k", DataType::kInt64, true},
+                   {"a", DataType::kInt64, true}});
+  auto agg = Aggregator::Make({Expr::ColumnRef("k")},
+                              Specs({{AggFunc::kMin, "a"}}), declared);
+  ASSERT_TRUE(agg.ok());
+  Schema double_key({{"k", DataType::kDouble, true},
+                     {"a", DataType::kInt64, true}});
+  Schema double_arg({{"k", DataType::kInt64, true},
+                     {"a", DataType::kDouble, true}});
+  for (const Schema& schema : {double_key, double_arg}) {
+    RecordBatch batch(schema);
+    Value k = schema.field(0).type == DataType::kDouble ? Value::Double(1.0)
+                                                        : Value::Int64(1);
+    Value a = schema.field(1).type == DataType::kDouble ? Value::Double(2.0)
+                                                        : Value::Int64(2);
+    ASSERT_TRUE(batch.AppendRow({k, a}).ok());
+    EXPECT_TRUE(agg->Consume(batch).IsInvalidArgument())
+        << schema.ToString();
+  }
+  EXPECT_EQ(agg->num_groups(), 0u);
+  RecordBatch ok_batch(declared);
+  ASSERT_TRUE(ok_batch.AppendRow({Value::Int64(1), Value::Int64(2)}).ok());
+  EXPECT_TRUE(agg->Consume(ok_batch).ok());
+  EXPECT_EQ(agg->num_groups(), 1u);
+
+  // A partial whose schema matches but whose key column holds another
+  // type is rejected too.
+  auto partial = agg->PartialResult();
+  ASSERT_TRUE(partial.ok());
+  std::vector<ColumnVector> cols;
+  cols.emplace_back(DataType::kDouble);
+  cols.back().AppendDouble(1.0);
+  for (size_t c = 1; c < partial->num_columns(); ++c) {
+    cols.push_back(partial->column(c));
+  }
+  RecordBatch mistyped(partial->schema(), std::move(cols));
+  EXPECT_TRUE(agg->ConsumePartial(mistyped).IsInvalidArgument());
+  EXPECT_TRUE(agg->ConsumePartial(*partial).ok());
+  EXPECT_EQ(agg->num_groups(), 1u);
 }
 
 }  // namespace

@@ -136,6 +136,11 @@ TEST_F(DifferentialFixture, HandwrittenCornerCases) {
       "ORDER BY b",
       "SELECT c1, COUNT(*) AS n FROM t1 GROUP BY c1 HAVING COUNT(*) > 30 "
       "ORDER BY n DESC, c1",
+      // Grouped MIN/MAX over a string and a double column, a two-column
+      // GROUP BY, and a GROUP BY whose predicate matches no rows.
+      "SELECT c2, MIN(c1), MAX(c1), MIN(c3), MAX(c3) FROM t1 GROUP BY c2",
+      "SELECT c2, c1, COUNT(*) AS n, SUM(c0) FROM t1 GROUP BY c2, c1",
+      "SELECT c1, COUNT(*) AS n FROM t1 WHERE c0 > 99999 GROUP BY c1",
       // Arithmetic projections and aliases in ORDER BY.
       "SELECT c0 + c2 AS s FROM t1 WHERE c0 < 5 ORDER BY s DESC, s LIMIT 9",
       // Ordered limit (leaf top-k path).

@@ -54,8 +54,8 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale):
                    path the typed batch kernels (and the compressed-domain
                    kernels) exist to avoid. Hot operators must use the
                    typed column accessors. Genuine single-row sites (e.g.
-                   one-row residual evaluation, group-key serialization at
-                   insert time) carry an inline waiver:
+                   one-row residual evaluation, the once-per-group key
+                   serialization of the final sort) carry an inline waiver:
                    `// feisu-lint: allow(per-row-getvalue): <reason>`.
   stale-waiver     A `feisu-lint: allow(...)` comment that no longer
                    suppresses any finding (or names an unknown rule) is
