@@ -517,9 +517,9 @@ void BM_DictPredicateEncoded(benchmark::State& state) {
                      Encoding::kDict);
   Value lit = Value::String("s_7");
   for (auto _ : state) {
-    EncodedPredicateBits bits;
+    TriStateVector bits;
     auto handled = TryEvaluateEncodedCompare(
-        DataType::kString, encoded, EncodedCompareOp::kEq, lit, &bits);
+        DataType::kString, encoded, CompareOp::kEq, lit, &bits);
     benchmark::DoNotOptimize(handled);
     benchmark::DoNotOptimize(bits);
   }
@@ -553,9 +553,9 @@ void BM_RlePredicateEncoded(benchmark::State& state) {
       EncodeColumnAs(MakeRunnyColumn(kAggRows), Encoding::kRle);
   Value lit = Value::Int64(25);
   for (auto _ : state) {
-    EncodedPredicateBits bits;
+    TriStateVector bits;
     auto handled = TryEvaluateEncodedCompare(
-        DataType::kInt64, encoded, EncodedCompareOp::kLt, lit, &bits);
+        DataType::kInt64, encoded, CompareOp::kLt, lit, &bits);
     benchmark::DoNotOptimize(handled);
     benchmark::DoNotOptimize(bits);
   }

@@ -41,7 +41,6 @@ struct LeafServerConfig {
   SimTime cpu_per_row_aggregate = 8;
   SimTime cpu_per_row_materialize = 6;
   SimTime cpu_per_bitmap_word = 1;      ///< SmartIndex combine cost
-  SimTime cpu_per_byte_decode = 0;      ///< charged per 16 bytes below
   SimTime cpu_per_btree_probe = 250;    ///< one tree descent
   SimTime cpu_per_row_btree_build = 40;
   SimTime cpu_per_row_btree_emit = 2;   ///< materializing matching row ids

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/annotations.h"
@@ -69,11 +70,12 @@ void AppendLengthPrefixed(std::string* out, const std::string& s) {
   AppendScalar<uint32_t>(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
-bool ReadLengthPrefixed(const std::string& in, size_t* pos, std::string* s) {
+bool ReadLengthPrefixed(const std::string& in, size_t* pos,
+                        std::string_view* s) {
   uint32_t len = 0;
   if (!ReadScalar(in, pos, &len)) return false;
   if (*pos + len > in.size()) return false;
-  s->assign(in.data() + *pos, len);
+  *s = std::string_view(in.data() + *pos, len);
   *pos += len;
   return true;
 }
@@ -87,9 +89,11 @@ void AppendHeader(std::string* out, const ColumnVector& col) {
 bool ReadHeader(const std::string& in, size_t* pos, uint32_t* num_rows,
                 BitVector* validity) {
   if (!ReadScalar(in, pos, num_rows)) return false;
-  std::string validity_bytes;
+  std::string_view validity_bytes;
   if (!ReadLengthPrefixed(in, pos, &validity_bytes)) return false;
-  if (!BitVector::DeserializeRle(validity_bytes, validity)) return false;
+  if (!BitVector::DeserializeRle(std::string(validity_bytes), validity)) {
+    return false;
+  }
   return validity->size() == *num_rows;
 }
 
@@ -478,45 +482,68 @@ Result<ColumnVector> DecodeRle(DataType type, const std::string& in,
   return col;
 }
 
+// A kDict payload read once: header, dictionary, and the fixed-width
+// uint32 code array (bounds-checked to hold one code per row). Entries and
+// codes stay in the payload; readers view the entries and fetch codes
+// with CodeAt.
+struct DictPayload {
+  uint32_t num_rows = 0;
+  BitVector validity;
+  std::vector<std::string_view> entries;
+  const char* codes = nullptr;
+
+  uint32_t CodeAt(size_t i) const {
+    uint32_t code = 0;
+    std::memcpy(&code, codes + i * sizeof(uint32_t), sizeof(code));
+    return code;
+  }
+};
+
+Status ReadDictPayload(const std::string& in, DictPayload* out) {
+  size_t pos = 0;
+  if (!ReadHeader(in, &pos, &out->num_rows, &out->validity)) {
+    return Status::Corruption("bad dict column header");
+  }
+  uint32_t dict_size = 0;
+  if (!ReadScalar(in, &pos, &dict_size)) {
+    return Status::Corruption("truncated dict size");
+  }
+  out->entries.resize(dict_size);
+  for (auto& s : out->entries) {
+    if (!ReadLengthPrefixed(in, &pos, &s)) {
+      return Status::Corruption("truncated dict entry");
+    }
+  }
+  if (pos + static_cast<size_t>(out->num_rows) * sizeof(uint32_t) >
+      in.size()) {
+    return Status::Corruption("truncated dict codes");
+  }
+  out->codes = in.data() + pos;
+  return Status::OK();
+}
+
 Result<ColumnVector> DecodeDict(DataType type, const std::string& in,
                                 const BitVector* selection) {
   if (type != DataType::kString) {
     return Status::Corruption("dict encoding on non-string type");
   }
-  size_t pos = 0;
-  uint32_t num_rows = 0;
-  BitVector validity;
-  if (!ReadHeader(in, &pos, &num_rows, &validity)) {
-    return Status::Corruption("bad dict column header");
-  }
-  FEISU_RETURN_IF_ERROR(CheckSelection(selection, num_rows));
-  uint32_t dict_size = 0;
-  if (!ReadScalar(in, &pos, &dict_size)) {
-    return Status::Corruption("truncated dict size");
-  }
-  std::vector<std::string> dict(dict_size);
-  for (auto& s : dict) {
-    if (!ReadLengthPrefixed(in, &pos, &s)) {
-      return Status::Corruption("truncated dict entry");
-    }
-  }
-  if (pos + num_rows * sizeof(uint32_t) > in.size()) {
-    return Status::Corruption("truncated dict codes");
-  }
+  DictPayload dict;
+  FEISU_RETURN_IF_ERROR(ReadDictPayload(in, &dict));
+  FEISU_RETURN_IF_ERROR(CheckSelection(selection, dict.num_rows));
+  const uint32_t num_rows = dict.num_rows;
   DecodeTally tally;
   ColumnVector col(type);
   Status bad_code = Status::OK();
   auto append = [&](size_t i) {
-    uint32_t code = 0;
-    std::memcpy(&code, in.data() + pos + i * sizeof(uint32_t), sizeof(code));
-    if (code >= dict_size) {
+    uint32_t code = dict.CodeAt(i);
+    if (code >= dict.entries.size()) {
       if (bad_code.ok()) bad_code = Status::Corruption("dict code OOB");
       return;
     }
-    if (!validity.Get(i)) {
+    if (!dict.validity.Get(i)) {
       col.AppendNull();
     } else {
-      col.AppendString(dict[code]);
+      col.AppendString(std::string(dict.entries[code]));
     }
   };
   if (selection != nullptr) {
@@ -537,38 +564,21 @@ Result<ColumnVector> DecodeDict(DataType type, const std::string& in,
 
 // ---- compressed-domain predicate kernels ----
 
-bool EncodedDoubleMatches(EncodedCompareOp op, double v, double rhs) {
-  switch (op) {
-    case EncodedCompareOp::kEq:
-      return v == rhs;
-    case EncodedCompareOp::kNe:
-      return v != rhs;
-    case EncodedCompareOp::kLt:
-      return v < rhs;
-    case EncodedCompareOp::kLe:
-      return v <= rhs;
-    case EncodedCompareOp::kGt:
-      return v > rhs;
-    case EncodedCompareOp::kGe:
-      return v >= rhs;
-    case EncodedCompareOp::kContains:
-      break;
+// Packs 64 match bytes (each 0 or 1) into one bitmap word, bit k = m[k].
+// Per 8 bytes, the multiply moves byte i's low bit to bit 56 + i, so the
+// top byte of the product holds the 8 bits in order (little-endian loads).
+uint64_t PackMatchBytes(const uint8_t* m) {
+  uint64_t bits = 0;
+  for (unsigned b = 0; b < 8; ++b) {
+    uint64_t bytes = 0;
+    std::memcpy(&bytes, m + 8 * b, sizeof(bytes));
+    bits |= ((bytes * 0x0102040810204080ULL) >> 56) << (8 * b);
   }
-  return false;
-}
-
-// Final Kleene step shared by every kernel: TRUE = match on a valid row,
-// FALSE = mismatch on a valid row, NULL rows set neither bit. Word-level
-// AND/NOT, no per-row work.
-void FinishPredicateBits(BitVector match, const BitVector& validity,
-                         EncodedPredicateBits* out) {
-  out->is_true = BitVector::And(match, validity);
-  match.Not();
-  out->is_false = BitVector::And(match, validity);
+  return bits;
 }
 
 // Both bitmaps all-zero: every row UNKNOWN (NULL literal).
-void AllUnknownBits(uint32_t num_rows, EncodedPredicateBits* out) {
+void AllUnknownBits(uint32_t num_rows, TriStateVector* out) {
   out->is_true = BitVector(num_rows, false);
   out->is_false = BitVector(num_rows, false);
 }
@@ -577,132 +587,175 @@ void AllUnknownBits(uint32_t num_rows, EncodedPredicateBits* out) {
 // flag per dictionary entry), then compare uint32 codes per row. A
 // dictionary miss on equality never touches the code array at all — the
 // short-circuit the block-skipping layers above rely on.
-Result<bool> EncodedCompareDict(const std::string& in, EncodedCompareOp op,
-                                const Value& literal,
-                                EncodedPredicateBits* out) {
-  size_t pos = 0;
-  uint32_t num_rows = 0;
-  BitVector validity;
-  if (!ReadHeader(in, &pos, &num_rows, &validity)) {
-    return Status::Corruption("bad dict column header");
+Result<bool> EncodedCompareDict(const std::string& in, CompareOp op,
+                                const Value& literal, TriStateVector* out) {
+  if (!literal.is_null() && literal.type() != DataType::kString) {
+    return false;
   }
+  DictPayload dict;
+  FEISU_RETURN_IF_ERROR(ReadDictPayload(in, &dict));
+  const uint32_t num_rows = dict.num_rows;
+  const uint32_t dict_size = static_cast<uint32_t>(dict.entries.size());
   DecodeTally tally;
+  tally.skipped_encoded = num_rows;
+  ++tally.predicates_encoded;
   if (literal.is_null()) {
     AllUnknownBits(num_rows, out);
-    tally.skipped_encoded = num_rows;
-    ++tally.predicates_encoded;
     return true;
   }
-  if (literal.type() != DataType::kString) return false;
-  uint32_t dict_size = 0;
-  if (!ReadScalar(in, &pos, &dict_size)) {
-    return Status::Corruption("truncated dict size");
-  }
-  std::vector<std::string> dict(dict_size);
-  for (auto& s : dict) {
-    if (!ReadLengthPrefixed(in, &pos, &s)) {
-      return Status::Corruption("truncated dict entry");
-    }
-  }
-  if (pos + static_cast<size_t>(num_rows) * sizeof(uint32_t) > in.size()) {
-    return Status::Corruption("truncated dict codes");
-  }
-  // Literal -> code space: the per-entry comparisons mirror the decode
-  // path exactly (std::string::compare / find, same as Value::Compare).
+  // Literal -> code space: one decision per entry, the same string order
+  // Value::Compare uses (std::string::compare / find).
   const std::string& lit = literal.string_value();
   std::vector<uint8_t> table(dict_size, 0);
   uint32_t match_count = 0;
   for (uint32_t c = 0; c < dict_size; ++c) {
-    bool m = false;
-    if (op == EncodedCompareOp::kContains) {
-      m = dict[c].find(lit) != std::string::npos;
-    } else {
-      int cmp = dict[c].compare(lit);
-      m = EncodedDoubleMatches(op, static_cast<double>(cmp), 0.0);
-    }
+    std::string_view entry = dict.entries[c];
+    bool m = op == CompareOp::kContains
+                 ? entry.find(lit) != std::string::npos
+                 : CompareOpHolds(op, entry.compare(lit));
     table[c] = m ? 1 : 0;
     if (m) ++match_count;
   }
-  tally.skipped_encoded = num_rows;
-  ++tally.predicates_encoded;
   if (match_count == 0) {
     // Dictionary miss: no row can match. AllZeros TRUE set, every valid
     // row FALSE — without reading a single code.
     out->is_true = BitVector(num_rows, false);
-    out->is_false = validity;
+    out->is_false = dict.validity;
     return true;
   }
   if (match_count == dict_size) {
-    out->is_true = validity;
+    out->is_true = dict.validity;
     out->is_false = BitVector(num_rows, false);
     return true;
   }
-  // Codes live unaligned in the payload; one memcpy gives the contiguous
-  // uint32 array the vectorized loops below want.
-  std::vector<uint32_t> codes(num_rows);
-  std::memcpy(codes.data(), in.data() + pos,
-              static_cast<size_t>(num_rows) * sizeof(uint32_t));
-  const uint32_t* FEISU_RESTRICT c = codes.data();
-  uint32_t max_code = 0;
-  for (uint32_t i = 0; i < num_rows; ++i) {
-    max_code = c[i] > max_code ? c[i] : max_code;
+  // One (mis)matching entry makes the row test a pure code == constant
+  // compare; otherwise (range ops, multi-hit CONTAINS) rows gather through
+  // the per-entry match table.
+  const bool single = match_count == 1 || match_count + 1 == dict_size;
+  const uint8_t invert = match_count != 1 ? 1 : 0;
+  uint32_t target = 0;
+  for (uint32_t e = 0; e < dict_size; ++e) {
+    if (table[e] != invert) target = e;
   }
-  if (num_rows > 0 && max_code >= dict_size) {
+  const uint8_t* FEISU_RESTRICT t = table.data();
+  const size_t num_words = (static_cast<size_t>(num_rows) + 63) / 64;
+  std::vector<uint64_t> mwords(num_words, 0);
+  uint32_t max_code = 0;
+  uint32_t c[64];
+  uint8_t m[64];
+  for (size_t w = 0; w < num_words; ++w) {
+    // The word's codes, copied out of the (unaligned) payload; a short
+    // last word pads with code 0, whose bits FromWords clears.
+    const size_t base = w * 64;
+    const char* src = dict.codes + base * sizeof(uint32_t);
+    if (base + 64 <= num_rows) {
+      std::memcpy(c, src, sizeof(c));
+    } else {
+      std::memset(c, 0, sizeof(c));
+      std::memcpy(c, src, (num_rows - base) * sizeof(uint32_t));
+    }
+    if (single) {
+      for (unsigned k = 0; k < 64; ++k) {
+        m[k] = static_cast<uint8_t>(c[k] == target) ^ invert;
+        max_code = c[k] > max_code ? c[k] : max_code;
+      }
+    } else {
+      // Bounds first: the gather must not read past the table.
+      for (unsigned k = 0; k < 64; ++k) {
+        max_code = c[k] > max_code ? c[k] : max_code;
+      }
+      if (max_code >= dict_size) break;
+      for (unsigned k = 0; k < 64; ++k) m[k] = t[c[k]];
+    }
+    mwords[w] = PackMatchBytes(m);
+  }
+  if (max_code >= dict_size) {
     return Status::Corruption("dict code OOB");
   }
-  std::vector<uint64_t> mwords((static_cast<size_t>(num_rows) + 63) / 64, 0);
-  uint64_t* FEISU_RESTRICT mw = mwords.data();
-  size_t full_words = static_cast<size_t>(num_rows) >> 6;
-  if (match_count == 1 || match_count + 1 == dict_size) {
-    // One (mis)matching entry: the row loop is a pure code == constant
-    // compare — contiguous, branchless, auto-vectorizable.
-    bool invert = match_count != 1;
-    uint8_t want = invert ? 0 : 1;
-    uint32_t target = 0;
-    for (uint32_t e = 0; e < dict_size; ++e) {
-      if (table[e] == want) target = e;
-    }
-    for (size_t w = 0; w < full_words; ++w) {
-      uint64_t bits = 0;
-      for (unsigned k = 0; k < 64; ++k) {
-        bits |= static_cast<uint64_t>((c[w * 64 + k] == target) != invert)
-                << k;
-      }
-      mw[w] = bits;
-    }
-    for (uint32_t i = static_cast<uint32_t>(full_words * 64); i < num_rows;
-         ++i) {
-      mw[i >> 6] |= static_cast<uint64_t>((c[i] == target) != invert)
-                    << (i & 63);
-    }
-  } else {
-    // General case (range ops, IN-style multi-hit): branchless gather
-    // through the per-entry match table.
-    const uint8_t* FEISU_RESTRICT t = table.data();
-    for (size_t w = 0; w < full_words; ++w) {
-      uint64_t bits = 0;
-      for (unsigned k = 0; k < 64; ++k) {
-        bits |= static_cast<uint64_t>(t[c[w * 64 + k]]) << k;
-      }
-      mw[w] = bits;
-    }
-    for (uint32_t i = static_cast<uint32_t>(full_words * 64); i < num_rows;
-         ++i) {
-      mw[i >> 6] |= static_cast<uint64_t>(t[c[i]]) << (i & 63);
-    }
-  }
   FinishPredicateBits(BitVector::FromWords(std::move(mwords), num_rows),
-                      validity, out);
+                      dict.validity, out);
   return true;
 }
 
-// RLE kernel: one comparison per run, one word-level SetRange per matching
-// run. The emitted bitmap is run-granular, so its SerializeRle form stays
-// proportional to the run count and feeds the RleAnd/RleOr algebra without
-// inflating.
-Result<bool> EncodedCompareRleInt64(const std::string& in,
-                                    EncodedCompareOp op, const Value& literal,
-                                    EncodedPredicateBits* out) {
+// The codes c in [0, search_max] whose value base + c satisfies
+// `value OP rhs`, as one range [lo, hi] (empty when lo > hi) that kNe
+// complements. The value is non-decreasing in c and CompareNumbers is a
+// total order, so the codes below, at and above rhs form three contiguous
+// spans; two binary searches find their bounds. `op` is not kContains.
+struct CodeRange {
+  uint64_t lo = 1;
+  uint64_t hi = 0;
+  bool invert = false;
+};
+
+CodeRange MatchingCodes(CompareOp op, double rhs, int64_t base,
+                        uint64_t search_max) {
+  auto cmp_at = [base, rhs](uint64_t code) {
+    return CompareNumbers(
+        static_cast<double>(
+            static_cast<int64_t>(static_cast<uint64_t>(base) + code)),
+        rhs);
+  };
+  // The first code whose value is at least (`strict`: above) rhs.
+  struct Bound {
+    bool found;
+    uint64_t code;
+  };
+  auto first = [&](bool strict) -> Bound {
+    auto reached = [&](uint64_t code) {
+      int cmp = cmp_at(code);
+      return strict ? cmp > 0 : cmp >= 0;
+    };
+    if (!reached(search_max)) return {false, 0};
+    uint64_t lo = 0;
+    uint64_t hi = search_max;  // invariant: reached(hi)
+    while (lo < hi) {
+      uint64_t mid = lo + (hi - lo) / 2;
+      if (reached(mid)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return {true, lo};
+  };
+  const Bound ge = first(false);
+  const Bound gt = first(true);
+  // Codes from `from` up to, not including, `to` (through search_max when
+  // `to` was not found).
+  auto span = [search_max](uint64_t from, Bound to) -> CodeRange {
+    if (!to.found) return {from, search_max, false};
+    if (to.code <= from) return {};
+    return {from, to.code - 1, false};
+  };
+  CodeRange equal = ge.found ? span(ge.code, gt) : CodeRange{};
+  switch (op) {
+    case CompareOp::kLt:
+      return span(0, ge);
+    case CompareOp::kLe:
+      return span(0, gt);
+    case CompareOp::kGt:
+      return gt.found ? CodeRange{gt.code, search_max, false} : CodeRange{};
+    case CompareOp::kGe:
+      return ge.found ? CodeRange{ge.code, search_max, false} : CodeRange{};
+    case CompareOp::kEq:
+      return equal;
+    case CompareOp::kNe:
+      equal.invert = true;
+      return equal;
+    case CompareOp::kContains:
+      break;
+  }
+  return {};
+}
+
+// RLE kernel: one range test per run, one word-level SetRange per streak
+// of matching runs. The emitted bitmap is run-granular, so its SerializeRle
+// form stays proportional to the run count and feeds the RleAnd/RleOr
+// algebra without inflating.
+Result<bool> EncodedCompareRleInt64(const std::string& in, CompareOp op,
+                                    const Value& literal,
+                                    TriStateVector* out) {
   size_t pos = 0;
   uint32_t num_rows = 0;
   BitVector validity;
@@ -716,12 +769,18 @@ Result<bool> EncodedCompareRleInt64(const std::string& in,
     ++tally.predicates_encoded;
     return true;
   }
-  if (!literal.is_numeric() || op == EncodedCompareOp::kContains) {
+  if (!literal.is_numeric() || op == CompareOp::kContains) {
     return false;
   }
-  // Same double-domain comparison as the decode path's int64 fast path.
-  double rhs = literal.AsDouble();
+  // Values are codes offset by INT64_MIN, so one range covers every int64
+  // and each run costs two integer compares.
+  const int64_t base = std::numeric_limits<int64_t>::min();
+  const CodeRange range =
+      MatchingCodes(op, literal.AsDouble(), base, ~uint64_t{0});
   BitVector match(num_rows, false);
+  // Rows [streak, produced) are consecutive matching runs, filled by one
+  // SetRange when a non-matching run (or the end) closes them.
+  uint32_t streak = 0;
   uint32_t produced = 0;
   while (produced < num_rows) {
     int64_t value = 0;
@@ -732,25 +791,28 @@ Result<bool> EncodedCompareRleInt64(const std::string& in,
     if (produced + run > num_rows) {
       return Status::Corruption("RLE overrun");
     }
-    if (EncodedDoubleMatches(op, static_cast<double>(value), rhs)) {
-      match.SetRange(produced, produced + run, true);
+    const uint64_t code =
+        static_cast<uint64_t>(value) - static_cast<uint64_t>(base);
+    if ((code >= range.lo && code <= range.hi) == range.invert) {
+      if (streak < produced) match.SetRange(streak, produced, true);
+      streak = produced + run;
     }
     produced += run;
   }
+  if (streak < produced) match.SetRange(streak, produced, true);
   tally.skipped_encoded = num_rows;
   ++tally.predicates_encoded;
   FinishPredicateBits(std::move(match), validity, out);
   return true;
 }
 
-// Bit-pack kernel. value = min + code is monotone in the code, so the set
-// of codes satisfying any single comparison is one contiguous range
-// [range_lo, range_hi] (complemented for !=), found by binary search over
-// the code domain — then the row loop is a word-at-a-time extraction plus
-// two unsigned compares, branchless end to end.
-Result<bool> EncodedCompareBitPack(const std::string& in,
-                                   EncodedCompareOp op, const Value& literal,
-                                   EncodedPredicateBits* out) {
+// Bit-pack kernel. value = min + code is monotone in the code, so the
+// codes satisfying any single comparison are one MatchingCodes range
+// (complemented for !=) — then the row loop is a word-at-a-time
+// extraction plus two unsigned compares, branchless end to end.
+Result<bool> EncodedCompareBitPack(const std::string& in, CompareOp op,
+                                   const Value& literal,
+                                   TriStateVector* out) {
   size_t pos = 0;
   uint32_t num_rows = 0;
   BitVector validity;
@@ -764,7 +826,7 @@ Result<bool> EncodedCompareBitPack(const std::string& in,
     ++tally.predicates_encoded;
     return true;
   }
-  if (!literal.is_numeric() || op == EncodedCompareOp::kContains) {
+  if (!literal.is_numeric() || op == CompareOp::kContains) {
     return false;
   }
   int64_t min = 0;
@@ -778,7 +840,6 @@ Result<bool> EncodedCompareBitPack(const std::string& in,
   if (pos + words * sizeof(uint64_t) > in.size()) {
     return Status::Corruption("truncated bit-pack payload");
   }
-  double rhs = literal.AsDouble();
   uint64_t domain_max = width == 64 ? ~0ULL : ((1ULL << width) - 1);
   // Clamp the searched domain so min + code cannot overflow int64: every
   // code produced by the encoder satisfies min + code <= max <= INT64_MAX,
@@ -787,97 +848,13 @@ Result<bool> EncodedCompareBitPack(const std::string& in,
       static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) -
       static_cast<uint64_t>(min);
   uint64_t search_max = std::min(domain_max, safe_max);
-  auto value_at = [min](uint64_t code) {
-    return static_cast<double>(
-        static_cast<int64_t>(static_cast<uint64_t>(min) + code));
-  };
-  // Smallest code in [0, search_max] where `pred` is true, given that pred
-  // is monotone false -> true over the clamped domain.
-  struct Bound {
-    bool found;
-    uint64_t code;
-  };
-  auto lower_bound_code = [&](auto pred) -> Bound {
-    if (!pred(search_max)) return {false, 0};
-    uint64_t lo = 0;
-    uint64_t hi = search_max;  // invariant: pred(hi) is true
-    while (lo < hi) {
-      uint64_t mid = lo + (hi - lo) / 2;
-      if (pred(mid)) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    return {true, lo};
-  };
-  // Satisfying code range; an empty range is (1, 0). `invert` flips the
-  // verdict (kNe = complement of kEq's range).
-  uint64_t range_lo = 1;
-  uint64_t range_hi = 0;
-  bool invert = false;
-  auto eq_range = [&]() {
-    Bound lo_b = lower_bound_code(
-        [&](uint64_t code) { return value_at(code) >= rhs; });
-    if (!lo_b.found) return;
-    Bound hi_b = lower_bound_code(
-        [&](uint64_t code) { return value_at(code) > rhs; });
-    uint64_t hi_code = 0;
-    if (!hi_b.found) {
-      hi_code = search_max;
-    } else if (hi_b.code == 0) {
-      return;
-    } else {
-      hi_code = hi_b.code - 1;
-    }
-    if (lo_b.code > hi_code) return;
-    range_lo = lo_b.code;
-    range_hi = hi_code;
-  };
-  switch (op) {
-    case EncodedCompareOp::kLt:
-    case EncodedCompareOp::kLe: {
-      auto outside = [&](uint64_t code) {
-        return op == EncodedCompareOp::kLt ? !(value_at(code) < rhs)
-                                           : !(value_at(code) <= rhs);
-      };
-      Bound b = lower_bound_code(outside);
-      if (!b.found) {
-        range_lo = 0;
-        range_hi = domain_max;  // every code matches
-      } else if (b.code > 0) {
-        range_lo = 0;
-        range_hi = b.code - 1;
-      }
-      break;
-    }
-    case EncodedCompareOp::kGt:
-    case EncodedCompareOp::kGe: {
-      auto inside = [&](uint64_t code) {
-        return op == EncodedCompareOp::kGt ? value_at(code) > rhs
-                                           : value_at(code) >= rhs;
-      };
-      Bound b = lower_bound_code(inside);
-      if (b.found) {
-        range_lo = b.code;
-        range_hi = domain_max;
-      }
-      break;
-    }
-    case EncodedCompareOp::kEq:
-      eq_range();
-      break;
-    case EncodedCompareOp::kNe:
-      eq_range();
-      invert = true;
-      break;
-    case EncodedCompareOp::kContains:
-      return false;
-  }
+  const CodeRange range =
+      MatchingCodes(op, literal.AsDouble(), min, search_max);
   tally.skipped_encoded = num_rows;
   ++tally.predicates_encoded;
-  bool range_all = range_lo == 0 && range_hi >= domain_max;
-  bool range_none = range_lo > range_hi;
+  const bool invert = range.invert;
+  bool range_all = range.lo == 0 && range.hi >= search_max;
+  bool range_none = range.lo > range.hi;
   if ((range_all && !invert) || (range_none && invert)) {
     out->is_true = validity;
     out->is_false = BitVector(num_rows, false);
@@ -895,8 +872,8 @@ Result<bool> EncodedCompareBitPack(const std::string& in,
   std::vector<uint64_t> mwords((static_cast<size_t>(num_rows) + 63) / 64, 0);
   const uint64_t* FEISU_RESTRICT w = packed.data();
   uint64_t* FEISU_RESTRICT mw = mwords.data();
-  const uint64_t rlo = range_lo;
-  const uint64_t rhi = range_hi;
+  const uint64_t rlo = range.lo;
+  const uint64_t rhi = range.hi;
   const uint64_t inv = invert ? 1 : 0;
   for (uint32_t i = 0; i < num_rows; ++i) {
     size_t bit = static_cast<size_t>(i) * width;
@@ -1017,11 +994,18 @@ Result<ColumnVector> DecodeColumn(DataType type, const EncodedColumn& encoded,
   return Status::Corruption("unknown encoding");
 }
 
+void FinishPredicateBits(BitVector match, const BitVector& valid,
+                         TriStateVector* out) {
+  out->is_true = BitVector::And(match, valid);
+  match.Not();
+  match.And(valid);
+  out->is_false = std::move(match);
+}
+
 Result<bool> TryEvaluateEncodedCompare(DataType type,
                                        const EncodedColumn& encoded,
-                                       EncodedCompareOp op,
-                                       const Value& literal,
-                                       EncodedPredicateBits* out) {
+                                       CompareOp op, const Value& literal,
+                                       TriStateVector* out) {
   switch (encoded.encoding) {
     case Encoding::kDict:
       if (type != DataType::kString) return false;
@@ -1042,48 +1026,29 @@ Result<bool> TryExtractDictCodes(const EncodedColumn& encoded,
                                  const BitVector* selection,
                                  DictColumnCodes* out) {
   if (encoded.encoding != Encoding::kDict) return false;
-  const std::string& in = encoded.payload;
-  size_t pos = 0;
-  uint32_t num_rows = 0;
-  BitVector validity;
-  if (!ReadHeader(in, &pos, &num_rows, &validity)) {
-    return Status::Corruption("bad dict column header");
-  }
-  FEISU_RETURN_IF_ERROR(CheckSelection(selection, num_rows));
-  uint32_t dict_size = 0;
-  if (!ReadScalar(in, &pos, &dict_size)) {
-    return Status::Corruption("truncated dict size");
-  }
-  std::vector<std::string> dict(dict_size);
-  for (auto& s : dict) {
-    if (!ReadLengthPrefixed(in, &pos, &s)) {
-      return Status::Corruption("truncated dict entry");
-    }
-  }
-  if (pos + static_cast<size_t>(num_rows) * sizeof(uint32_t) > in.size()) {
-    return Status::Corruption("truncated dict codes");
-  }
-  out->entries = std::move(dict);
+  DictPayload dict;
+  FEISU_RETURN_IF_ERROR(ReadDictPayload(encoded.payload, &dict));
+  FEISU_RETURN_IF_ERROR(CheckSelection(selection, dict.num_rows));
   out->codes.clear();
   bool bad_code = false;
   auto append = [&](size_t i) {
-    uint32_t code = 0;
-    std::memcpy(&code, in.data() + pos + i * sizeof(uint32_t), sizeof(code));
-    if (code >= dict_size) {
+    uint32_t code = dict.CodeAt(i);
+    if (code >= dict.entries.size()) {
       bad_code = true;
       return;
     }
-    out->codes.push_back(validity.Get(i) ? code
-                                         : DictColumnCodes::kNullCode);
+    out->codes.push_back(dict.validity.Get(i) ? code
+                                              : DictColumnCodes::kNullCode);
   };
   if (selection != nullptr) {
     out->codes.reserve(selection->CountOnes());
     selection->ForEachSetBit(append);
   } else {
-    out->codes.reserve(num_rows);
-    for (uint32_t i = 0; i < num_rows; ++i) append(i);
+    out->codes.reserve(dict.num_rows);
+    for (uint32_t i = 0; i < dict.num_rows; ++i) append(i);
   }
   if (bad_code) return Status::Corruption("dict code OOB");
+  out->entries.assign(dict.entries.begin(), dict.entries.end());
   return true;
 }
 

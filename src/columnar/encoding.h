@@ -47,6 +47,21 @@ EncodedColumn EncodeColumnAs(const ColumnVector& column, Encoding encoding);
 Result<ColumnVector> DecodeColumn(DataType type, const EncodedColumn& encoded,
                                   const BitVector* selection = nullptr);
 
+/// Kleene three-valued predicate result: a row is TRUE, FALSE, or UNKNOWN
+/// (neither bit set, from NULL operands). SQL selection keeps only TRUE
+/// rows, but the FALSE set is what a negated predicate's SmartIndex must
+/// store — bit-NOT of the TRUE set would wrongly select UNKNOWN rows.
+struct TriStateVector {
+  BitVector is_true;
+  BitVector is_false;
+};
+
+/// The Kleene finish every comparison kernel shares: TRUE = match on a
+/// valid row, FALSE = mismatch on a valid row; a row that is not valid (a
+/// NULL operand) sets neither bit. Word-level AND/NOT, no per-row work.
+void FinishPredicateBits(BitVector match, const BitVector& valid,
+                         TriStateVector* out);
+
 // ---- Compressed-domain predicate kernels. ----
 //
 // These evaluate `column OP literal` directly over the encoded payload and
@@ -56,31 +71,10 @@ Result<ColumnVector> DecodeColumn(DataType type, const EncodedColumn& encoded,
 // single row); RLE columns test each run once and fill the bitmap
 // run-granularly (one word-level SetRange per run); bit-packed ints map
 // the comparison onto a contiguous code range via the frame-of-reference
-// monotonicity and run a branchless word-extraction compare. Results are
-// byte-identical to decode-then-evaluate (tests/materialize_test.cc pins
-// the full grid).
-
-/// Comparison operators the kernels understand. Mirrors expr's CompareOp
-/// member-for-member (callers static_cast between them); duplicated here
-/// because columnar sits below expr in the layer DAG and cannot include it.
-enum class EncodedCompareOp : uint8_t {
-  kEq = 0,
-  kNe = 1,
-  kLt = 2,
-  kLe = 3,
-  kGt = 4,
-  kGe = 5,
-  kContains = 6,
-};
-
-/// Kleene predicate bitmaps over one encoded column: bit i of `is_true`
-/// (`is_false`) is set when row i definitely passes (fails); a NULL row
-/// sets neither (UNKNOWN). Same layout as expr's TriStateVector, so the
-/// evaluator copies these through unchanged.
-struct EncodedPredicateBits {
-  BitVector is_true;
-  BitVector is_false;
-};
+// monotonicity and run a branchless word-extraction compare. Every value
+// comparison goes through CompareNumbers/CompareOpHolds (value.h), so
+// results are byte-identical to decode-then-evaluate
+// (tests/materialize_test.cc pins the full grid).
 
 /// Evaluates `column OP literal` over the encoded payload when a kernel
 /// applies. Returns true and fills `out` on success; returns false (with
@@ -93,9 +87,8 @@ struct EncodedPredicateBits {
 ///   - a NULL literal over any of the above (all rows UNKNOWN).
 Result<bool> TryEvaluateEncodedCompare(DataType type,
                                        const EncodedColumn& encoded,
-                                       EncodedCompareOp op,
-                                       const Value& literal,
-                                       EncodedPredicateBits* out);
+                                       CompareOp op, const Value& literal,
+                                       TriStateVector* out);
 
 /// A dictionary column cracked open for code-domain group-by: the
 /// dictionary entries plus one code per emitted row (rows follow

@@ -15,11 +15,7 @@ int Value::Compare(const Value& other) const {
                ? -1
                : (string_value() == other.string_value() ? 0 : 1);
   }
-  double a = AsDouble();
-  double b = other.AsDouble();
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
+  return CompareNumbers(AsDouble(), other.AsDouble());
 }
 
 std::string Value::ToString() const {

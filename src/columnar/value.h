@@ -9,6 +9,45 @@
 
 namespace feisu {
 
+/// Comparison operators. Every comparison site in the engine decides
+/// `a OP b` through CompareNumbers/Value::Compare and CompareOpHolds below,
+/// so the evaluator, the compressed-domain kernels, zone maps, constant
+/// folding and sorting all agree.
+enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe, kContains };
+
+/// The engine's one numeric order: IEEE order, except that NaN equals NaN
+/// and sorts after every other number, so the order is total (-0.0 still
+/// equals +0.0). Returns <0, 0, >0.
+inline int CompareNumbers(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  // At least one side is NaN: NaN == NaN, NaN > any number.
+  return static_cast<int>(a != a) - static_cast<int>(b != b);
+}
+
+/// Whether `a OP b` holds given the three-way result `cmp` of comparing a
+/// with b. kContains is not an order comparison and never holds here.
+inline bool CompareOpHolds(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kNe:
+      return cmp != 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+    case CompareOp::kContains:
+      break;
+  }
+  return false;
+}
+
 /// A single (possibly NULL) scalar value. Used for literals in expressions,
 /// block min/max statistics and row-wise ingestion.
 class Value {
@@ -47,8 +86,10 @@ class Value {
             type_ == DataType::kBool);
   }
 
-  /// Total ordering within a type family (numeric cross-compares allowed).
-  /// NULL sorts before everything. Returns <0, 0, >0.
+  /// Total ordering: NULL sorts before everything; numerics (bool, int64,
+  /// double) cross-compare as doubles through CompareNumbers; strings
+  /// compare by content, and against a non-string order by type tag.
+  /// Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

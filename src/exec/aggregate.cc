@@ -122,21 +122,21 @@ void AddSums(const ColumnVector& in, const std::vector<uint32_t>& gids,
 }
 
 /// Value::Compare's `a < b` for two non-NULL cells of one type: int64
-/// compares as double, so values above 2^53 can tie, and NaN is neither
-/// less nor greater than anything.
+/// compares as double, so values above 2^53 can tie; doubles follow
+/// CompareNumbers, so NaN sorts after every number.
 template <typename T>
 bool Less(const T& a, const T& b) {
-  if constexpr (std::is_same_v<T, int64_t>) {
-    return static_cast<double>(a) < static_cast<double>(b);
-  } else {
+  if constexpr (std::is_same_v<T, std::string>) {
     return a < b;
+  } else {
+    return CompareNumbers(static_cast<double>(a), static_cast<double>(b)) < 0;
   }
 }
 
 /// Folds the valid cells of `in` (values `v`) into the per-group MIN
 /// (`is_min`) or MAX column `extreme` (values `out`), whose validity bit is
 /// the has-value bit. Only a strictly smaller (larger) value replaces the
-/// stored one, so a tie keeps the value seen first and NaN never replaces.
+/// stored one, so a tie keeps the value seen first.
 template <typename T>
 void FoldExtreme(const ColumnVector& in, const std::vector<T>& v,
                  bool is_min, const std::vector<uint32_t>& gids,

@@ -14,9 +14,9 @@ namespace {
 
 /// Precomputed, type-specialized key for one ORDER BY expression. Ordering
 /// matches Value::Compare exactly — NULLs sort before everything, numeric
-/// columns (bool/int64/double) compare through the same double conversion
-/// the boxed path used, strings lexicographically — without constructing a
-/// Value per comparison.
+/// columns (bool/int64/double) convert to double and compare through
+/// CompareNumbers (a strict weak order: NaN sorts last), strings
+/// lexicographically — without constructing a Value per comparison.
 class SortKey {
  public:
   explicit SortKey(ColumnVector col) : col_(std::move(col)) {
@@ -54,9 +54,7 @@ class SortKey {
       int cmp = col_.GetString(a).compare(col_.GetString(b));
       return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
     }
-    if (nums_[a] < nums_[b]) return -1;
-    if (nums_[a] > nums_[b]) return 1;
-    return 0;
+    return CompareNumbers(nums_[a], nums_[b]);
   }
 
  private:

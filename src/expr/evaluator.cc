@@ -1,6 +1,6 @@
 #include "expr/evaluator.h"
 
-#include <cmath>
+#include <optional>
 #include <utility>
 
 #include "columnar/block.h"
@@ -19,37 +19,10 @@ const ColumnVector* LookupColumn(const Expr& ref, const RecordBatch& batch) {
 
 namespace {
 
-bool CompareValues(CompareOp op, const Value& lhs, const Value& rhs) {
-  if (lhs.is_null() || rhs.is_null()) return false;  // NULL never matches
-  if (op == CompareOp::kContains) {
-    if (lhs.type() != DataType::kString || rhs.type() != DataType::kString) {
-      return false;
-    }
-    return lhs.string_value().find(rhs.string_value()) != std::string::npos;
-  }
-  int cmp = lhs.Compare(rhs);
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp == 0;
-    case CompareOp::kNe:
-      return cmp != 0;
-    case CompareOp::kLt:
-      return cmp < 0;
-    case CompareOp::kLe:
-      return cmp <= 0;
-    case CompareOp::kGt:
-      return cmp > 0;
-    case CompareOp::kGe:
-      return cmp >= 0;
-    case CompareOp::kContains:
-      return false;
-  }
-  return false;
-}
-
-// A null-free numeric column viewed as a contiguous double array, matching
-// the per-row Value::AsDouble view exactly (bool -> 0/1, int64 -> cast).
+// A numeric column viewed as a contiguous double array, matching the
+// per-row Value::AsDouble view exactly (bool -> 0/1, int64 -> cast).
 // Non-double columns convert into `scratch`; doubles alias their storage.
+// NULL slots hold 0, so they read as 0.0.
 const double* AsDoubleArray(const ColumnVector& col,
                             std::vector<double>* scratch) {
   switch (col.type()) {
@@ -77,150 +50,241 @@ const double* AsDoubleArray(const ColumnVector& col,
   return nullptr;
 }
 
-// Fast path: <int64 column> OP <numeric literal> and string CONTAINS,
-// producing full three-valued output. Returns true if handled.
-bool TryFastCompare(const Expr& expr, const RecordBatch& batch,
-                    TriStateVector* out) {
-  if (expr.kind() != ExprKind::kComparison) return false;
-  const ExprPtr& l = expr.child(0);
-  const ExprPtr& r = expr.child(1);
-  if (l->kind() != ExprKind::kColumnRef || r->kind() != ExprKind::kLiteral) {
-    return false;
+// Kleene AND/OR/NOT over the answers `leaf` gives for every other node.
+// A leaf returns false to decline (the compressed-domain walk, when no
+// kernel applies); the walk then declines as a whole. Both predicate
+// walks combine here.
+template <typename Leaf>
+Result<bool> CombineKleene(const Expr& expr, const Leaf& leaf,
+                           TriStateVector* out) {
+  if (expr.kind() != ExprKind::kLogical) return leaf(expr, out);
+  TriStateVector lhs;
+  FEISU_ASSIGN_OR_RETURN(bool ok, CombineKleene(*expr.child(0), leaf, &lhs));
+  if (!ok) return false;
+  if (expr.logical_op() == LogicalOp::kNot) {
+    // Kleene NOT: swap TRUE and FALSE, UNKNOWN stays UNKNOWN.
+    std::swap(lhs.is_true, lhs.is_false);
+    *out = std::move(lhs);
+    return true;
   }
-  const ColumnVector* col = LookupColumn(*l, batch);
-  if (col == nullptr) return false;
-  const Value& lit = r->value();
-  CompareOp op = expr.compare_op();
-  size_t n = col->size();
-  out->is_true = BitVector(n, false);
-  out->is_false = BitVector(n, false);
-  if (lit.is_null()) return true;  // everything UNKNOWN
-  if (col->type() == DataType::kInt64 && lit.is_numeric() &&
-      op != CompareOp::kContains) {
-    double rhs = lit.AsDouble();
-    const auto& ints = col->ints();
-    for (size_t i = 0; i < n; ++i) {
-      if (col->IsNull(i)) continue;
-      double v = static_cast<double>(ints[i]);
-      bool match = false;
+  TriStateVector rhs;
+  FEISU_ASSIGN_OR_RETURN(ok, CombineKleene(*expr.child(1), leaf, &rhs));
+  if (!ok) return false;
+  if (expr.logical_op() == LogicalOp::kAnd) {
+    // Kleene AND: true iff both true; false iff either false.
+    out->is_true = BitVector::And(lhs.is_true, rhs.is_true);
+    out->is_false = BitVector::Or(lhs.is_false, rhs.is_false);
+  } else {
+    out->is_true = BitVector::Or(lhs.is_true, rhs.is_true);
+    out->is_false = BitVector::And(lhs.is_false, rhs.is_false);
+  }
+  return true;
+}
+
+// One side of a comparison: a scalar literal broadcast over every row, a
+// column of the batch, or a column computed from a sub-expression.
+struct Operand {
+  const Value* literal = nullptr;
+  const ColumnVector* borrowed = nullptr;
+  std::optional<ColumnVector> computed;
+
+  const ColumnVector& column() const {
+    return computed ? *computed : *borrowed;
+  }
+  DataType type() const {
+    return literal != nullptr ? literal->type() : column().type();
+  }
+};
+
+Status ResolveOperand(const Expr& expr, const RecordBatch& batch,
+                      Operand* out) {
+  if (expr.kind() == ExprKind::kLiteral) {
+    out->literal = &expr.value();
+    return Status::OK();
+  }
+  if (expr.kind() == ExprKind::kColumnRef) {
+    out->borrowed = LookupColumn(expr, batch);
+    if (out->borrowed == nullptr) {
+      return Status::NotFound("unknown column " + expr.QualifiedName());
+    }
+    return Status::OK();
+  }
+  FEISU_ASSIGN_OR_RETURN(out->computed, EvaluateExpr(expr, batch));
+  return Status::OK();
+}
+
+// Bit i = pred(i) over n rows.
+template <typename Pred>
+BitVector MatchBits(size_t n, const Pred& pred) {
+  std::vector<uint64_t> words((n + 63) / 64, 0);
+  for (size_t i = 0; i < n; ++i) {
+    words[i >> 6] |= static_cast<uint64_t>(pred(i)) << (i & 63);
+  }
+  return BitVector::FromWords(std::move(words), n);
+}
+
+// Calls `fn` with a per-row accessor of a numeric operand's values in the
+// common double domain (Value::AsDouble), typed per storage.
+template <typename Fn>
+BitVector VisitNumeric(const Operand& o, const Fn& fn) {
+  if (o.literal != nullptr) {
+    double v = o.literal->AsDouble();
+    return fn([v](size_t) { return v; });
+  }
+  const ColumnVector& col = o.column();
+  switch (col.type()) {
+    case DataType::kInt64: {
+      const int64_t* p = col.ints().data();
+      return fn([p](size_t i) { return static_cast<double>(p[i]); });
+    }
+    case DataType::kDouble: {
+      const double* p = col.doubles().data();
+      return fn([p](size_t i) { return p[i]; });
+    }
+    case DataType::kBool: {
+      const uint8_t* p = col.bools().data();
+      return fn([p](size_t i) { return p[i] != 0 ? 1.0 : 0.0; });
+    }
+    case DataType::kString:
+      break;
+  }
+  return fn([](size_t) { return 0.0; });  // unreachable: numeric operands
+}
+
+// Calls `fn` with a per-row accessor of a string operand.
+template <typename Fn>
+BitVector VisitString(const Operand& o, const Fn& fn) {
+  if (o.literal != nullptr) {
+    const std::string* v = &o.literal->string_value();
+    return fn([v](size_t) -> const std::string& { return *v; });
+  }
+  const std::string* p = o.column().strings().data();
+  return fn([p](size_t i) -> const std::string& { return p[i]; });
+}
+
+// `a OP b` over numbers in the CompareNumbers order, with OP fixed at
+// compile time so each loop is one straight-line comparison.
+template <CompareOp kOp, typename A, typename B>
+BitVector NumericMatch(size_t n, const A& a, const B& b) {
+  return MatchBits(n, [&](size_t i) {
+    return CompareOpHolds(kOp, CompareNumbers(a(i), b(i)));
+  });
+}
+
+// The raw match bitmap of `lhs OP rhs` over n rows, in Value::Compare's
+// order, ignoring validity: a NULL slot compares whatever it holds and
+// the Kleene finish masks it out. Neither operand is a NULL literal.
+BitVector CompareMatch(CompareOp op, const Operand& lhs, const Operand& rhs,
+                       size_t n) {
+  const bool lstr = lhs.type() == DataType::kString;
+  const bool rstr = rhs.type() == DataType::kString;
+  if (lstr && rstr) {
+    return VisitString(lhs, [&](const auto& a) {
+      return VisitString(rhs, [&](const auto& b) {
+        if (op == CompareOp::kContains) {
+          return MatchBits(n, [&](size_t i) {
+            return a(i).find(b(i)) != std::string::npos;
+          });
+        }
+        return MatchBits(n, [&](size_t i) {
+          return CompareOpHolds(op, a(i).compare(b(i)));
+        });
+      });
+    });
+  }
+  // CONTAINS on a non-string never matches; a string against a number
+  // orders by type tag, the same answer on every row.
+  if (op == CompareOp::kContains) return BitVector(n, false);
+  if (lstr || rstr) {
+    return BitVector(n, CompareOpHolds(op, lhs.type() < rhs.type() ? -1 : 1));
+  }
+  return VisitNumeric(lhs, [&](const auto& a) {
+    return VisitNumeric(rhs, [&](const auto& b) {
       switch (op) {
         case CompareOp::kEq:
-          match = v == rhs;
-          break;
+          return NumericMatch<CompareOp::kEq>(n, a, b);
         case CompareOp::kNe:
-          match = v != rhs;
-          break;
+          return NumericMatch<CompareOp::kNe>(n, a, b);
         case CompareOp::kLt:
-          match = v < rhs;
-          break;
+          return NumericMatch<CompareOp::kLt>(n, a, b);
         case CompareOp::kLe:
-          match = v <= rhs;
-          break;
+          return NumericMatch<CompareOp::kLe>(n, a, b);
         case CompareOp::kGt:
-          match = v > rhs;
-          break;
+          return NumericMatch<CompareOp::kGt>(n, a, b);
         case CompareOp::kGe:
-          match = v >= rhs;
-          break;
+          return NumericMatch<CompareOp::kGe>(n, a, b);
         case CompareOp::kContains:
           break;
       }
-      (match ? out->is_true : out->is_false).Set(i, true);
-    }
-    return true;
-  }
-  if (col->type() == DataType::kString && lit.type() == DataType::kString &&
-      op == CompareOp::kContains) {
-    const auto& strings = col->strings();
-    const std::string& needle = lit.string_value();
-    for (size_t i = 0; i < n; ++i) {
-      if (col->IsNull(i)) continue;
-      bool match = strings[i].find(needle) != std::string::npos;
-      (match ? out->is_true : out->is_false).Set(i, true);
-    }
-    return true;
-  }
-  return false;
+      return BitVector(n, false);
+    });
+  });
 }
 
-// EncodedCompareOp mirrors CompareOp member-for-member so comparisons can
-// be handed to the columnar kernels with a cast; pin the mirror here.
-static_assert(static_cast<int>(EncodedCompareOp::kEq) ==
-              static_cast<int>(CompareOp::kEq));
-static_assert(static_cast<int>(EncodedCompareOp::kNe) ==
-              static_cast<int>(CompareOp::kNe));
-static_assert(static_cast<int>(EncodedCompareOp::kLt) ==
-              static_cast<int>(CompareOp::kLt));
-static_assert(static_cast<int>(EncodedCompareOp::kLe) ==
-              static_cast<int>(CompareOp::kLe));
-static_assert(static_cast<int>(EncodedCompareOp::kGt) ==
-              static_cast<int>(CompareOp::kGt));
-static_assert(static_cast<int>(EncodedCompareOp::kGe) ==
-              static_cast<int>(CompareOp::kGe));
-static_assert(static_cast<int>(EncodedCompareOp::kContains) ==
-              static_cast<int>(CompareOp::kContains));
+// One comparison leaf, three-valued: the typed match kernel, then the
+// shared Kleene finish over both operands' validity.
+Result<TriStateVector> EvaluateComparison(const Expr& expr,
+                                          const RecordBatch& batch) {
+  const size_t n = batch.num_rows();
+  Operand lhs;
+  Operand rhs;
+  FEISU_RETURN_IF_ERROR(ResolveOperand(*expr.child(0), batch, &lhs));
+  FEISU_RETURN_IF_ERROR(ResolveOperand(*expr.child(1), batch, &rhs));
+  TriStateVector out;
+  if ((lhs.literal != nullptr && lhs.literal->is_null()) ||
+      (rhs.literal != nullptr && rhs.literal->is_null())) {
+    out.is_true = BitVector(n, false);  // a NULL literal: all UNKNOWN
+    out.is_false = BitVector(n, false);
+    return out;
+  }
+  BitVector valid(n, true);
+  if (lhs.literal == nullptr) valid.And(lhs.column().validity());
+  if (rhs.literal == nullptr) valid.And(rhs.column().validity());
+  FinishPredicateBits(CompareMatch(expr.compare_op(), lhs, rhs, n), valid,
+                      &out);
+  return out;
+}
 
-// Recursive compressed-domain walk: true = every leaf answered by an
-// encoded kernel, false = some leaf needs the decode path. Kleene
-// combination is identical to EvaluatePredicate3VL's.
-Result<bool> EncodedPredicateRec(const Expr& expr, const ColumnarBlock& block,
-                                 TriStateVector* out) {
+// A predicate node that is not AND/OR/NOT.
+Result<TriStateVector> EvaluatePredicateLeaf(const Expr& expr,
+                                             const RecordBatch& batch) {
+  size_t n = batch.num_rows();
   switch (expr.kind()) {
-    case ExprKind::kLogical: {
-      if (expr.logical_op() == LogicalOp::kNot) {
-        TriStateVector child;
-        FEISU_ASSIGN_OR_RETURN(
-            bool ok, EncodedPredicateRec(*expr.child(0), block, &child));
-        if (!ok) return false;
-        std::swap(child.is_true, child.is_false);
-        *out = std::move(child);
-        return true;
+    case ExprKind::kComparison:
+      return EvaluateComparison(expr, batch);
+    case ExprKind::kLiteral: {
+      TriStateVector out;
+      if (expr.value().is_null()) {
+        out.is_true = BitVector(n, false);
+        out.is_false = BitVector(n, false);
+        return out;
       }
-      TriStateVector lhs;
-      TriStateVector rhs;
-      FEISU_ASSIGN_OR_RETURN(
-          bool lok, EncodedPredicateRec(*expr.child(0), block, &lhs));
-      if (!lok) return false;
-      FEISU_ASSIGN_OR_RETURN(
-          bool rok, EncodedPredicateRec(*expr.child(1), block, &rhs));
-      if (!rok) return false;
-      if (expr.logical_op() == LogicalOp::kAnd) {
-        out->is_true = BitVector::And(lhs.is_true, rhs.is_true);
-        out->is_false = BitVector::Or(lhs.is_false, rhs.is_false);
-      } else {
-        out->is_true = BitVector::Or(lhs.is_true, rhs.is_true);
-        out->is_false = BitVector::And(lhs.is_false, rhs.is_false);
-      }
-      return true;
+      bool truthy = (expr.value().type() == DataType::kBool &&
+                     expr.value().bool_value()) ||
+                    (expr.value().is_numeric() &&
+                     expr.value().AsDouble() != 0 &&
+                     expr.value().type() != DataType::kBool);
+      out.is_true = BitVector(n, truthy);
+      out.is_false = BitVector(n, !truthy);
+      return out;
     }
-    case ExprKind::kComparison: {
-      const ExprPtr& l = expr.child(0);
-      const ExprPtr& r = expr.child(1);
-      if (l->kind() != ExprKind::kColumnRef ||
-          r->kind() != ExprKind::kLiteral) {
-        return false;
+    case ExprKind::kColumnRef: {
+      const ColumnVector* col = LookupColumn(expr, batch);
+      if (col == nullptr) {
+        return Status::NotFound("unknown column " + expr.QualifiedName());
       }
-      int idx = -1;
-      if (!l->table().empty()) {
-        idx = block.schema().FieldIndex(l->QualifiedName());
+      if (col->type() != DataType::kBool) {
+        return Status::InvalidArgument("predicate column must be BOOL");
       }
-      if (idx < 0) idx = block.schema().FieldIndex(l->column());
-      if (idx < 0) return false;
-      EncodedPredicateBits bits;
-      FEISU_ASSIGN_OR_RETURN(
-          bool handled,
-          TryEvaluateEncodedCompare(
-              block.schema().field(idx).type,
-              block.encoded_column(static_cast<size_t>(idx)),
-              static_cast<EncodedCompareOp>(expr.compare_op()), r->value(),
-              &bits));
-      if (!handled) return false;
-      out->is_true = std::move(bits.is_true);
-      out->is_false = std::move(bits.is_false);
-      return true;
+      TriStateVector out;
+      FinishPredicateBits(
+          MatchBits(n, [&](size_t i) { return col->bools()[i] != 0; }),
+          col->validity(), &out);
+      return out;
     }
     default:
-      return false;
+      return Status::InvalidArgument("expression is not a predicate: " +
+                                     expr.ToString());
   }
 }
 
@@ -229,8 +293,25 @@ Result<bool> EncodedPredicateRec(const Expr& expr, const ColumnarBlock& block,
 Result<bool> TryEvaluatePredicateEncoded(const Expr& expr,
                                          const ColumnarBlock& block,
                                          TriStateVector* out) {
-  FEISU_ASSIGN_OR_RETURN(bool handled,
-                         EncodedPredicateRec(expr, block, out));
+  auto leaf = [&block](const Expr& e, TriStateVector* tri) -> Result<bool> {
+    if (e.kind() != ExprKind::kComparison) return false;
+    const ExprPtr& l = e.child(0);
+    const ExprPtr& r = e.child(1);
+    if (l->kind() != ExprKind::kColumnRef || r->kind() != ExprKind::kLiteral) {
+      return false;
+    }
+    int idx = -1;
+    if (!l->table().empty()) {
+      idx = block.schema().FieldIndex(l->QualifiedName());
+    }
+    if (idx < 0) idx = block.schema().FieldIndex(l->column());
+    if (idx < 0) return false;
+    return TryEvaluateEncodedCompare(
+        block.schema().field(idx).type,
+        block.encoded_column(static_cast<size_t>(idx)), e.compare_op(),
+        r->value(), tri);
+  };
+  FEISU_ASSIGN_OR_RETURN(bool handled, CombineKleene(expr, leaf, out));
   if (!handled) NoteEncodedPredicateFallback();
   return handled;
 }
@@ -312,103 +393,70 @@ Result<ColumnVector> EvaluateExpr(const Expr& expr,
                              InferType(expr, batch.schema()));
       ColumnVector out(out_type);
       out.Reserve(n);
-      // Null-free fast path: read both inputs as typed double arrays with
-      // no per-row boxing. Arithmetic stays in the double domain with the
-      // same casts as the boxed loop below, so results are bit-identical.
-      if (lhs.NullCount() == 0 && rhs.NullCount() == 0 &&
-          lhs.type() != DataType::kString &&
-          rhs.type() != DataType::kString) {
-        std::vector<double> lscratch, rscratch;
-        const double* a = AsDoubleArray(lhs, &lscratch);
-        const double* b = AsDoubleArray(rhs, &rscratch);
-        const bool int_out = out_type == DataType::kInt64;
-        auto emit = [&](double v) {
-          if (int_out) {
-            out.AppendInt64(static_cast<int64_t>(v));
-          } else {
-            out.AppendDouble(v);
-          }
-        };
-        switch (expr.arith_op()) {
-          case ArithOp::kAdd:
-            for (size_t i = 0; i < n; ++i) emit(a[i] + b[i]);
-            break;
-          case ArithOp::kSub:
-            for (size_t i = 0; i < n; ++i) emit(a[i] - b[i]);
-            break;
-          case ArithOp::kMul:
-            for (size_t i = 0; i < n; ++i) emit(a[i] * b[i]);
-            break;
-          case ArithOp::kDiv:  // out_type is always kDouble for division
-            for (size_t i = 0; i < n; ++i) {
-              if (b[i] == 0) {
-                out.AppendNull();
-              } else {
-                out.AppendDouble(a[i] / b[i]);
-              }
-            }
-            break;
-          case ArithOp::kMod:
-            for (size_t i = 0; i < n; ++i) {
-              int64_t d = static_cast<int64_t>(b[i]);
-              if (d == 0) {
-                out.AppendNull();
-              } else {
-                emit(static_cast<double>(static_cast<int64_t>(a[i]) % d));
-              }
-            }
-            break;
-        }
-        return out;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (lhs.IsNull(i) || rhs.IsNull(i)) {
-          out.AppendNull();
-          continue;
-        }
-        double a = lhs.GetValue(i).AsDouble();
-        double b = rhs.GetValue(i).AsDouble();
-        double v = 0;
-        switch (expr.arith_op()) {
-          case ArithOp::kAdd:
-            v = a + b;
-            break;
-          case ArithOp::kSub:
-            v = a - b;
-            break;
-          case ArithOp::kMul:
-            v = a * b;
-            break;
-          case ArithOp::kDiv:
-            if (b == 0) {
-              out.AppendNull();
-              continue;
-            }
-            v = a / b;
-            break;
-          case ArithOp::kMod:
-            if (static_cast<int64_t>(b) == 0) {
-              out.AppendNull();
-              continue;
-            }
-            v = static_cast<double>(static_cast<int64_t>(a) %
-                                    static_cast<int64_t>(b));
-            break;
-        }
-        if (out_type == DataType::kInt64) {
+      // Typed double arrays, no per-row boxing: a row is NULL when either
+      // input is, and the NULL slots' stored 0 is never used.
+      BitVector valid = BitVector::And(lhs.validity(), rhs.validity());
+      std::vector<double> lscratch, rscratch;
+      const double* a = AsDoubleArray(lhs, &lscratch);
+      const double* b = AsDoubleArray(rhs, &rscratch);
+      const bool int_out = out_type == DataType::kInt64;
+      auto emit = [&](double v) {
+        if (int_out) {
           out.AppendInt64(static_cast<int64_t>(v));
         } else {
           out.AppendDouble(v);
+        }
+      };
+      const ArithOp op = expr.arith_op();
+      for (size_t i = 0; i < n; ++i) {
+        if (!valid.Get(i)) {
+          out.AppendNull();
+          continue;
+        }
+        switch (op) {
+          case ArithOp::kAdd:
+            emit(a[i] + b[i]);
+            break;
+          case ArithOp::kSub:
+            emit(a[i] - b[i]);
+            break;
+          case ArithOp::kMul:
+            emit(a[i] * b[i]);
+            break;
+          case ArithOp::kDiv:  // out_type is always kDouble for division
+            if (b[i] == 0) {
+              out.AppendNull();
+            } else {
+              out.AppendDouble(a[i] / b[i]);
+            }
+            break;
+          case ArithOp::kMod: {
+            int64_t d = static_cast<int64_t>(b[i]);
+            if (d == 0) {
+              out.AppendNull();
+            } else {
+              emit(static_cast<double>(static_cast<int64_t>(a[i]) % d));
+            }
+            break;
+          }
         }
       }
       return out;
     }
     case ExprKind::kComparison:
     case ExprKind::kLogical: {
-      FEISU_ASSIGN_OR_RETURN(BitVector bits, EvaluatePredicate(expr, batch));
+      // UNKNOWN rows (neither TRUE nor FALSE) project as NULL.
+      FEISU_ASSIGN_OR_RETURN(TriStateVector tri,
+                             EvaluatePredicate3VL(expr, batch));
       ColumnVector out(DataType::kBool);
       out.Reserve(n);
-      for (size_t i = 0; i < n; ++i) out.AppendBool(bits.Get(i));
+      for (size_t i = 0; i < n; ++i) {
+        if (tri.is_true.Get(i) || tri.is_false.Get(i)) {
+          out.AppendBool(tri.is_true.Get(i));
+        } else {
+          out.AppendNull();
+        }
+      }
       return out;
     }
     case ExprKind::kStar:
@@ -419,163 +467,13 @@ Result<ColumnVector> EvaluateExpr(const Expr& expr,
 
 Result<TriStateVector> EvaluatePredicate3VL(const Expr& expr,
                                              const RecordBatch& batch) {
-  size_t n = batch.num_rows();
-  switch (expr.kind()) {
-    case ExprKind::kLogical: {
-      if (expr.logical_op() == LogicalOp::kNot) {
-        FEISU_ASSIGN_OR_RETURN(TriStateVector child,
-                               EvaluatePredicate3VL(*expr.child(0), batch));
-        // Kleene NOT: swap TRUE and FALSE, UNKNOWN stays UNKNOWN.
-        std::swap(child.is_true, child.is_false);
-        return child;
-      }
-      FEISU_ASSIGN_OR_RETURN(TriStateVector lhs,
-                             EvaluatePredicate3VL(*expr.child(0), batch));
-      FEISU_ASSIGN_OR_RETURN(TriStateVector rhs,
-                             EvaluatePredicate3VL(*expr.child(1), batch));
-      TriStateVector out;
-      if (expr.logical_op() == LogicalOp::kAnd) {
-        // Kleene AND: true iff both true; false iff either false.
-        out.is_true = BitVector::And(lhs.is_true, rhs.is_true);
-        out.is_false = BitVector::Or(lhs.is_false, rhs.is_false);
-      } else {
-        out.is_true = BitVector::Or(lhs.is_true, rhs.is_true);
-        out.is_false = BitVector::And(lhs.is_false, rhs.is_false);
-      }
-      return out;
-    }
-    case ExprKind::kComparison: {
-      TriStateVector fast;
-      if (TryFastCompare(expr, batch, &fast)) return fast;
-      FEISU_ASSIGN_OR_RETURN(ColumnVector lhs,
-                             EvaluateExpr(*expr.child(0), batch));
-      FEISU_ASSIGN_OR_RETURN(ColumnVector rhs,
-                             EvaluateExpr(*expr.child(1), batch));
-      TriStateVector out;
-      out.is_true = BitVector(n, false);
-      out.is_false = BitVector(n, false);
-      const CompareOp op = expr.compare_op();
-      // Null-free typed fast paths mirroring CompareValues/Value::Compare:
-      // numerics compare in the common double domain, strings by content.
-      // Mixed string/numeric inputs keep the boxed path (type-ordered).
-      if (lhs.NullCount() == 0 && rhs.NullCount() == 0) {
-        if (lhs.type() != DataType::kString &&
-            rhs.type() != DataType::kString && op != CompareOp::kContains) {
-          std::vector<double> lscratch, rscratch;
-          const double* a = AsDoubleArray(lhs, &lscratch);
-          const double* b = AsDoubleArray(rhs, &rscratch);
-          for (size_t i = 0; i < n; ++i) {
-            bool match = false;
-            switch (op) {
-              case CompareOp::kEq:
-                match = a[i] == b[i];
-                break;
-              case CompareOp::kNe:
-                match = a[i] != b[i];
-                break;
-              case CompareOp::kLt:
-                match = a[i] < b[i];
-                break;
-              case CompareOp::kLe:
-                match = a[i] <= b[i];
-                break;
-              case CompareOp::kGt:
-                match = a[i] > b[i];
-                break;
-              case CompareOp::kGe:
-                match = a[i] >= b[i];
-                break;
-              case CompareOp::kContains:
-                break;
-            }
-            (match ? out.is_true : out.is_false).Set(i, true);
-          }
-          return out;
-        }
-        if (lhs.type() == DataType::kString &&
-            rhs.type() == DataType::kString) {
-          const auto& a = lhs.strings();
-          const auto& b = rhs.strings();
-          for (size_t i = 0; i < n; ++i) {
-            bool match = false;
-            if (op == CompareOp::kContains) {
-              match = a[i].find(b[i]) != std::string::npos;
-            } else {
-              int cmp = a[i].compare(b[i]);
-              switch (op) {
-                case CompareOp::kEq:
-                  match = cmp == 0;
-                  break;
-                case CompareOp::kNe:
-                  match = cmp != 0;
-                  break;
-                case CompareOp::kLt:
-                  match = cmp < 0;
-                  break;
-                case CompareOp::kLe:
-                  match = cmp <= 0;
-                  break;
-                case CompareOp::kGt:
-                  match = cmp > 0;
-                  break;
-                case CompareOp::kGe:
-                  match = cmp >= 0;
-                  break;
-                case CompareOp::kContains:
-                  break;
-              }
-            }
-            (match ? out.is_true : out.is_false).Set(i, true);
-          }
-          return out;
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        Value a = lhs.GetValue(i);
-        Value b = rhs.GetValue(i);
-        if (a.is_null() || b.is_null()) continue;  // UNKNOWN
-        bool match = CompareValues(op, a, b);
-        (match ? out.is_true : out.is_false).Set(i, true);
-      }
-      return out;
-    }
-    case ExprKind::kLiteral: {
-      TriStateVector out;
-      if (expr.value().is_null()) {
-        out.is_true = BitVector(n, false);
-        out.is_false = BitVector(n, false);
-        return out;
-      }
-      bool truthy = (expr.value().type() == DataType::kBool &&
-                     expr.value().bool_value()) ||
-                    (expr.value().is_numeric() &&
-                     expr.value().AsDouble() != 0 &&
-                     expr.value().type() != DataType::kBool);
-      out.is_true = BitVector(n, truthy);
-      out.is_false = BitVector(n, !truthy);
-      return out;
-    }
-    case ExprKind::kColumnRef: {
-      const ColumnVector* col = LookupColumn(expr, batch);
-      if (col == nullptr) {
-        return Status::NotFound("unknown column " + expr.QualifiedName());
-      }
-      if (col->type() != DataType::kBool) {
-        return Status::InvalidArgument("predicate column must be BOOL");
-      }
-      TriStateVector out;
-      out.is_true = BitVector(n, false);
-      out.is_false = BitVector(n, false);
-      for (size_t i = 0; i < n; ++i) {
-        if (col->IsNull(i)) continue;
-        (col->GetBool(i) ? out.is_true : out.is_false).Set(i, true);
-      }
-      return out;
-    }
-    default:
-      return Status::InvalidArgument("expression is not a predicate: " +
-                                     expr.ToString());
-  }
+  auto leaf = [&batch](const Expr& e, TriStateVector* tri) -> Result<bool> {
+    FEISU_ASSIGN_OR_RETURN(*tri, EvaluatePredicateLeaf(e, batch));
+    return true;
+  };
+  TriStateVector out;
+  FEISU_RETURN_IF_ERROR(CombineKleene(expr, leaf, &out).status());
+  return out;
 }
 
 Result<BitVector> EvaluatePredicate(const Expr& expr,

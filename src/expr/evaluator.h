@@ -12,16 +12,11 @@ namespace feisu {
 /// handled here (the HashAggregate operator owns them); passing an
 /// expression containing one returns InvalidArgument.
 
-/// Kleene three-valued evaluation result: a row is TRUE, FALSE, or
-/// UNKNOWN (neither bit set, from NULL operands). SQL selection keeps only
-/// TRUE rows, but the FALSE set is what a negated predicate's SmartIndex
-/// must store — bit-NOT of the TRUE set would wrongly select UNKNOWN rows.
-struct TriStateVector {
-  BitVector is_true;
-  BitVector is_false;
-};
-
-/// Full three-valued evaluation of a boolean predicate.
+/// Full three-valued evaluation of a boolean predicate (TriStateVector,
+/// columnar/encoding.h). Every comparison leaf runs one typed kernel: each
+/// operand is a column or a broadcast literal, the kernel produces a raw
+/// match bitmap in the CompareNumbers order (value.h), and the shared
+/// FinishPredicateBits applies the Kleene mask.
 Result<TriStateVector> EvaluatePredicate3VL(const Expr& expr,
                                             const RecordBatch& batch);
 
@@ -43,7 +38,9 @@ Result<bool> TryEvaluatePredicateEncoded(const Expr& expr,
 Result<BitVector> EvaluatePredicate(const Expr& expr,
                                     const RecordBatch& batch);
 
-/// Evaluates a scalar (projection) expression into a column.
+/// Evaluates a scalar (projection) expression into a column. A comparison
+/// or logical expression yields a BOOL column that is NULL where the
+/// predicate is UNKNOWN.
 Result<ColumnVector> EvaluateExpr(const Expr& expr, const RecordBatch& batch);
 
 /// Resolves a column reference against a batch, preferring the qualified

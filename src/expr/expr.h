@@ -23,7 +23,6 @@ enum class ExprKind {
   kStar,        ///< '*' (only inside COUNT(*) or SELECT *)
 };
 
-enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe, kContains };
 enum class LogicalOp { kAnd, kOr, kNot };
 enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };

@@ -52,31 +52,8 @@ ExprPtr TryFoldBinary(const Expr& expr, const Value& lhs, const Value& rhs) {
       return Expr::Literal(Value::Bool(
           lhs.string_value().find(rhs.string_value()) != std::string::npos));
     }
-    int cmp = lhs.Compare(rhs);
-    bool result = false;
-    switch (expr.compare_op()) {
-      case CompareOp::kEq:
-        result = cmp == 0;
-        break;
-      case CompareOp::kNe:
-        result = cmp != 0;
-        break;
-      case CompareOp::kLt:
-        result = cmp < 0;
-        break;
-      case CompareOp::kLe:
-        result = cmp <= 0;
-        break;
-      case CompareOp::kGt:
-        result = cmp > 0;
-        break;
-      case CompareOp::kGe:
-        result = cmp >= 0;
-        break;
-      case CompareOp::kContains:
-        break;
-    }
-    return Expr::Literal(Value::Bool(result));
+    return Expr::Literal(
+        Value::Bool(CompareOpHolds(expr.compare_op(), lhs.Compare(rhs))));
   }
   return nullptr;
 }

@@ -594,7 +594,8 @@ TEST(AggregateDifferentialTest, GridStringArgs) {
 
 // MIN/MAX keep Value::Compare's semantics exactly: int64 arguments compare
 // as doubles, so values above 2^53 can tie and the first one seen is kept;
-// NaN compares equal to everything, so it never replaces a stored value;
+// NaN equals NaN and sorts after every number (CompareNumbers), so MAX of
+// a group holding a NaN is NaN and MIN is NaN only for an all-NaN group;
 // -0.0 and +0.0 tie; bools order FALSE < TRUE. SUM is left out: sums of
 // +-2^60 overflow the int64 the final SUM is cast to.
 TEST(AggregateDifferentialTest, GridMinMaxEdgeArgs) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "core/engine.h"
 #include "sql/parser.h"
@@ -17,7 +19,8 @@
 namespace feisu {
 namespace {
 
-std::string CanonicalRows(const RecordBatch& batch) {
+// One rendered line per row, in batch order.
+std::vector<std::string> RenderRows(const RecordBatch& batch) {
   std::vector<std::string> rows;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     std::string row;
@@ -26,6 +29,7 @@ std::string CanonicalRows(const RecordBatch& batch) {
       // Render int-valued doubles like ints so SUM typing differences
       // between the two executors don't count as divergence.
       if (!v.is_null() && v.type() == DataType::kDouble &&
+          std::isfinite(v.double_value()) &&
           v.double_value() == static_cast<double>(
                                   static_cast<int64_t>(v.double_value()))) {
         row += std::to_string(static_cast<int64_t>(v.double_value()));
@@ -36,6 +40,11 @@ std::string CanonicalRows(const RecordBatch& batch) {
     }
     rows.push_back(std::move(row));
   }
+  return rows;
+}
+
+std::string CanonicalRows(const RecordBatch& batch) {
+  std::vector<std::string> rows = RenderRows(batch);
   std::sort(rows.begin(), rows.end());
   std::string out;
   for (const auto& row : rows) out += row + "\n";
@@ -79,7 +88,9 @@ class DifferentialFixture : public ::testing::Test {
 
   /// Runs one query through both executors and compares. Returns false if
   /// the query was skipped (both sides erroring is treated as agreement).
-  bool CheckQuery(const std::string& sql) {
+  /// With `ordered`, the rows must also come out in the same order (the
+  /// query's ORDER BY must then leave no ties).
+  bool CheckQuery(const std::string& sql, bool ordered = false) {
     auto stmt = ParseSql(sql);
     if (!stmt.ok()) return false;
     auto expected = reference_.Execute(*stmt);
@@ -96,6 +107,9 @@ class DifferentialFixture : public ::testing::Test {
       return true;
     }
     EXPECT_EQ(CanonicalRows(actual->batch), CanonicalRows(*expected)) << sql;
+    if (ordered) {
+      EXPECT_EQ(RenderRows(actual->batch), RenderRows(*expected)) << sql;
+    }
     return true;
   }
 
@@ -141,6 +155,8 @@ TEST_F(DifferentialFixture, HandwrittenCornerCases) {
       "SELECT c2, MIN(c1), MAX(c1), MIN(c3), MAX(c3) FROM t1 GROUP BY c2",
       "SELECT c2, c1, COUNT(*) AS n, SUM(c0) FROM t1 GROUP BY c2, c1",
       "SELECT c1, COUNT(*) AS n FROM t1 WHERE c0 > 99999 GROUP BY c1",
+      // A projected comparison is NULL where its operand is NULL.
+      "SELECT c0, c2 > 1 AS b FROM t1 WHERE c0 < 20",
       // Arithmetic projections and aliases in ORDER BY.
       "SELECT c0 + c2 AS s FROM t1 WHERE c0 < 5 ORDER BY s DESC, s LIMIT 9",
       // Ordered limit (leaf top-k path).
@@ -159,6 +175,60 @@ TEST_F(DifferentialFixture, HandwrittenCornerCases) {
   for (const char* sql : kQueries) {
     EXPECT_TRUE(CheckQuery(sql)) << "skipped/diverged: " << sql;
   }
+}
+
+// NaN reaches tables through log ingest (strtod accepts "nan"). One block
+// holds NaN and no NULL, the other NaN and a NULL, and each starts with its
+// NaN, so the zone-map stats, the predicate kernel, SmartIndex reuse, MIN/
+// MAX and sorting must all follow the one order: NaN equals NaN and sorts
+// after every number.
+TEST_F(DifferentialFixture, NaNFollowsOneOrderEverywhere) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema schema({{"id", DataType::kInt64, true},
+                 {"c", DataType::kDouble, true}});
+  const Value blocks[2][4] = {
+      {Value::Double(nan), Value::Double(1.0), Value::Double(5.0),
+       Value::Double(7.5)},
+      {Value::Double(nan), Value::Null(), Value::Double(2.0),
+       Value::Double(-0.0)}};
+  ASSERT_TRUE(engine_->CreateTable("nt", schema, "/hdfs/nt").ok());
+  RecordBatch all(schema);
+  int64_t id = 0;
+  for (const auto& block : blocks) {
+    RecordBatch rows(schema);
+    for (const Value& c : block) {
+      ASSERT_TRUE(rows.AppendRow({Value::Int64(id++), c}).ok());
+    }
+    ASSERT_TRUE(engine_->Ingest("nt", rows).ok());
+    ASSERT_TRUE(engine_->Flush("nt").ok());
+    ASSERT_TRUE(all.Append(rows).ok());
+  }
+  ASSERT_EQ(engine_->catalog().Find("nt")->blocks().size(), 2u);
+  reference_.AddTable("nt", all);
+  const char* kQueries[] = {
+      "SELECT id FROM nt WHERE c = 5.0",
+      "SELECT id FROM nt WHERE c <> 5.0",
+      "SELECT COUNT(*) FROM nt WHERE c > 2.5",
+      "SELECT COUNT(*) FROM nt WHERE NOT (c > 2.5)",
+      "SELECT id FROM nt WHERE c >= 7.5",
+      "SELECT id FROM nt WHERE c <= 0",
+      "SELECT MIN(c), MAX(c) FROM nt",
+      "SELECT MIN(c), MAX(c) FROM nt WHERE id < 4",
+  };
+  // The second round is served from SmartIndex.
+  for (int round = 0; round < 2; ++round) {
+    for (const char* sql : kQueries) {
+      EXPECT_TRUE(CheckQuery(sql)) << "skipped: " << sql;
+    }
+    EXPECT_TRUE(CheckQuery("SELECT id, c FROM nt ORDER BY c, id", true));
+    EXPECT_TRUE(CheckQuery("SELECT id, c FROM nt ORDER BY c DESC, id LIMIT 3",
+                           true));
+  }
+  // The order itself: MAX is NaN, MIN the least number (-0.0).
+  auto minmax = engine_->Query("diff", "SELECT MIN(c), MAX(c) FROM nt");
+  ASSERT_TRUE(minmax.ok());
+  EXPECT_EQ(minmax->batch.column(0).GetDouble(0), 0.0);
+  EXPECT_TRUE(std::isnan(minmax->batch.column(1).GetDouble(0)));
 }
 
 TEST_F(DifferentialFixture, SmartIndexWarmupDoesNotChangeResults) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "expr/evaluator.h"
 #include "expr/expr.h"
 #include "expr/normalize.h"
@@ -268,6 +273,136 @@ TEST(EvaluatorTest, AggregateInScalarContextErrors) {
   EXPECT_TRUE(EvaluateExpr(*stmt->items[0].expr, batch)
                   .status()
                   .IsInvalidArgument());
+}
+
+// ---------- The comparison order ----------
+
+TEST(CompareNumbersTest, TotalOrderWithNaNLast) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(CompareNumbers(nan, nan), 0);
+  EXPECT_GT(CompareNumbers(nan, inf), 0);
+  EXPECT_LT(CompareNumbers(-inf, nan), 0);
+  EXPECT_EQ(CompareNumbers(-0.0, 0.0), 0);
+  EXPECT_LT(CompareNumbers(1.0, 2.0), 0);
+  EXPECT_EQ(Value::Double(nan).Compare(Value::Int64(5)), 1);
+  EXPECT_EQ(Value::Double(nan).Compare(Value::Double(nan)), 0);
+  // 2^60 and 2^60 + 1 round to one double, so they tie.
+  EXPECT_EQ(Value::Int64(int64_t{1} << 60)
+                .Compare(Value::Int64((int64_t{1} << 60) + 1)),
+            0);
+}
+
+// Edge operands per type: NaN, +-0.0, int64 values of +-2^60 that tie as
+// doubles, the empty string, and ordinary values around them.
+std::vector<Value> EdgeValues(DataType type) {
+  const int64_t big = int64_t{1} << 60;
+  switch (type) {
+    case DataType::kInt64:
+      return {Value::Int64(0),       Value::Int64(-1),
+              Value::Int64(2),       Value::Int64(big),
+              Value::Int64(big + 1), Value::Int64(-big),
+              Value::Int64(-big - 1)};
+    case DataType::kDouble:
+      return {Value::Double(std::numeric_limits<double>::quiet_NaN()),
+              Value::Double(-0.0),
+              Value::Double(0.0),
+              Value::Double(1.0),
+              Value::Double(-2.5),
+              Value::Double(std::ldexp(1.0, 60)),
+              Value::Double(std::numeric_limits<double>::infinity())};
+    case DataType::kBool:
+      return {Value::Bool(false), Value::Bool(true)};
+    case DataType::kString:
+      return {Value::String(""), Value::String("a"), Value::String("ab"),
+              Value::String("b")};
+  }
+  return {};
+}
+
+// The oracle: `a OP b` through Value::Compare, one row at a time, in
+// Kleene logic. 1 = TRUE, 0 = FALSE, -1 = UNKNOWN.
+int OracleCompare(CompareOp op, const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return -1;
+  if (op == CompareOp::kContains) {
+    return a.type() == DataType::kString && b.type() == DataType::kString &&
+           a.string_value().find(b.string_value()) != std::string::npos;
+  }
+  return CompareOpHolds(op, a.Compare(b)) ? 1 : 0;
+}
+
+// Checks EvaluatePredicate3VL, and the projected bool column of
+// EvaluateExpr, against the oracle on every row.
+void CheckAgainstOracle(const ExprPtr& expr, const RecordBatch& batch,
+                        const std::vector<Value>& lhs,
+                        const std::vector<Value>& rhs) {
+  auto tri = EvaluatePredicate3VL(*expr, batch);
+  ASSERT_TRUE(tri.ok()) << expr->ToString();
+  auto col = EvaluateExpr(*expr, batch);
+  ASSERT_TRUE(col.ok()) << expr->ToString();
+  for (size_t i = 0; i < batch.num_rows(); ++i) {
+    int want = OracleCompare(expr->compare_op(), lhs[i], rhs[i]);
+    std::string where = expr->ToString() + " row " + std::to_string(i) +
+                        ": " + lhs[i].ToString() + " vs " + rhs[i].ToString();
+    EXPECT_EQ(tri->is_true.Get(i), want == 1) << where;
+    EXPECT_EQ(tri->is_false.Get(i), want == 0) << where;
+    EXPECT_EQ(col->IsNull(i), want == -1) << where;
+    if (want != -1) {
+      EXPECT_EQ(col->GetBool(i), want == 1) << where;
+    }
+  }
+}
+
+// Every op over int64, double, bool and string operands, as column vs
+// literal, literal vs column and column vs column, with and without NULLs.
+TEST(ComparisonGridTest, KernelMatchesValueCompareOracle) {
+  const DataType kTypes[] = {DataType::kInt64, DataType::kDouble,
+                             DataType::kBool, DataType::kString};
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe,
+                            CompareOp::kContains};
+  size_t cells = 0;
+  for (DataType ltype : kTypes) {
+    for (DataType rtype : kTypes) {
+      for (bool with_nulls : {false, true}) {
+        std::vector<Value> ledges = EdgeValues(ltype);
+        std::vector<Value> redges = EdgeValues(rtype);
+        if (with_nulls) {
+          ledges.push_back(Value::Null());
+          redges.push_back(Value::Null());
+        }
+        // Every (l, r) pair is one row.
+        RecordBatch batch(
+            Schema({{"l", ltype, true}, {"r", rtype, true}}));
+        std::vector<Value> lrows, rrows;
+        for (const Value& l : ledges) {
+          for (const Value& r : redges) {
+            ASSERT_TRUE(batch.AppendRow({l, r}).ok());
+            lrows.push_back(l);
+            rrows.push_back(r);
+          }
+        }
+        const size_t n = lrows.size();
+        for (CompareOp op : kOps) {
+          CheckAgainstOracle(Expr::Compare(op, Expr::ColumnRef("l"),
+                                           Expr::ColumnRef("r")),
+                             batch, lrows, rrows);
+          for (const Value& lit : redges) {
+            CheckAgainstOracle(
+                Expr::Compare(op, Expr::ColumnRef("l"), Expr::Literal(lit)),
+                batch, lrows, std::vector<Value>(n, lit));
+          }
+          for (const Value& lit : ledges) {
+            CheckAgainstOracle(
+                Expr::Compare(op, Expr::Literal(lit), Expr::ColumnRef("r")),
+                batch, std::vector<Value>(n, lit), rrows);
+          }
+          cells += 1 + redges.size() + ledges.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(cells, 1000u);
 }
 
 // ---------- InferType ----------

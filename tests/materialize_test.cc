@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -359,7 +361,7 @@ TEST(RleAlgebraTest, CombineCostScalesWithRunsNotRows) {
 // the grid below asserts handledness exactly — a silently shrinking kernel
 // (everything falls back) or a silently growing one (untested combination
 // claims to be handled) both fail here.
-bool KernelShouldHandle(Encoding encoding, DataType type, EncodedCompareOp op,
+bool KernelShouldHandle(Encoding encoding, DataType type, CompareOp op,
                         const Value& literal) {
   switch (encoding) {
     case Encoding::kDict:
@@ -369,7 +371,7 @@ bool KernelShouldHandle(Encoding encoding, DataType type, EncodedCompareOp op,
     case Encoding::kBitPack:
       if (type != DataType::kInt64) return false;
       if (literal.is_null()) return true;
-      return literal.is_numeric() && op != EncodedCompareOp::kContains;
+      return literal.is_numeric() && op != CompareOp::kContains;
     case Encoding::kPlain:
       return false;
   }
@@ -381,16 +383,16 @@ bool KernelShouldHandle(Encoding encoding, DataType type, EncodedCompareOp op,
 // byte-identical (via their canonical RLE serialization) to the 3VL
 // evaluator over the decoded batch.
 void CheckEncodedCell(DataType type, const EncodedColumn& encoded,
-                      const RecordBatch& batch, EncodedCompareOp op,
+                      const RecordBatch& batch, CompareOp op,
                       const Value& literal, size_t* handled_count) {
-  EncodedPredicateBits bits;
+  TriStateVector bits;
   auto handled = TryEvaluateEncodedCompare(type, encoded, op, literal, &bits);
   ASSERT_TRUE(handled.ok()) << handled.status().ToString();
   ASSERT_EQ(*handled, KernelShouldHandle(encoded.encoding, type, op, literal))
       << EncodingName(encoded.encoding) << " op=" << static_cast<int>(op);
   if (!*handled) return;
   ++*handled_count;
-  ExprPtr expr = Expr::Compare(static_cast<CompareOp>(op),
+  ExprPtr expr = Expr::Compare(op,
                                Expr::ColumnRef("c"), Expr::Literal(literal));
   auto ref = EvaluatePredicate3VL(*expr, batch);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
@@ -406,10 +408,9 @@ TEST(CompressedPredicateTest, MatchesDecodeThenEvaluateEverywhere) {
   const DataType kTypes[] = {DataType::kInt64, DataType::kString};
   const Encoding kEncodings[] = {Encoding::kRle, Encoding::kDict,
                                  Encoding::kBitPack};
-  const EncodedCompareOp kOps[] = {
-      EncodedCompareOp::kEq, EncodedCompareOp::kNe, EncodedCompareOp::kLt,
-      EncodedCompareOp::kLe, EncodedCompareOp::kGt, EncodedCompareOp::kGe,
-      EncodedCompareOp::kContains};
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe,
+                            CompareOp::kContains};
   const size_t kSizes[] = {0, 1, 64, 777};
   size_t handled_count = 0;
   for (DataType type : kTypes) {
@@ -426,16 +427,22 @@ TEST(CompressedPredicateTest, MatchesDecodeThenEvaluateEverywhere) {
           std::vector<Value> literals;
           if (type == DataType::kInt64) {
             // In-domain (MakeColumn draws 0..40), fractional (no int64 is
-            // ever equal), and NULL.
-            literals = {Value::Int64(20), Value::Double(20.5), Value::Null(),
-                        Value::String("v5")};
+            // ever equal), NULL, NaN (above every number), and +-2^60
+            // (+-2^60 + 1 rounds to the same double).
+            literals = {Value::Int64(20),
+                        Value::Double(20.5),
+                        Value::Null(),
+                        Value::String("v5"),
+                        Value::Double(std::nan("")),
+                        Value::Int64((int64_t{1} << 60) + 1),
+                        Value::Double(-std::ldexp(1.0, 60))};
           } else {
             // Present entry, dictionary miss, multi-entry CONTAINS
             // substring ("v1" hits v1/v10/v11), and NULL.
             literals = {Value::String("v5"), Value::String("zz_missing"),
                         Value::String("v1"), Value::Null(), Value::Int64(3)};
           }
-          for (EncodedCompareOp op : kOps) {
+          for (CompareOp op : kOps) {
             for (const Value& literal : literals) {
               CheckEncodedCell(type, encoded, batch, op, literal,
                                &handled_count);
@@ -454,10 +461,9 @@ TEST(CompressedPredicateTest, DictMissShortCircuitsWithoutRowWork) {
   EncodedColumn encoded = EncodeColumnAs(col, Encoding::kDict);
   ASSERT_EQ(encoded.encoding, Encoding::kDict);
   ResetDecodeCounters();
-  EncodedPredicateBits bits;
+  TriStateVector bits;
   auto handled =
-      TryEvaluateEncodedCompare(DataType::kString, encoded,
-                                EncodedCompareOp::kEq,
+      TryEvaluateEncodedCompare(DataType::kString, encoded, CompareOp::kEq,
                                 Value::String("zz_missing"), &bits);
   ASSERT_TRUE(handled.ok()) << handled.status().ToString();
   ASSERT_TRUE(*handled);
@@ -479,6 +485,40 @@ TEST(CompressedPredicateTest, DictMissShortCircuitsWithoutRowWork) {
   }
 }
 
+// The dictionary payload has one reader for the decoder, the predicate
+// kernel and the group-by code extractor: all three reject a truncated
+// payload and an out-of-range code as Corruption.
+TEST(CompressedPredicateTest, CorruptDictPayloadIsCorruptionForEveryReader) {
+  ColumnVector col = MakeColumn(DataType::kString, 130, true, 11);
+  EncodedColumn good = EncodeColumnAs(col, Encoding::kDict);
+  ASSERT_EQ(good.encoding, Encoding::kDict);
+  EncodedColumn truncated = good;
+  truncated.payload.resize(truncated.payload.size() - 2);
+  EncodedColumn bad_code = good;  // the last row's code points past the dict
+  const uint32_t huge = 1u << 30;
+  std::memcpy(&bad_code.payload[bad_code.payload.size() - sizeof(huge)],
+              &huge, sizeof(huge));
+  for (const EncodedColumn* corrupt : {&truncated, &bad_code}) {
+    EXPECT_TRUE(DecodeColumn(DataType::kString, *corrupt)
+                    .status()
+                    .IsCorruption());
+    DictColumnCodes codes;
+    EXPECT_TRUE(TryExtractDictCodes(*corrupt, nullptr, &codes)
+                    .status()
+                    .IsCorruption());
+    // kEq on a present entry takes the single-entry row test, kLt the
+    // match-table gather.
+    for (CompareOp op : {CompareOp::kEq, CompareOp::kLt}) {
+      TriStateVector bits;
+      EXPECT_TRUE(TryEvaluateEncodedCompare(DataType::kString, *corrupt, op,
+                                            Value::String("v5"), &bits)
+                      .status()
+                      .IsCorruption())
+          << static_cast<int>(op);
+    }
+  }
+}
+
 TEST(CompressedPredicateTest, RleRunBoundariesCrossWordEdges) {
   // Hand-built runs of 1/63/64/65 rows with alternating values, so match
   // ranges start and end exactly at (and one off) 64-bit word boundaries —
@@ -496,10 +536,8 @@ TEST(CompressedPredicateTest, RleRunBoundariesCrossWordEdges) {
   ASSERT_TRUE(decoded.ok());
   RecordBatch batch(Schema({{"c", DataType::kInt64, true}}), {*decoded});
   size_t handled_count = 0;
-  for (EncodedCompareOp op :
-       {EncodedCompareOp::kEq, EncodedCompareOp::kNe, EncodedCompareOp::kLt,
-        EncodedCompareOp::kLe, EncodedCompareOp::kGt,
-        EncodedCompareOp::kGe}) {
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
     for (const Value& literal :
          {Value::Int64(0), Value::Int64(50), Value::Double(25.0)}) {
       CheckEncodedCell(DataType::kInt64, encoded, batch, op, literal,
@@ -531,7 +569,7 @@ bool TreeShouldHandle(const Expr& expr, const ColumnarBlock& block) {
       return KernelShouldHandle(
           block.ColumnEncoding(static_cast<size_t>(idx)),
           block.schema().field(idx).type,
-          static_cast<EncodedCompareOp>(expr.compare_op()),
+          expr.compare_op(),
           expr.child(1)->value());
     }
     default:

@@ -61,24 +61,7 @@ Result<Value> Compare(CompareOp op, const Value& a, const Value& b) {
     return Value::Bool(a.string_value().find(b.string_value()) !=
                        std::string::npos);
   }
-  int cmp = a.Compare(b);
-  switch (op) {
-    case CompareOp::kEq:
-      return Value::Bool(cmp == 0);
-    case CompareOp::kNe:
-      return Value::Bool(cmp != 0);
-    case CompareOp::kLt:
-      return Value::Bool(cmp < 0);
-    case CompareOp::kLe:
-      return Value::Bool(cmp <= 0);
-    case CompareOp::kGt:
-      return Value::Bool(cmp > 0);
-    case CompareOp::kGe:
-      return Value::Bool(cmp >= 0);
-    case CompareOp::kContains:
-      break;
-  }
-  return Status::Internal("unreachable");
+  return Value::Bool(CompareOpHolds(op, a.Compare(b)));
 }
 
 Result<Value> Arith(ArithOp op, const Value& a, const Value& b) {

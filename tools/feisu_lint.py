@@ -49,11 +49,13 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale):
                    A bare `NOLINT`, a wildcard check set, or a named check
                    with no justification turns off analysis silently and
                    keeps doing so after the original cause is gone.
-  per-row-getvalue No `GetValue()` calls inside a loop in src/exec/: boxing
-                   every cell through a Value variant is the per-row slow
-                   path the typed batch kernels (and the compressed-domain
-                   kernels) exist to avoid. Hot operators must use the
-                   typed column accessors. Genuine single-row sites (e.g.
+  per-row-getvalue No `GetValue()` calls inside a loop in src/exec/ or
+                   src/expr/: boxing every cell through a Value variant is
+                   the per-row slow path the typed batch kernels (the
+                   aggregation and comparison kernels, and the
+                   compressed-domain kernels) exist to avoid. Hot operators
+                   and the evaluator must use the typed column accessors.
+                   Genuine single-row sites (e.g.
                    one-row residual evaluation, the once-per-group key
                    serialization of the final sort) carry an inline waiver:
                    `// feisu-lint: allow(per-row-getvalue): <reason>`.
@@ -261,11 +263,12 @@ def is_concurrency_exempt_path(path):
 
 def is_per_row_getvalue_scoped_path(path):
     """Paths where the per-row-getvalue rule applies: the hot operator
-    layer plus its seeded lint fixtures."""
+    layer and the expression evaluator, plus their seeded lint fixtures."""
     rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
     rel = rel.replace(os.sep, "/")
-    return (rel.startswith("src/exec/") or
-            rel.startswith("tools/lint_fixtures/exec/"))
+    return rel.startswith(("src/exec/", "src/expr/",
+                           "tools/lint_fixtures/exec/",
+                           "tools/lint_fixtures/expr/"))
 
 
 def find_getvalue_in_loops(code_lines):
@@ -528,6 +531,7 @@ def run_self_test():
         os.path.join("cluster", "chrono_scheduler.cc"): "sim-clock",
         "bare_nolint.cc": "bare-nolint",
         os.path.join("exec", "per_row_getvalue.cc"): "per-row-getvalue",
+        os.path.join("expr", "per_row_getvalue.cc"): "per-row-getvalue",
         "stale_waiver.cc": "stale-waiver",
     }
     # Fixtures that must lint CLEAN: they contain would-be violations that
