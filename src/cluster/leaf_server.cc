@@ -1,6 +1,7 @@
 #include "cluster/leaf_server.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "exec/aggregate.h"
@@ -45,17 +46,17 @@ Result<RecordBatch> DecodeDataBatch(const ColumnarBlock& block,
                                     const BitVector* selection) {
   if (!columns.empty()) return block.DecodeBatch(columns, selection);
   ColumnVector rowid(DataType::kInt64);
-  if (selection != nullptr) {
-    rowid.Reserve(selection->CountOnes());
-    selection->ForEachSetBit([&rowid](size_t i) {
-      rowid.AppendInt64(static_cast<int64_t>(i));
-    });
-  } else {
-    rowid.Reserve(block.num_rows());
-    for (uint32_t i = 0; i < block.num_rows(); ++i) {
-      rowid.AppendInt64(static_cast<int64_t>(i));
+  const size_t rows =
+      selection != nullptr ? selection->CountOnes() : block.num_rows();
+  rowid.AppendBulk<int64_t>(BitVector(rows, true), [&](int64_t* ids) {
+    if (selection == nullptr) {
+      std::iota(ids, ids + rows, int64_t{0});
+      return;
     }
-  }
+    size_t k = 0;
+    selection->ForEachSetBit(
+        [&](size_t i) { ids[k++] = static_cast<int64_t>(i); });
+  });
   std::vector<ColumnVector> cols;
   cols.push_back(std::move(rowid));
   return RecordBatch(Schema({{"__rowid", DataType::kInt64, false}}),

@@ -496,9 +496,13 @@ Result<MasterServer::Staged> MasterServer::ExecutePlanNode(
       FEISU_ASSIGN_OR_RETURN(
           Staged input, ExecutePlanNode(node->children[0], ctx, now,
                                         stats));
-      FEISU_ASSIGN_OR_RETURN(RecordBatch out,
-                             ProjectBatch(input.batch, node->projections));
-      input.finish_time += ChargeMasterRows(input.batch.num_rows());
+      // The projection consumes its input: a column it reads once moves
+      // into the output instead of being copied.
+      const size_t rows = input.batch.num_rows();
+      FEISU_ASSIGN_OR_RETURN(
+          RecordBatch out,
+          ProjectBatch(std::move(input.batch), node->projections));
+      input.finish_time += ChargeMasterRows(rows);
       return Staged{std::move(out), input.finish_time};
     }
 

@@ -74,7 +74,11 @@ struct MasterConfig {
   /// same admission queue; with > 1 that many coordinator threads drain
   /// it concurrently, fair-sharing the leaf pool. With 1 the submitting
   /// thread drains the queue itself (no coordinator thread, no handoff),
-  /// one job at a time.
+  /// one job at a time. A width-1 master serves one client thread: its
+  /// drain loop also runs jobs that other threads submitted meanwhile, so
+  /// under sustained load from several client threads one caller can keep
+  /// running other callers' jobs. Serve several client threads with
+  /// max_concurrent_jobs > 1.
   size_t max_concurrent_jobs = 1;
   /// Bound of the admission queue. A submission arriving with this many
   /// jobs already waiting is rejected (ResourceExhausted) instead of
@@ -189,7 +193,8 @@ class MasterServer {
 
   /// Parses, admits, plans, optimizes, schedules and executes one query at
   /// simulated time `now`: SubmitQuery + WaitQuery at every width (safe to
-  /// call from many client threads).
+  /// call from many client threads, but a width-1 master is meant for one:
+  /// see SubmitQuery).
   Result<QueryResult> ExecuteQuery(const std::string& user,
                                    const std::string& sql, SimTime now);
 
@@ -198,8 +203,11 @@ class MasterServer {
   /// max_concurrent_jobs > 1 it returns at once and a coordinator runs
   /// the job; with 1 the calling thread drains the queue before
   /// returning, unless another thread is already draining it (that thread
-  /// then runs this job too). Rejections (backpressure, tenant backlog)
-  /// surface here as ResourceExhausted.
+  /// then runs this job too). A width-1 master therefore serves one
+  /// client thread: the drain loop runs every job other threads submit
+  /// while it drains, so with several client threads one of them can be
+  /// kept busy with the others' jobs. Rejections (backpressure, tenant
+  /// backlog) surface here as ResourceExhausted.
   Result<int64_t> SubmitQuery(const std::string& user, const std::string& sql,
                               SimTime now, const SubmitOptions& options = {});
   /// Blocks until the submitted job finishes and returns its result.

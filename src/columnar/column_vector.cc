@@ -1,6 +1,8 @@
 #include "columnar/column_vector.h"
 
+#include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 namespace feisu {
 
@@ -21,20 +23,9 @@ Value ColumnVector::GetValue(size_t i) const {
 
 void ColumnVector::AppendNull() {
   validity_.PushBack(false);
-  switch (type_) {
-    case DataType::kBool:
-      bools_.push_back(0);
-      break;
-    case DataType::kInt64:
-      ints_.push_back(0);
-      break;
-    case DataType::kDouble:
-      doubles_.push_back(0.0);
-      break;
-    case DataType::kString:
-      strings_.emplace_back();
-      break;
-  }
+  VisitStorageType(type_, [this]<typename T>(std::type_identity<T>) {
+    storage<T>().emplace_back();  // the zero value
+  });
 }
 
 void ColumnVector::AppendBool(bool v) {
@@ -83,160 +74,82 @@ void ColumnVector::AppendValue(const Value& v) {
 }
 
 void ColumnVector::Reserve(size_t n) {
-  switch (type_) {
-    case DataType::kBool:
-      bools_.reserve(n);
-      break;
-    case DataType::kInt64:
-      ints_.reserve(n);
-      break;
-    case DataType::kDouble:
-      doubles_.reserve(n);
-      break;
-    case DataType::kString:
-      strings_.reserve(n);
-      break;
-  }
+  VisitStorageType(type_, [this, n]<typename T>(std::type_identity<T>) {
+    storage<T>().reserve(n);
+  });
+}
+
+void ColumnVector::Append(const ColumnVector& other) {
+  assert(other.type_ == type_);
+  VisitStorageType(type_, [&]<typename T>(std::type_identity<T>) {
+    const std::vector<T>& src = other.storage<T>();
+    AppendBulk<T>(other.validity_, [&src](T* rows) {
+      std::copy(src.begin(), src.end(), rows);
+    });
+  });
 }
 
 ColumnVector ColumnVector::Filter(const BitVector& selection) const {
   assert(selection.size() == size());
   ColumnVector out(type_);
-  out.Reserve(selection.CountOnes());
-  // Word-scan over the selection (skipping all-zero words) with the type
-  // switch hoisted out of the per-row path.
-  switch (type_) {
-    case DataType::kBool:
-      selection.ForEachSetBit([&](size_t i) {
-        if (IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendBool(bools_[i] != 0);
-        }
-      });
-      break;
-    case DataType::kInt64:
-      selection.ForEachSetBit([&](size_t i) {
-        if (IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendInt64(ints_[i]);
-        }
-      });
-      break;
-    case DataType::kDouble:
-      selection.ForEachSetBit([&](size_t i) {
-        if (IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendDouble(doubles_[i]);
-        }
-      });
-      break;
-    case DataType::kString:
-      selection.ForEachSetBit([&](size_t i) {
-        if (IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendString(strings_[i]);
-        }
-      });
-      break;
-  }
+  VisitStorageType(type_, [&]<typename T>(std::type_identity<T>) {
+    const std::vector<T>& src = storage<T>();
+    out.AppendBulk<T>(BitVector::Gather(validity_, selection),
+                      [&](T* rows) {
+                        if (selection.AllOnes()) {
+                          std::copy(src.begin(), src.end(), rows);
+                          return;
+                        }
+                        size_t k = 0;
+                        selection.ForEachSetBit(
+                            [&](size_t i) { rows[k++] = src[i]; });
+                      });
+  });
   return out;
 }
 
-ColumnVector ColumnVector::Take(const std::vector<uint32_t>& indices) const {
-  ColumnVector out(type_);
-  out.Reserve(indices.size());
-  switch (type_) {
-    case DataType::kBool:
-      for (uint32_t i : indices) {
-        assert(i < size());
-        if (IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendBool(bools_[i] != 0);
-        }
-      }
-      break;
-    case DataType::kInt64:
-      for (uint32_t i : indices) {
-        assert(i < size());
-        if (IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendInt64(ints_[i]);
-        }
-      }
-      break;
-    case DataType::kDouble:
-      for (uint32_t i : indices) {
-        assert(i < size());
-        if (IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendDouble(doubles_[i]);
-        }
-      }
-      break;
-    case DataType::kString:
-      for (uint32_t i : indices) {
-        assert(i < size());
-        if (IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendString(strings_[i]);
-        }
-      }
-      break;
+namespace {
+
+/// Take and GatherOrNull: output row k is row indices[k], and a negative
+/// index (outer-join padding) is a NULL row.
+template <typename Index>
+ColumnVector GatherRows(const ColumnVector& col,
+                        const std::vector<Index>& indices) {
+  auto padding = [](Index i) { return static_cast<int64_t>(i) < 0; };
+  const size_t n = indices.size();
+  BitVector validity(n, true);
+  if (std::is_signed_v<Index> || !col.validity().AllOnes()) {
+    std::vector<uint64_t> words((n + 63) / 64, 0);
+    for (size_t k = 0; k < n; ++k) {
+      const bool valid = !padding(indices[k]) &&
+                         !col.IsNull(static_cast<size_t>(indices[k]));
+      words[k >> 6] |= static_cast<uint64_t>(valid) << (k & 63);
+    }
+    validity = BitVector::FromWords(std::move(words), n);
   }
+  ColumnVector out(col.type());
+  VisitStorageType(col.type(), [&]<typename T>(std::type_identity<T>) {
+    const std::vector<T>& src = col.storage<T>();
+    out.AppendBulk<T>(std::move(validity), [&](T* rows) {
+      for (size_t k = 0; k < n; ++k) {
+        if (padding(indices[k])) continue;
+        assert(static_cast<size_t>(indices[k]) < col.size());
+        rows[k] = src[static_cast<size_t>(indices[k])];
+      }
+    });
+  });
   return out;
+}
+
+}  // namespace
+
+ColumnVector ColumnVector::Take(const std::vector<uint32_t>& indices) const {
+  return GatherRows(*this, indices);
 }
 
 ColumnVector ColumnVector::GatherOrNull(
     const std::vector<int64_t>& indices) const {
-  ColumnVector out(type_);
-  out.Reserve(indices.size());
-  switch (type_) {
-    case DataType::kBool:
-      for (int64_t i : indices) {
-        if (i < 0 || IsNull(static_cast<size_t>(i))) {
-          out.AppendNull();
-        } else {
-          out.AppendBool(bools_[static_cast<size_t>(i)] != 0);
-        }
-      }
-      break;
-    case DataType::kInt64:
-      for (int64_t i : indices) {
-        if (i < 0 || IsNull(static_cast<size_t>(i))) {
-          out.AppendNull();
-        } else {
-          out.AppendInt64(ints_[static_cast<size_t>(i)]);
-        }
-      }
-      break;
-    case DataType::kDouble:
-      for (int64_t i : indices) {
-        if (i < 0 || IsNull(static_cast<size_t>(i))) {
-          out.AppendNull();
-        } else {
-          out.AppendDouble(doubles_[static_cast<size_t>(i)]);
-        }
-      }
-      break;
-    case DataType::kString:
-      for (int64_t i : indices) {
-        if (i < 0 || IsNull(static_cast<size_t>(i))) {
-          out.AppendNull();
-        } else {
-          out.AppendString(strings_[static_cast<size_t>(i)]);
-        }
-      }
-      break;
-  }
-  return out;
+  return GatherRows(*this, indices);
 }
 
 size_t ColumnVector::ByteSize() const {

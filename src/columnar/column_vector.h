@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/bit_vector.h"
@@ -11,8 +12,30 @@
 
 namespace feisu {
 
+/// Calls `fn(std::type_identity<T>{})` with the C++ storage type of
+/// `type`: uint8_t for BOOL, int64_t, double, std::string.
+template <typename Fn>
+decltype(auto) VisitStorageType(DataType type, Fn&& fn) {
+  switch (type) {
+    case DataType::kBool:
+      return fn(std::type_identity<uint8_t>{});
+    case DataType::kInt64:
+      return fn(std::type_identity<int64_t>{});
+    case DataType::kDouble:
+      return fn(std::type_identity<double>{});
+    case DataType::kString:
+      break;
+  }
+  return fn(std::type_identity<std::string>{});
+}
+
 /// An in-memory, type-tagged column of values with a validity bitmap.
 /// This is the unit Feisu's vectorized operators work on.
+///
+/// Typed storage holds one slot per row, NULL rows included; a NULL slot
+/// always holds the type's zero value (0, 0.0, false or ""), so kernels
+/// may read every slot without a validity check and encoders see the same
+/// bytes whichever path built the column.
 class ColumnVector {
  public:
   explicit ColumnVector(DataType type) : type_(type) {}
@@ -43,6 +66,29 @@ class ColumnVector {
 
   void Reserve(size_t n);
 
+  /// The bulk-materialization kernel every decoder, Filter, Take and Append
+  /// goes through. Appends `validity.size()` rows: the typed storage
+  /// (`T`, see VisitStorageType) grows once, `fill(T* rows)` writes the
+  /// new rows by index (what it leaves in a NULL row does not matter), and
+  /// every NULL slot is then reset to the type's zero value.
+  template <typename T, typename Fill>
+  void AppendBulk(BitVector validity, const Fill& fill) {
+    std::vector<T>& data = storage<T>();
+    const size_t offset = data.size();
+    data.resize(offset + validity.size());
+    T* rows = data.data() + offset;
+    fill(rows);
+    validity.ForEachClearBit([rows](size_t i) { rows[i] = T{}; });
+    if (validity_.empty()) {
+      validity_ = std::move(validity);
+    } else {
+      validity_.Append(validity);
+    }
+  }
+
+  /// Appends every row of `other` (same type).
+  void Append(const ColumnVector& other);
+
   /// New vector keeping only rows whose bit is set in `selection`
   /// (selection.size() == size()).
   ColumnVector Filter(const BitVector& selection) const;
@@ -64,12 +110,27 @@ class ColumnVector {
   const std::vector<uint8_t>& bools() const { return bools_; }
   const BitVector& validity() const { return validity_; }
 
-  /// Mutable storage for kernels that update cells in place (the
-  /// aggregation state). A NULL cell given a value must be SetValid.
-  std::vector<int64_t>& mutable_ints() { return ints_; }
-  std::vector<double>& mutable_doubles() { return doubles_; }
-  std::vector<std::string>& mutable_strings() { return strings_; }
-  std::vector<uint8_t>& mutable_bools() { return bools_; }
+  /// Typed storage by storage type (see VisitStorageType). The mutable
+  /// form serves kernels that update cells in place (the aggregation
+  /// state): a NULL cell given a value must be SetValid.
+  template <typename T>
+  const std::vector<T>& storage() const {
+    if constexpr (std::is_same_v<T, uint8_t>) {
+      return bools_;
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+      return ints_;
+    } else if constexpr (std::is_same_v<T, double>) {
+      return doubles_;
+    } else {
+      static_assert(std::is_same_v<T, std::string>);
+      return strings_;
+    }
+  }
+  template <typename T>
+  std::vector<T>& storage() {
+    return const_cast<std::vector<T>&>(
+        static_cast<const ColumnVector*>(this)->storage<T>());
+  }
   void SetValid(size_t i) { validity_.Set(i, true); }
 
  private:

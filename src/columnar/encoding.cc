@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/annotations.h"
@@ -221,6 +222,33 @@ Status CheckSelection(const BitVector* selection, uint32_t num_rows) {
   return Status::OK();
 }
 
+/// Validity of the decoded rows: the column's own, cut to `selection`.
+BitVector SelectValidity(BitVector validity, const BitVector* selection) {
+  if (selection == nullptr) return validity;
+  return BitVector::Gather(validity, *selection);
+}
+
+/// Calls `fn(row, out)` for every decoded row: `row` indexes the encoded
+/// rows, `out` the output rows (every row, or the set bits of `selection`).
+template <typename Fn>
+void ForEachDecodedRow(const BitVector* selection, uint32_t num_rows,
+                       const Fn& fn) {
+  if (selection == nullptr) {
+    for (size_t i = 0; i < num_rows; ++i) fn(i, i);
+    return;
+  }
+  size_t out = 0;
+  selection->ForEachSetBit([&](size_t i) { fn(i, out++); });
+}
+
+/// Sets the tally for a decode that materializes exactly the selected rows.
+void TallySelected(const BitVector* selection, uint32_t num_rows,
+                   DecodeTally* tally) {
+  const size_t ones = selection != nullptr ? selection->CountOnes() : num_rows;
+  tally->materialized = ones;
+  tally->skipped = num_rows - ones;
+}
+
 Result<ColumnVector> DecodeBitPack(DataType type, const std::string& in,
                                    const BitVector* selection) {
   if (type != DataType::kInt64) {
@@ -245,66 +273,45 @@ Result<ColumnVector> DecodeBitPack(DataType type, const std::string& in,
     return Status::Corruption("truncated bit-pack payload");
   }
   DecodeTally tally;
-  ColumnVector col(type);
-  auto word_at = [&](size_t idx) {
+  TallySelected(selection, num_rows, &tally);
+  const char* packed = in.data() + pos;
+  auto word_at = [packed](size_t idx) {
     uint64_t w = 0;
-    std::memcpy(&w, in.data() + pos + idx * sizeof(uint64_t), sizeof(w));
+    std::memcpy(&w, packed + idx * sizeof(uint64_t), sizeof(w));
     return w;
   };
-  if (selection != nullptr) {
-    // Random access: each selected slot touches at most two payload words,
-    // so unselected pages are never read.
-    size_t ones = selection->CountOnes();
-    col.Reserve(ones);
-    uint64_t value_mask =
-        width == 64 ? ~0ULL : ((1ULL << width) - 1);
-    selection->ForEachSetBit([&](size_t i) {
-      if (!validity.Get(i)) {
-        col.AppendNull();
-        return;
-      }
-      size_t bit_off = i * width;
-      size_t word_idx = bit_off >> 6;
-      int shift = static_cast<int>(bit_off & 63);
-      uint64_t v = word_at(word_idx) >> shift;
-      if (shift + width > 64) {
-        v |= word_at(word_idx + 1) << (64 - shift);
-      }
-      v &= value_mask;
-      col.AppendInt64(min + static_cast<int64_t>(v));
-    });
-    tally.materialized = ones;
-    tally.skipped = num_rows - ones;
-    return col;
-  }
-  col.Reserve(num_rows);
-  uint64_t buffer = 0;
-  int bits_in_buffer = 0;
-  size_t word_idx = 0;
-  auto next_word = [&]() { return word_at(word_idx++); };
-  for (uint32_t i = 0; i < num_rows; ++i) {
-    uint64_t v = 0;
-    int got = 0;
-    while (got < width) {
-      if (bits_in_buffer == 0) {
-        buffer = next_word();
-        bits_in_buffer = 64;
-      }
-      int take = std::min<int>(width - got, bits_in_buffer);
-      uint64_t mask = take == 64 ? ~0ULL : ((1ULL << take) - 1);
-      v |= (buffer & mask) << got;
-      buffer >>= take;
-      bits_in_buffer -= take;
-      got += take;
-    }
-    if (!validity.Get(i)) {
-      col.AppendNull();
-    } else {
-      col.AppendInt64(min + static_cast<int64_t>(v));
-    }
-  }
-  tally.materialized = num_rows;
+  const uint64_t value_mask = width == 64 ? ~0ULL : ((1ULL << width) - 1);
+  ColumnVector col(type);
+  col.AppendBulk<int64_t>(
+      SelectValidity(std::move(validity), selection), [&](int64_t* rows) {
+        // Random access: each decoded slot touches at most two payload
+        // words, so unselected pages are never read.
+        ForEachDecodedRow(selection, num_rows, [&](size_t i, size_t out) {
+          size_t bit_off = i * width;
+          size_t word_idx = bit_off >> 6;
+          int shift = static_cast<int>(bit_off & 63);
+          uint64_t v = word_at(word_idx) >> shift;
+          if (shift + width > 64) {
+            v |= word_at(word_idx + 1) << (64 - shift);
+          }
+          rows[out] = min + static_cast<int64_t>(v & value_mask);
+        });
+      });
   return col;
+}
+
+/// Copies the fixed-width values of the decoded rows out of a plain
+/// payload.
+template <typename T>
+void CopyPlainValues(const char* data, const BitVector* selection,
+                     uint32_t num_rows, T* rows) {
+  if (selection == nullptr) {
+    if (num_rows > 0) std::memcpy(rows, data, num_rows * sizeof(T));
+    return;
+  }
+  selection->ForEachSetBit([&, out = size_t{0}](size_t i) mutable {
+    std::memcpy(&rows[out++], data + i * sizeof(T), sizeof(T));
+  });
 }
 
 // ---- decoders ----
@@ -319,95 +326,101 @@ Result<ColumnVector> DecodePlain(DataType type, const std::string& in,
   }
   FEISU_RETURN_IF_ERROR(CheckSelection(selection, num_rows));
   DecodeTally tally;
+  TallySelected(selection, num_rows, &tally);
+  BitVector out_validity = SelectValidity(std::move(validity), selection);
+  const char* data = in.data() + pos;
   ColumnVector col(type);
-  size_t ones = selection != nullptr ? selection->CountOnes() : num_rows;
-  col.Reserve(ones);
-  tally.materialized = ones;
-  tally.skipped = num_rows - ones;
   switch (type) {
-    case DataType::kBool: {
+    case DataType::kBool:
       if (pos + num_rows > in.size()) {
         return Status::Corruption("truncated bool column");
       }
-      auto append = [&](size_t i) {
-        if (!validity.Get(i)) {
-          col.AppendNull();
-        } else {
-          col.AppendBool(in[pos + i] != 0);
-        }
-      };
-      if (selection != nullptr) {
-        selection->ForEachSetBit(append);
-      } else {
-        for (uint32_t i = 0; i < num_rows; ++i) append(i);
-      }
+      col.AppendBulk<uint8_t>(std::move(out_validity), [&](uint8_t* rows) {
+        ForEachDecodedRow(selection, num_rows, [&](size_t i, size_t out) {
+          rows[out] = data[i] != 0 ? 1 : 0;
+        });
+      });
       break;
-    }
-    case DataType::kInt64: {
+    case DataType::kInt64:
       if (pos + num_rows * sizeof(int64_t) > in.size()) {
         return Status::Corruption("truncated int64 column");
       }
-      auto append = [&](size_t i) {
-        if (!validity.Get(i)) {
-          col.AppendNull();
-          return;
-        }
-        int64_t v = 0;
-        std::memcpy(&v, in.data() + pos + i * sizeof(int64_t), sizeof(v));
-        col.AppendInt64(v);
-      };
-      if (selection != nullptr) {
-        selection->ForEachSetBit(append);
-      } else {
-        for (uint32_t i = 0; i < num_rows; ++i) append(i);
-      }
+      col.AppendBulk<int64_t>(std::move(out_validity), [&](int64_t* rows) {
+        CopyPlainValues(data, selection, num_rows, rows);
+      });
       break;
-    }
-    case DataType::kDouble: {
+    case DataType::kDouble:
       if (pos + num_rows * sizeof(double) > in.size()) {
         return Status::Corruption("truncated double column");
       }
-      auto append = [&](size_t i) {
-        if (!validity.Get(i)) {
-          col.AppendNull();
-          return;
-        }
-        double v = 0;
-        std::memcpy(&v, in.data() + pos + i * sizeof(double), sizeof(v));
-        col.AppendDouble(v);
-      };
-      if (selection != nullptr) {
-        selection->ForEachSetBit(append);
-      } else {
-        for (uint32_t i = 0; i < num_rows; ++i) append(i);
-      }
+      col.AppendBulk<double>(std::move(out_validity), [&](double* rows) {
+        CopyPlainValues(data, selection, num_rows, rows);
+      });
       break;
-    }
     case DataType::kString: {
       // Variable-width payload: the offsets aren't random-access, so the
       // walk is sequential either way — but unselected rows skip the
-      // string construction and copy entirely.
-      for (uint32_t i = 0; i < num_rows; ++i) {
-        uint32_t len = 0;
-        if (!ReadScalar(in, &pos, &len) || pos + len > in.size()) {
-          return Status::Corruption("truncated string column");
-        }
-        if (selection != nullptr && !selection->Get(i)) {
-          pos += len;
-          continue;
-        }
-        if (!validity.Get(i)) {
-          pos += len;
-          col.AppendNull();
-          continue;
-        }
-        col.AppendString(std::string(in.data() + pos, len));
-        pos += len;
-      }
+      // string copy entirely.
+      Status truncated = Status::OK();
+      col.AppendBulk<std::string>(
+          std::move(out_validity), [&](std::string* rows) {
+            size_t out = 0;
+            for (uint32_t i = 0; i < num_rows; ++i) {
+              uint32_t len = 0;
+              if (!ReadScalar(in, &pos, &len) || pos + len > in.size()) {
+                truncated = Status::Corruption("truncated string column");
+                return;
+              }
+              if (selection == nullptr || selection->Get(i)) {
+                rows[out++].assign(in.data() + pos, len);
+              }
+              pos += len;
+            }
+          });
+      FEISU_RETURN_IF_ERROR(truncated);
       break;
     }
   }
   return col;
+}
+
+/// Expands the (value, run length) pairs of an RLE payload starting at
+/// `pos` into the decoded rows; `T` is the storage type (int64_t, or
+/// uint8_t for BOOL), which is also the payload's value type.
+template <typename T>
+Status ExpandRuns(const std::string& in, size_t pos, uint32_t num_rows,
+                  const BitVector* selection, DecodeTally* tally, T* rows) {
+  size_t out = 0;
+  uint32_t produced = 0;
+  while (produced < num_rows) {
+    uint32_t run = 0;
+    T value{};
+    if (!ReadScalar(in, &pos, &value) || !ReadScalar(in, &pos, &run)) {
+      return Status::Corruption("truncated RLE run");
+    }
+    if (produced + run > num_rows) {
+      return Status::Corruption("RLE overrun");
+    }
+    if constexpr (std::is_same_v<T, uint8_t>) value = value != 0 ? 1 : 0;
+    if (selection == nullptr) {
+      std::fill(rows + produced, rows + produced + run, value);
+      tally->materialized += run;
+    } else if (!selection->AnyInRange(produced, produced + run)) {
+      // A run whose whole row range is unselected is skipped without
+      // looking at a single row — this is where a sparse SmartIndex hit
+      // pays: decode cost scales with matches, not block size.
+      tally->skipped += run;
+      ++tally->runs_skipped;
+    } else {
+      const size_t before = out;
+      selection->ForEachSetBitInRange(produced, produced + run,
+                                      [&](size_t) { rows[out++] = value; });
+      tally->materialized += out - before;
+      tally->skipped += run - (out - before);
+    }
+    produced += run;
+  }
+  return Status::OK();
 }
 
 Result<ColumnVector> DecodeRle(DataType type, const std::string& in,
@@ -419,66 +432,26 @@ Result<ColumnVector> DecodeRle(DataType type, const std::string& in,
     return Status::Corruption("bad RLE column header");
   }
   FEISU_RETURN_IF_ERROR(CheckSelection(selection, num_rows));
-  DecodeTally tally;
   ColumnVector col(type);
-  col.Reserve(selection != nullptr ? selection->CountOnes() : num_rows);
-  uint32_t produced = 0;
-  while (produced < num_rows) {
-    uint32_t run = 0;
-    int64_t int_value = 0;
-    uint8_t bool_value = 0;
-    if (type == DataType::kInt64) {
-      if (!ReadScalar(in, &pos, &int_value) || !ReadScalar(in, &pos, &run)) {
-        return Status::Corruption("truncated RLE run");
-      }
-    } else if (type == DataType::kBool) {
-      if (!ReadScalar(in, &pos, &bool_value) || !ReadScalar(in, &pos, &run)) {
-        return Status::Corruption("truncated RLE run");
-      }
-    } else {
+  if (num_rows == 0) return col;
+  DecodeTally tally;
+  BitVector out_validity = SelectValidity(std::move(validity), selection);
+  Status status = Status::OK();
+  switch (type) {
+    case DataType::kInt64:
+      col.AppendBulk<int64_t>(std::move(out_validity), [&](int64_t* rows) {
+        status = ExpandRuns(in, pos, num_rows, selection, &tally, rows);
+      });
+      break;
+    case DataType::kBool:
+      col.AppendBulk<uint8_t>(std::move(out_validity), [&](uint8_t* rows) {
+        status = ExpandRuns(in, pos, num_rows, selection, &tally, rows);
+      });
+      break;
+    default:
       return Status::Corruption("RLE encoding on non-RLE type");
-    }
-    if (produced + run > num_rows) {
-      return Status::Corruption("RLE overrun");
-    }
-    if (selection != nullptr) {
-      // A run whose whole row range is unselected is skipped without
-      // looking at a single row — this is where a sparse SmartIndex hit
-      // pays: decode cost scales with matches, not block size.
-      if (!selection->AnyInRange(produced, produced + run)) {
-        tally.skipped += run;
-        ++tally.runs_skipped;
-        produced += run;
-        continue;
-      }
-      size_t before = col.size();
-      selection->ForEachSetBitInRange(
-          produced, produced + run, [&](size_t i) {
-            if (!validity.Get(i)) {
-              col.AppendNull();
-            } else if (type == DataType::kInt64) {
-              col.AppendInt64(int_value);
-            } else {
-              col.AppendBool(bool_value != 0);
-            }
-          });
-      size_t appended = col.size() - before;
-      tally.materialized += appended;
-      tally.skipped += run - appended;
-    } else {
-      for (uint32_t k = 0; k < run; ++k) {
-        if (!validity.Get(produced + k)) {
-          col.AppendNull();
-        } else if (type == DataType::kInt64) {
-          col.AppendInt64(int_value);
-        } else {
-          col.AppendBool(bool_value != 0);
-        }
-      }
-      tally.materialized += run;
-    }
-    produced += run;
   }
+  FEISU_RETURN_IF_ERROR(status);
   return col;
 }
 
@@ -530,34 +503,22 @@ Result<ColumnVector> DecodeDict(DataType type, const std::string& in,
   DictPayload dict;
   FEISU_RETURN_IF_ERROR(ReadDictPayload(in, &dict));
   FEISU_RETURN_IF_ERROR(CheckSelection(selection, dict.num_rows));
-  const uint32_t num_rows = dict.num_rows;
   DecodeTally tally;
-  ColumnVector col(type);
+  TallySelected(selection, dict.num_rows, &tally);
   Status bad_code = Status::OK();
-  auto append = [&](size_t i) {
-    uint32_t code = dict.CodeAt(i);
-    if (code >= dict.entries.size()) {
-      if (bad_code.ok()) bad_code = Status::Corruption("dict code OOB");
-      return;
-    }
-    if (!dict.validity.Get(i)) {
-      col.AppendNull();
-    } else {
-      col.AppendString(std::string(dict.entries[code]));
-    }
-  };
-  if (selection != nullptr) {
-    // Codes are fixed width: jump straight to the selected slots.
-    size_t ones = selection->CountOnes();
-    col.Reserve(ones);
-    selection->ForEachSetBit(append);
-    tally.materialized = ones;
-    tally.skipped = num_rows - ones;
-  } else {
-    col.Reserve(num_rows);
-    for (uint32_t i = 0; i < num_rows; ++i) append(i);
-    tally.materialized = num_rows;
-  }
+  ColumnVector col(type);
+  // Codes are fixed width: a selection jumps straight to its slots.
+  col.AppendBulk<std::string>(
+      SelectValidity(dict.validity, selection), [&](std::string* rows) {
+        ForEachDecodedRow(selection, dict.num_rows, [&](size_t i, size_t out) {
+          uint32_t code = dict.CodeAt(i);
+          if (code >= dict.entries.size()) {
+            if (bad_code.ok()) bad_code = Status::Corruption("dict code OOB");
+            return;
+          }
+          if (dict.validity.Get(i)) rows[out].assign(dict.entries[code]);
+        });
+      });
   FEISU_RETURN_IF_ERROR(bad_code);
   return col;
 }

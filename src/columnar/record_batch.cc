@@ -45,51 +45,9 @@ Status RecordBatch::Append(const RecordBatch& other) {
   if (!(schema_ == other.schema_)) {
     return Status::InvalidArgument("schema mismatch in Append");
   }
-  size_t rows = other.num_rows();
+  // Schemas are equal, so column types match.
   for (size_t c = 0; c < columns_.size(); ++c) {
-    ColumnVector& dst = columns_[c];
-    const ColumnVector& src = other.columns_[c];
-    dst.Reserve(dst.size() + rows);
-    // Column-wise typed copy (schemas are equal, so types match); nulls
-    // keep the typed storage index-aligned via AppendNull.
-    switch (dst.type()) {
-      case DataType::kBool:
-        for (size_t i = 0; i < rows; ++i) {
-          if (src.IsNull(i)) {
-            dst.AppendNull();
-          } else {
-            dst.AppendBool(src.bools()[i] != 0);
-          }
-        }
-        break;
-      case DataType::kInt64:
-        for (size_t i = 0; i < rows; ++i) {
-          if (src.IsNull(i)) {
-            dst.AppendNull();
-          } else {
-            dst.AppendInt64(src.ints()[i]);
-          }
-        }
-        break;
-      case DataType::kDouble:
-        for (size_t i = 0; i < rows; ++i) {
-          if (src.IsNull(i)) {
-            dst.AppendNull();
-          } else {
-            dst.AppendDouble(src.doubles()[i]);
-          }
-        }
-        break;
-      case DataType::kString:
-        for (size_t i = 0; i < rows; ++i) {
-          if (src.IsNull(i)) {
-            dst.AppendNull();
-          } else {
-            dst.AppendString(src.strings()[i]);
-          }
-        }
-        break;
-    }
+    columns_[c].Append(other.columns_[c]);
   }
   return Status::OK();
 }

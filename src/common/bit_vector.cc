@@ -226,6 +226,78 @@ void BitVector::PushBack(bool value) {
   if (value) Set(size_ - 1, true);
 }
 
+void BitVector::Append(const BitVector& other) {
+  if (other.size_ == 0) return;
+  const size_t shift = size_ & 63;
+  const size_t new_size = size_ + other.size_;
+  if (shift == 0) {
+    words_.insert(words_.end(), other.words_.begin(), other.words_.end());
+  } else {
+    // The last word is partial and its bits past size_ are clear, so each
+    // word of `other` splits across it and one new word.
+    words_.reserve((new_size + 63) / 64 + 1);
+    for (uint64_t w : other.words_) {
+      words_.back() |= w << shift;
+      words_.push_back(w >> (64 - shift));
+    }
+    // The split may leave one surplus (all-clear) word at the end.
+    words_.resize((new_size + 63) / 64);
+  }
+  size_ = new_size;
+}
+
+namespace {
+
+/// The bits of `bits` at the set positions of `mask`, packed into the low
+/// bits in order (x86 PEXT).
+uint64_t ExtractBits(uint64_t bits, uint64_t mask) {
+  uint64_t out = 0;
+  for (uint64_t k = 1; mask != 0; k <<= 1) {
+    if ((bits & mask & -mask) != 0) out |= k;
+    mask &= mask - 1;
+  }
+  return out;
+}
+
+}  // namespace
+
+BitVector BitVector::Gather(const BitVector& src,
+                            const BitVector& selection) {
+  assert(src.size_ == selection.size_);
+  BitVector out;
+  out.words_.reserve(selection.CountOnes() / 64 + 1);
+  uint64_t pending = 0;  // the partial output word
+  size_t filled = 0;     // bits of `pending` in use
+  for (size_t w = 0; w < selection.words_.size(); ++w) {
+    const uint64_t sel = selection.words_[w];
+    if (sel == 0) continue;
+    const uint64_t bits = src.words_[w] & sel;
+    const int count = std::popcount(sel);
+    uint64_t packed;
+    if (sel == kAllOnesWord) {
+      packed = bits;
+    } else if (bits == sel) {
+      packed = (1ULL << count) - 1;  // count < 64 here
+    } else if (bits == 0) {
+      packed = 0;
+    } else {
+      packed = ExtractBits(bits, sel);
+    }
+    pending |= packed << filled;
+    filled += static_cast<size_t>(count);
+    if (filled >= 64) {
+      out.words_.push_back(pending);
+      filled -= 64;
+      // The bits of `packed` that did not fit (none when it was placed at
+      // offset 0).
+      pending = filled == 0 ? 0 : packed >> (count - filled);
+    }
+    out.size_ += static_cast<size_t>(count);
+  }
+  if (filled > 0) out.words_.push_back(pending);
+  return out;
+}
+
 size_t BitVector::CountOnes() const {
   size_t n = 0;
   for (uint64_t w : words_) n += std::popcount(w);

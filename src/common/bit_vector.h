@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace feisu {
@@ -20,6 +21,19 @@ class BitVector {
   BitVector() = default;
   /// Creates a vector of `size` bits, all set to `value`.
   explicit BitVector(size_t size, bool value = false);
+
+  BitVector(const BitVector&) = default;
+  BitVector& operator=(const BitVector&) = default;
+  /// A moved-from vector is empty (size 0), not a size without words: a
+  /// moved-from ColumnVector must not report rows it no longer holds.
+  BitVector(BitVector&& other) noexcept
+      : size_(std::exchange(other.size_, 0)),
+        words_(std::move(other.words_)) {}
+  BitVector& operator=(BitVector&& other) noexcept {
+    size_ = std::exchange(other.size_, 0);
+    words_ = std::move(other.words_);
+    return *this;
+  }
 
   /// Adopts raw 64-bit words (bit i of the vector is bit i%64 of word
   /// i/64). Bits beyond `size` in the last word are cleared. This is how
@@ -52,6 +66,18 @@ class BitVector {
 
   /// Appends one bit.
   void PushBack(bool value);
+
+  /// Appends every bit of `other`. Word-level: a word boundary costs one
+  /// copy, an unaligned tail two shifts per word of `other`.
+  void Append(const BitVector& other);
+
+  /// The bits of `src` at the set positions of `selection`, packed in
+  /// order (selection.size() == src.size(); the result has
+  /// selection.CountOnes() bits). Word-level: a fully selected word copies
+  /// 64 bits at once and an all-valid or all-NULL word needs only the
+  /// selection's popcount, which is what makes the validity of a selective
+  /// decode or a Filter cheap.
+  static BitVector Gather(const BitVector& src, const BitVector& selection);
 
   /// Number of set bits.
   size_t CountOnes() const;
@@ -92,6 +118,23 @@ class BitVector {
   void ForEachSetBit(Fn&& fn) const {
     for (size_t w = 0; w < words_.size(); ++w) {
       uint64_t word = words_[w];
+      while (word != 0) {
+        int bit = std::countr_zero(word);
+        fn(w * 64 + static_cast<size_t>(bit));
+        word &= word - 1;
+      }
+    }
+  }
+
+  /// Calls `fn(index)` for every clear bit in increasing order (e.g. every
+  /// NULL slot of a validity bitmap). All-one words cost one load.
+  template <typename Fn>
+  void ForEachClearBit(Fn&& fn) const {
+    for (size_t w = 0; w < words_.size(); ++w) {
+      uint64_t word = ~words_[w];
+      if (w + 1 == words_.size() && (size_ & 63) != 0) {
+        word &= (1ULL << (size_ & 63)) - 1;
+      }
       while (word != 0) {
         int bit = std::countr_zero(word);
         fn(w * 64 + static_cast<size_t>(bit));

@@ -52,18 +52,20 @@ void ForEachValid(const ColumnVector& col, size_t n, const Fn& fn) {
   }
 }
 
-bool NullFree(const std::vector<ColumnVector>& cols) {
-  return std::all_of(cols.begin(), cols.end(), [](const ColumnVector& c) {
-    return c.NullCount() == 0;
+/// True when no column holds a NULL (a COUNT(*) placeholder is nullptr).
+bool NullFree(const std::vector<const ColumnVector*>& cols) {
+  return std::all_of(cols.begin(), cols.end(), [](const ColumnVector* c) {
+    return c == nullptr || c->NullCount() == 0;
   });
 }
 
-/// Evaluates `expr` over `batch`, rejecting a result whose type is not the
-/// `type` Make inferred: the typed state holds exactly that type.
-Result<ColumnVector> EvaluateTyped(const Expr& expr, const RecordBatch& batch,
-                                   DataType type, const std::string& name) {
-  FEISU_ASSIGN_OR_RETURN(ColumnVector col, EvaluateExpr(expr, batch));
-  if (col.type() != type) {
+/// Evaluates `expr` over `batch` (a column reference is borrowed, not
+/// copied), rejecting a result whose type is not the `type` Make inferred:
+/// the typed state holds exactly that type.
+Result<ExprColumn> EvaluateTyped(const Expr& expr, const RecordBatch& batch,
+                                 DataType type, const std::string& name) {
+  FEISU_ASSIGN_OR_RETURN(ExprColumn col, EvaluateColumn(expr, batch));
+  if (col.get().type() != type) {
     std::string message = "type mismatch for aggregate input ";
     message.append(name);
     return Status::InvalidArgument(message);
@@ -156,24 +158,10 @@ void FoldExtreme(const ColumnVector& in, const std::vector<T>& v,
 /// alike: merging partials is aggregation over the partials.
 void FoldExtreme(const ColumnVector& in, bool is_min,
                  const std::vector<uint32_t>& gids, ColumnVector* extreme) {
-  switch (in.type()) {
-    case DataType::kBool:
-      FoldExtreme(in, in.bools(), is_min, gids, extreme,
-                  extreme->mutable_bools());
-      break;
-    case DataType::kInt64:
-      FoldExtreme(in, in.ints(), is_min, gids, extreme,
-                  extreme->mutable_ints());
-      break;
-    case DataType::kDouble:
-      FoldExtreme(in, in.doubles(), is_min, gids, extreme,
-                  extreme->mutable_doubles());
-      break;
-    case DataType::kString:
-      FoldExtreme(in, in.strings(), is_min, gids, extreme,
-                  extreme->mutable_strings());
-      break;
-  }
+  VisitStorageType(in.type(), [&]<typename T>(std::type_identity<T>) {
+    FoldExtreme(in, in.storage<T>(), is_min, gids, extreme,
+                extreme->storage<T>());
+  });
 }
 
 }  // namespace
@@ -402,38 +390,38 @@ uint32_t Aggregator::EnsureGlobalGroup() {
   return 0;
 }
 
-Result<std::vector<ColumnVector>> Aggregator::EvaluateArgs(
-    const RecordBatch& batch) const {
-  std::vector<ColumnVector> args;
-  args.reserve(specs_.size());
+Status Aggregator::EvaluateArgs(const RecordBatch& batch,
+                                BatchArgs* args) const {
+  args->cols.assign(specs_.size(), nullptr);
+  args->computed.reserve(specs_.size());
   for (size_t s = 0; s < specs_.size(); ++s) {
-    if (specs_[s].arg == nullptr) {  // COUNT(*)
-      args.emplace_back(DataType::kInt64);
-      continue;
-    }
-    FEISU_ASSIGN_OR_RETURN(ColumnVector col,
-                           EvaluateTyped(*specs_[s].arg, batch,
-                                         arg_types_[s], specs_[s].output_name));
-    args.push_back(std::move(col));
+    if (specs_[s].arg == nullptr) continue;  // COUNT(*)
+    FEISU_ASSIGN_OR_RETURN(ExprColumn col,
+                           EvaluateTyped(*specs_[s].arg, batch, arg_types_[s],
+                                         specs_[s].output_name));
+    // `computed` never reallocates (reserved above), so pointers into it
+    // stay valid.
+    args->computed.push_back(std::move(col));
+    args->cols[s] = &args->computed.back().get();
   }
-  return args;
+  return Status::OK();
 }
 
-void Aggregator::Accumulate(const std::vector<ColumnVector>& args,
+void Aggregator::Accumulate(const std::vector<const ColumnVector*>& args,
                             const std::vector<uint32_t>& gids) {
   const size_t n = gids.size();
   for (size_t s = 0; s < specs_.size(); ++s) {
     const size_t c = count_cols_[s];
-    std::vector<int64_t>& counts = state_[c].mutable_ints();
+    std::vector<int64_t>& counts = state_[c].storage<int64_t>();
     if (specs_[s].arg == nullptr) {  // COUNT(*)
       for (size_t i = 0; i < n; ++i) ++counts[gids[i]];
       continue;
     }
     // SQL semantics: NULL arguments don't aggregate (skip count/sum/minmax).
-    const ColumnVector& arg = args[s];
+    const ColumnVector& arg = *args[s];
     ForEachValid(arg, n, [&](size_t i) { ++counts[gids[i]]; });
     if (NeedsSum(specs_[s].func)) {
-      AddSums(arg, gids, state_[c + 1].mutable_doubles());
+      AddSums(arg, gids, state_[c + 1].storage<double>());
     }
     if (NeedsMinMax(specs_[s].func)) {
       FoldExtreme(arg, /*is_min=*/true, gids, &state_[c + 1]);
@@ -445,28 +433,38 @@ void Aggregator::Accumulate(const std::vector<ColumnVector>& args,
 Status Aggregator::Consume(const RecordBatch& batch) {
   size_t n = batch.num_rows();
   if (n == 0) return Status::OK();
-  // Evaluate group keys and aggregate arguments once per batch.
-  std::vector<ColumnVector> key_cols;
+  // Evaluate group keys and aggregate arguments once per batch; column
+  // references are read in place.
+  std::vector<ExprColumn> key_cols;
   key_cols.reserve(group_by_.size());
+  std::vector<const ColumnVector*> key_ptrs;
+  key_ptrs.reserve(group_by_.size());
   for (size_t k = 0; k < group_by_.size(); ++k) {
     const Field& field = partial_schema_.field(k);
     FEISU_ASSIGN_OR_RETURN(
-        ColumnVector col,
+        ExprColumn col,
         EvaluateTyped(*group_by_[k], batch, field.type, field.name));
     key_cols.push_back(std::move(col));
+    key_ptrs.push_back(&key_cols.back().get());
   }
-  FEISU_ASSIGN_OR_RETURN(std::vector<ColumnVector> args, EvaluateArgs(batch));
-  if (NullFree(key_cols) && NullFree(args)) ++stats_.null_fast_path_batches;
+  BatchArgs args;
+  FEISU_RETURN_IF_ERROR(EvaluateArgs(batch, &args));
+  if (NullFree(key_ptrs) && NullFree(args.cols)) {
+    ++stats_.null_fast_path_batches;
+  }
 
-  // Vectorized grouping: typed key words + hashes, then one table probe
-  // per row producing the row -> group mapping.
-  std::vector<const ColumnVector*> key_ptrs;
-  key_ptrs.reserve(key_cols.size());
-  for (const auto& col : key_cols) key_ptrs.push_back(&col);
-  BatchKeys keys = MakeBatchKeys(std::move(key_ptrs), n);
   std::vector<uint32_t> gids(n);
-  for (size_t i = 0; i < n; ++i) gids[i] = FindOrInsert(keys, i);
-  Accumulate(args, gids);
+  if (key_ptrs.empty()) {
+    // A key-less aggregate: every row belongs to the one global group,
+    // found (or created) with a single probe.
+    std::fill(gids.begin(), gids.end(), EnsureGlobalGroup());
+  } else {
+    // Vectorized grouping: typed key words + hashes, then one table probe
+    // per row producing the row -> group mapping.
+    BatchKeys keys = MakeBatchKeys(std::move(key_ptrs), n);
+    for (size_t i = 0; i < n; ++i) gids[i] = FindOrInsert(keys, i);
+  }
+  Accumulate(args.cols, gids);
   return Status::OK();
 }
 
@@ -482,8 +480,9 @@ Status Aggregator::ConsumeDictKeyed(const RecordBatch& batch,
     return Status::InvalidArgument("dict code count != batch rows");
   }
   if (n == 0) return Status::OK();
-  FEISU_ASSIGN_OR_RETURN(std::vector<ColumnVector> args, EvaluateArgs(batch));
-  bool batch_null_free = NullFree(args);
+  BatchArgs args;
+  FEISU_RETURN_IF_ERROR(EvaluateArgs(batch, &args));
+  bool batch_null_free = NullFree(args.cols);
 
   // Row -> group through the code domain: each distinct code resolves the
   // hash table once per batch, every repeat is a memo hit that never reads
@@ -510,7 +509,7 @@ Status Aggregator::ConsumeDictKeyed(const RecordBatch& batch,
     gids[i] = static_cast<uint32_t>(g);
   }
   if (batch_null_free) ++stats_.null_fast_path_batches;
-  Accumulate(args, gids);
+  Accumulate(args.cols, gids);
   return Status::OK();
 }
 
@@ -525,7 +524,7 @@ Status Aggregator::ConsumeCount(size_t rows) {
   }
   uint32_t group = EnsureGlobalGroup();
   for (size_t c : count_cols_) {
-    state_[c].mutable_ints()[group] += static_cast<int64_t>(rows);
+    state_[c].storage<int64_t>()[group] += static_cast<int64_t>(rows);
   }
   return Status::OK();
 }
@@ -537,11 +536,11 @@ void Aggregator::MergePartialSpec(size_t s, const RecordBatch& batch,
   const size_t c = count_cols_[s];
   const ColumnVector& counts_in = batch.column(c);
   const auto& v = counts_in.ints();
-  std::vector<int64_t>& counts = state_[c].mutable_ints();
+  std::vector<int64_t>& counts = state_[c].storage<int64_t>();
   ForEachValid(counts_in, gids.size(),
                [&](size_t i) { counts[gids[i]] += v[i]; });
   if (NeedsSum(specs_[s].func)) {
-    AddSums(batch.column(c + 1), gids, state_[c + 1].mutable_doubles());
+    AddSums(batch.column(c + 1), gids, state_[c + 1].storage<double>());
   }
   if (NeedsMinMax(specs_[s].func)) {
     FoldExtreme(batch.column(c + 1), /*is_min=*/true, gids, &state_[c + 1]);

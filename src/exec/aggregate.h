@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "columnar/encoding.h"
 #include "columnar/record_batch.h"
+#include "expr/evaluator.h"
 #include "plan/logical_plan.h"
 
 namespace feisu {
@@ -18,7 +19,10 @@ namespace feisu {
 struct AggStats {
   uint64_t groups_created = 0;
   /// Slot inspections during find-or-insert (collisions show up as
-  /// probes > rows consumed).
+  /// probes > rows consumed). A key-less aggregate (no GROUP BY) does not
+  /// probe per row: Consume maps every row to the one global group, so it
+  /// probes once, when that group is created — one probe per leaf task.
+  /// ConsumePartial still probes once per partial row.
   uint64_t hash_probes = 0;
   /// Table growth events that re-slotted existing groups.
   uint64_t rehashes = 0;
@@ -115,14 +119,21 @@ class Aggregator {
 
   Aggregator() = default;
 
+  /// Every spec's argument over one batch: `cols[s]` is spec `s`'s input
+  /// (nullptr for COUNT(*)), borrowed from the batch for a column
+  /// reference and pointing into `computed` otherwise.
+  struct BatchArgs {
+    std::vector<const ColumnVector*> cols;
+    std::vector<ExprColumn> computed;
+  };
+
   /// Evaluates every spec's argument over `batch`, type-checked against
-  /// Make's inference; COUNT(*) gets an empty placeholder column.
-  Result<std::vector<ColumnVector>> EvaluateArgs(
-      const RecordBatch& batch) const;
+  /// Make's inference.
+  Status EvaluateArgs(const RecordBatch& batch, BatchArgs* args) const;
 
   /// Builds words + combined hashes for the given key columns over `n`
-  /// rows (`n` is explicit so a key-less global aggregation still gets one
-  /// hash per input row).
+  /// rows (`n` is explicit so a key-less partial merge still gets one hash
+  /// per partial row).
   BatchKeys MakeBatchKeys(std::vector<const ColumnVector*> cols,
                           size_t n) const;
 
@@ -152,7 +163,7 @@ class Aggregator {
 
   /// Accumulates every spec over raw rows; `args` comes from EvaluateArgs
   /// and `gids` maps batch row -> group id.
-  void Accumulate(const std::vector<ColumnVector>& args,
+  void Accumulate(const std::vector<const ColumnVector*>& args,
                   const std::vector<uint32_t>& gids);
 
   /// Merges spec `s`'s state columns of one partial batch.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -19,46 +20,42 @@ namespace {
 /// lexicographically — without constructing a Value per comparison.
 class SortKey {
  public:
-  explicit SortKey(ColumnVector col) : col_(std::move(col)) {
-    if (col_.type() == DataType::kString) return;
-    nums_.reserve(col_.size());
-    for (size_t i = 0; i < col_.size(); ++i) {
-      double v = 0.0;
-      if (!col_.IsNull(i)) {
-        switch (col_.type()) {
-          case DataType::kBool:
-            v = col_.GetBool(i) ? 1.0 : 0.0;
-            break;
-          case DataType::kInt64:
-            v = static_cast<double>(col_.GetInt64(i));
-            break;
-          case DataType::kDouble:
-            v = col_.GetDouble(i);
-            break;
-          case DataType::kString:
-            break;
+  explicit SortKey(ExprColumn key) : key_(std::move(key)) {
+    const ColumnVector& col = key_.get();
+    if (col.type() == DataType::kString) return;
+    // NULL slots hold 0, so they convert to 0.0 like before; Compare
+    // checks validity first anyway.
+    nums_.resize(col.size());
+    VisitStorageType(col.type(), [&]<typename T>(std::type_identity<T>) {
+      if constexpr (std::is_same_v<T, uint8_t>) {
+        const std::vector<T>& v = col.storage<T>();
+        for (size_t i = 0; i < v.size(); ++i) nums_[i] = v[i] != 0 ? 1.0 : 0.0;
+      } else if constexpr (!std::is_same_v<T, std::string>) {
+        const std::vector<T>& v = col.storage<T>();
+        for (size_t i = 0; i < v.size(); ++i) {
+          nums_[i] = static_cast<double>(v[i]);
         }
       }
-      nums_.push_back(v);
-    }
+    });
   }
 
   int Compare(uint32_t a, uint32_t b) const {
-    bool a_null = col_.IsNull(a);
-    bool b_null = col_.IsNull(b);
+    const ColumnVector& col = key_.get();
+    bool a_null = col.IsNull(a);
+    bool b_null = col.IsNull(b);
     if (a_null || b_null) {
       if (a_null && b_null) return 0;
       return a_null ? -1 : 1;
     }
-    if (col_.type() == DataType::kString) {
-      int cmp = col_.GetString(a).compare(col_.GetString(b));
+    if (col.type() == DataType::kString) {
+      int cmp = col.GetString(a).compare(col.GetString(b));
       return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
     }
     return CompareNumbers(nums_[a], nums_[b]);
   }
 
  private:
-  ColumnVector col_;
+  ExprColumn key_;  ///< borrowed from the input batch for a column ref
   std::vector<double> nums_;  ///< unused for string columns
 };
 
@@ -67,10 +64,67 @@ Result<std::vector<SortKey>> MakeSortKeys(
   std::vector<SortKey> keys;
   keys.reserve(order_by.size());
   for (const auto& item : order_by) {
-    FEISU_ASSIGN_OR_RETURN(ColumnVector col, EvaluateExpr(*item.expr, input));
+    FEISU_ASSIGN_OR_RETURN(ExprColumn col, EvaluateColumn(*item.expr, input));
     keys.emplace_back(std::move(col));
   }
   return keys;
+}
+
+/// Index in `batch` of one of its columns.
+size_t ColumnIndex(const RecordBatch& batch, const ColumnVector* col) {
+  return static_cast<size_t>(col - &batch.column(0));
+}
+
+/// Counts the references every expression of `expr` makes to each column
+/// of `batch` (by column index; unknown names are left to evaluation).
+void CountColumnRefs(const Expr& expr, const RecordBatch& batch,
+                     std::vector<int>* uses) {
+  if (expr.kind() == ExprKind::kColumnRef) {
+    const ColumnVector* col = LookupColumn(expr, batch);
+    if (col != nullptr) ++(*uses)[ColumnIndex(batch, col)];
+    return;
+  }
+  for (const ExprPtr& child : expr.children()) {
+    if (child != nullptr) CountColumnRefs(*child, batch, uses);
+  }
+}
+
+/// ProjectBatch over `input`; when `consumable` is non-null (it is
+/// `&input`), a bare column reference that no other item reads is moved
+/// out of it instead of copied.
+Result<RecordBatch> Project(const RecordBatch& input,
+                            const std::vector<SelectItem>& items,
+                            RecordBatch* consumable) {
+  std::vector<int> uses(input.num_columns(), 0);
+  if (consumable != nullptr) {
+    for (const auto& item : items) CountColumnRefs(*item.expr, input, &uses);
+  }
+  auto movable = [&](const SelectItem& item) -> const ColumnVector* {
+    if (consumable == nullptr || item.expr->kind() != ExprKind::kColumnRef) {
+      return nullptr;
+    }
+    const ColumnVector* col = LookupColumn(*item.expr, input);
+    if (col == nullptr || uses[ColumnIndex(input, col)] != 1) return nullptr;
+    return col;
+  };
+  // Every other item is evaluated before any column moves out, so no
+  // expression reads a moved-out column.
+  std::vector<Field> fields;
+  fields.reserve(items.size());
+  std::vector<ColumnVector> columns(items.size(),
+                                    ColumnVector(DataType::kInt64));
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (movable(items[i]) != nullptr) continue;
+    FEISU_ASSIGN_OR_RETURN(columns[i], EvaluateExpr(*items[i].expr, input));
+  }
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (const ColumnVector* col = movable(items[i])) {
+      columns[i] =
+          std::move(*consumable->mutable_column(ColumnIndex(input, col)));
+    }
+    fields.push_back({items[i].OutputName(), columns[i].type(), true});
+  }
+  return RecordBatch(Schema(std::move(fields)), std::move(columns));
 }
 
 }  // namespace
@@ -85,14 +139,12 @@ Result<RecordBatch> FilterBatch(const RecordBatch& input,
 
 Result<RecordBatch> ProjectBatch(const RecordBatch& input,
                                  const std::vector<SelectItem>& items) {
-  std::vector<Field> fields;
-  std::vector<ColumnVector> columns;
-  for (const auto& item : items) {
-    FEISU_ASSIGN_OR_RETURN(ColumnVector col, EvaluateExpr(*item.expr, input));
-    fields.push_back({item.OutputName(), col.type(), true});
-    columns.push_back(std::move(col));
-  }
-  return RecordBatch(Schema(std::move(fields)), std::move(columns));
+  return Project(input, items, nullptr);
+}
+
+Result<RecordBatch> ProjectBatch(RecordBatch&& input,
+                                 const std::vector<SelectItem>& items) {
+  return Project(input, items, &input);
 }
 
 Result<RecordBatch> SortBatch(const RecordBatch& input,
@@ -253,33 +305,33 @@ void ClassifyConjuncts(const std::vector<ExprPtr>& conjuncts,
 /// content, and a NULL in any key column disqualifies the row.
 class JoinKeys {
  public:
-  explicit JoinKeys(std::vector<ColumnVector> cols) : cols_(std::move(cols)) {
-    num_rows_ = cols_.empty() ? 0 : cols_[0].size();
+  explicit JoinKeys(std::vector<ExprColumn> cols) : cols_(std::move(cols)) {
+    num_rows_ = cols_.empty() ? 0 : col(0).size();
     words_.resize(cols_.size());
     interned_.assign(cols_.size(), 0);
     for (size_t c = 0; c < cols_.size(); ++c) {
-      const ColumnVector& col = cols_[c];
+      const ColumnVector& key = col(c);
       std::vector<uint64_t>& w = words_[c];
       w.reserve(num_rows_);
-      switch (col.type()) {
+      switch (key.type()) {
         case DataType::kBool:
           for (size_t i = 0; i < num_rows_; ++i) {
-            w.push_back(col.GetBool(i) ? 1 : 0);
+            w.push_back(key.GetBool(i) ? 1 : 0);
           }
           break;
         case DataType::kInt64:
           for (size_t i = 0; i < num_rows_; ++i) {
-            w.push_back(static_cast<uint64_t>(col.GetInt64(i)));
+            w.push_back(static_cast<uint64_t>(key.GetInt64(i)));
           }
           break;
         case DataType::kDouble:
           for (size_t i = 0; i < num_rows_; ++i) {
-            w.push_back(std::bit_cast<uint64_t>(col.GetDouble(i)));
+            w.push_back(std::bit_cast<uint64_t>(key.GetDouble(i)));
           }
           break;
         case DataType::kString:
           for (size_t i = 0; i < num_rows_; ++i) {
-            w.push_back(HashString(col.GetString(i)));
+            w.push_back(HashString(key.GetString(i)));
           }
           break;
       }
@@ -290,11 +342,11 @@ class JoinKeys {
       bool has_null = false;
       uint64_t h = 0x9E3779B97F4A7C15ULL;
       for (size_t c = 0; c < cols_.size(); ++c) {
-        if (cols_[c].IsNull(i)) {
+        if (col(c).IsNull(i)) {
           has_null = true;
           break;
         }
-        h = HashCombine(h, static_cast<uint64_t>(cols_[c].type()));
+        h = HashCombine(h, static_cast<uint64_t>(col(c).type()));
         h = HashCombine(h, words_[c][i]);
       }
       has_null_.push_back(has_null ? 1 : 0);
@@ -317,14 +369,14 @@ class JoinKeys {
   static void InternStringColumns(JoinKeys* build, JoinKeys* probe) {
     constexpr uint64_t kMiss = ~0ULL;
     for (size_t c = 0; c < build->cols_.size(); ++c) {
-      if (build->cols_[c].type() != DataType::kString ||
-          probe->cols_[c].type() != DataType::kString) {
+      if (build->col(c).type() != DataType::kString ||
+          probe->col(c).type() != DataType::kString) {
         continue;
       }
       size_t cap = 16;
       while (cap < build->num_rows_ * 2) cap <<= 1;
       std::vector<uint32_t> slot_row(cap, UINT32_MAX);
-      const ColumnVector& bcol = build->cols_[c];
+      const ColumnVector& bcol = build->col(c);
       const std::vector<uint64_t>& bw = build->words_[c];
       // Linear probe over the precomputed content-hash words; `insert`
       // claims the first empty slot for the build row, lookups return the
@@ -348,7 +400,7 @@ class JoinKeys {
         new_bw[i] =
             intern(bw[i], bcol.GetString(i), true, static_cast<uint32_t>(i));
       }
-      const ColumnVector& pcol = probe->cols_[c];
+      const ColumnVector& pcol = probe->col(c);
       std::vector<uint64_t>& pw = probe->words_[c];
       for (size_t i = 0; i < probe->num_rows_; ++i) {
         pw[i] = intern(pw[i], pcol.GetString(i), false, 0);
@@ -365,8 +417,8 @@ class JoinKeys {
   static bool RowsEqual(const JoinKeys& a, size_t ar, const JoinKeys& b,
                         size_t br) {
     for (size_t c = 0; c < a.cols_.size(); ++c) {
-      const ColumnVector& ac = a.cols_[c];
-      const ColumnVector& bc = b.cols_[c];
+      const ColumnVector& ac = a.col(c);
+      const ColumnVector& bc = b.col(c);
       if (ac.type() != bc.type()) return false;
       if (a.words_[c][ar] != b.words_[c][br]) return false;
       // Interned string cells carry a code as their word: equal codes mean
@@ -381,7 +433,9 @@ class JoinKeys {
   }
 
  private:
-  std::vector<ColumnVector> cols_;
+  const ColumnVector& col(size_t c) const { return cols_[c].get(); }
+
+  std::vector<ExprColumn> cols_;  ///< borrowed for column-ref keys
   std::vector<std::vector<uint64_t>> words_;  ///< one word per cell
   std::vector<uint64_t> hashes_;              ///< 0 for NULL-key rows
   std::vector<uint8_t> has_null_;
@@ -407,13 +461,13 @@ Result<RecordBatch> HashJoinBatches(const RecordBatch& left,
   ClassifyConjuncts(conjuncts, left, right, &keys, &residual);
 
   // Evaluate key expressions and collapse them into typed per-row words.
-  std::vector<ColumnVector> left_key_cols;
-  std::vector<ColumnVector> right_key_cols;
+  std::vector<ExprColumn> left_key_cols;
+  std::vector<ExprColumn> right_key_cols;
   for (const auto& key : keys) {
-    FEISU_ASSIGN_OR_RETURN(ColumnVector lcol,
-                           EvaluateExpr(*key.left_expr, left));
-    FEISU_ASSIGN_OR_RETURN(ColumnVector rcol,
-                           EvaluateExpr(*key.right_expr, right));
+    FEISU_ASSIGN_OR_RETURN(ExprColumn lcol,
+                           EvaluateColumn(*key.left_expr, left));
+    FEISU_ASSIGN_OR_RETURN(ExprColumn rcol,
+                           EvaluateColumn(*key.right_expr, right));
     left_key_cols.push_back(std::move(lcol));
     right_key_cols.push_back(std::move(rcol));
   }

@@ -23,6 +23,12 @@ Result<RecordBatch> FilterBatch(const RecordBatch& input,
 Result<RecordBatch> ProjectBatch(const RecordBatch& input,
                                  const std::vector<SelectItem>& items);
 
+/// ProjectBatch that consumes `input`: a column that the projection list
+/// references exactly once, as a bare column item, is moved into the
+/// output instead of copied.
+Result<RecordBatch> ProjectBatch(RecordBatch&& input,
+                                 const std::vector<SelectItem>& items);
+
 /// Stable multi-key sort honoring ASC/DESC; NULLs sort first.
 Result<RecordBatch> SortBatch(const RecordBatch& input,
                               const std::vector<OrderByItem>& order_by);

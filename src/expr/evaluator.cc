@@ -1,6 +1,7 @@
 #include "expr/evaluator.h"
 
-#include <optional>
+#include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "columnar/block.h"
@@ -18,37 +19,6 @@ const ColumnVector* LookupColumn(const Expr& ref, const RecordBatch& batch) {
 }
 
 namespace {
-
-// A numeric column viewed as a contiguous double array, matching the
-// per-row Value::AsDouble view exactly (bool -> 0/1, int64 -> cast).
-// Non-double columns convert into `scratch`; doubles alias their storage.
-// NULL slots hold 0, so they read as 0.0.
-const double* AsDoubleArray(const ColumnVector& col,
-                            std::vector<double>* scratch) {
-  switch (col.type()) {
-    case DataType::kDouble:
-      return col.doubles().data();
-    case DataType::kInt64: {
-      const auto& v = col.ints();
-      scratch->resize(v.size());
-      for (size_t i = 0; i < v.size(); ++i) {
-        (*scratch)[i] = static_cast<double>(v[i]);
-      }
-      return scratch->data();
-    }
-    case DataType::kBool: {
-      const auto& v = col.bools();
-      scratch->resize(v.size());
-      for (size_t i = 0; i < v.size(); ++i) {
-        (*scratch)[i] = v[i] != 0 ? 1.0 : 0.0;
-      }
-      return scratch->data();
-    }
-    case DataType::kString:
-      break;
-  }
-  return nullptr;
-}
 
 // Kleene AND/OR/NOT over the answers `leaf` gives for every other node.
 // A leaf returns false to decline (the compressed-domain walk, when no
@@ -81,18 +51,18 @@ Result<bool> CombineKleene(const Expr& expr, const Leaf& leaf,
   return true;
 }
 
-// One side of a comparison: a scalar literal broadcast over every row, a
-// column of the batch, or a column computed from a sub-expression.
+// One operand of a comparison or an arithmetic node: a scalar literal
+// broadcast over every row, or a column (borrowed or computed).
 struct Operand {
   const Value* literal = nullptr;
-  const ColumnVector* borrowed = nullptr;
-  std::optional<ColumnVector> computed;
+  ExprColumn col;
 
-  const ColumnVector& column() const {
-    return computed ? *computed : *borrowed;
-  }
+  const ColumnVector& column() const { return col.get(); }
   DataType type() const {
     return literal != nullptr ? literal->type() : column().type();
+  }
+  bool is_null_literal() const {
+    return literal != nullptr && literal->is_null();
   }
 };
 
@@ -102,15 +72,19 @@ Status ResolveOperand(const Expr& expr, const RecordBatch& batch,
     out->literal = &expr.value();
     return Status::OK();
   }
-  if (expr.kind() == ExprKind::kColumnRef) {
-    out->borrowed = LookupColumn(expr, batch);
-    if (out->borrowed == nullptr) {
-      return Status::NotFound("unknown column " + expr.QualifiedName());
-    }
-    return Status::OK();
-  }
-  FEISU_ASSIGN_OR_RETURN(out->computed, EvaluateExpr(expr, batch));
+  FEISU_ASSIGN_OR_RETURN(out->col, EvaluateColumn(expr, batch));
   return Status::OK();
+}
+
+// Rows where both operands are non-NULL (a NULL literal: none).
+BitVector BothValid(const Operand& lhs, const Operand& rhs, size_t n) {
+  if (lhs.is_null_literal() || rhs.is_null_literal()) {
+    return BitVector(n, false);
+  }
+  BitVector valid(n, true);
+  if (lhs.literal == nullptr) valid.And(lhs.column().validity());
+  if (rhs.literal == nullptr) valid.And(rhs.column().validity());
+  return valid;
 }
 
 // Bit i = pred(i) over n rows.
@@ -124,9 +98,10 @@ BitVector MatchBits(size_t n, const Pred& pred) {
 }
 
 // Calls `fn` with a per-row accessor of a numeric operand's values in the
-// common double domain (Value::AsDouble), typed per storage.
+// common double domain (Value::AsDouble), typed per storage. A NULL slot
+// holds 0, so it reads as 0.0.
 template <typename Fn>
-BitVector VisitNumeric(const Operand& o, const Fn& fn) {
+auto VisitNumeric(const Operand& o, const Fn& fn) {
   if (o.literal != nullptr) {
     double v = o.literal->AsDouble();
     return fn([v](size_t) { return v; });
@@ -231,17 +206,64 @@ Result<TriStateVector> EvaluateComparison(const Expr& expr,
   FEISU_RETURN_IF_ERROR(ResolveOperand(*expr.child(0), batch, &lhs));
   FEISU_RETURN_IF_ERROR(ResolveOperand(*expr.child(1), batch, &rhs));
   TriStateVector out;
-  if ((lhs.literal != nullptr && lhs.literal->is_null()) ||
-      (rhs.literal != nullptr && rhs.literal->is_null())) {
+  if (lhs.is_null_literal() || rhs.is_null_literal()) {
     out.is_true = BitVector(n, false);  // a NULL literal: all UNKNOWN
     out.is_false = BitVector(n, false);
     return out;
   }
-  BitVector valid(n, true);
-  if (lhs.literal == nullptr) valid.And(lhs.column().validity());
-  if (rhs.literal == nullptr) valid.And(rhs.column().validity());
-  FinishPredicateBits(CompareMatch(expr.compare_op(), lhs, rhs, n), valid,
-                      &out);
+  FinishPredicateBits(CompareMatch(expr.compare_op(), lhs, rhs, n),
+                      BothValid(lhs, rhs, n), &out);
+  return out;
+}
+
+// `lhs OP rhs` over n rows into a column of `out_type`. A row is NULL when
+// either operand is, and division or modulo by zero is NULL too; every
+// other row is computed in doubles (Value::AsDouble) and an INT64 result
+// truncates.
+ColumnVector EvaluateArithmetic(ArithOp op, const Operand& lhs,
+                                const Operand& rhs, size_t n,
+                                DataType out_type) {
+  BitVector valid = BothValid(lhs, rhs, n);
+  ColumnVector out(out_type);
+  VisitNumeric(lhs, [&](const auto& a) {
+    VisitNumeric(rhs, [&](const auto& b) {
+      if (op == ArithOp::kDiv) {
+        valid.And(MatchBits(n, [&](size_t i) { return b(i) != 0; }));
+      } else if (op == ArithOp::kMod) {
+        valid.And(MatchBits(
+            n, [&](size_t i) { return static_cast<int64_t>(b(i)) != 0; }));
+      }
+      auto value = [&](size_t i) -> double {
+        switch (op) {
+          case ArithOp::kAdd:
+            return a(i) + b(i);
+          case ArithOp::kSub:
+            return a(i) - b(i);
+          case ArithOp::kMul:
+            return a(i) * b(i);
+          case ArithOp::kDiv:
+            return a(i) / b(i);
+          case ArithOp::kMod:
+            break;
+        }
+        return static_cast<double>(static_cast<int64_t>(a(i)) %
+                                   static_cast<int64_t>(b(i)));
+      };
+      // NULL rows are skipped: a divisor there may be zero.
+      auto fill = [&](auto* rows) {
+        using T = std::remove_pointer_t<decltype(rows)>;
+        valid.ForEachSetBit(
+            [&](size_t i) { rows[i] = static_cast<T>(value(i)); });
+      };
+      if (out_type == DataType::kInt64) {
+        out.AppendBulk<int64_t>(valid, fill);
+      } else {
+        out.AppendBulk<double>(valid, fill);
+      }
+      return 0;
+    });
+    return 0;
+  });
   return out;
 }
 
@@ -377,71 +399,32 @@ Result<ColumnVector> EvaluateExpr(const Expr& expr,
       return *col;
     }
     case ExprKind::kLiteral: {
-      DataType type =
-          expr.value().is_null() ? DataType::kInt64 : expr.value().type();
-      ColumnVector out(type);
-      out.Reserve(n);
-      for (size_t i = 0; i < n; ++i) out.AppendValue(expr.value());
+      const Value& v = expr.value();
+      ColumnVector out(v.is_null() ? DataType::kInt64 : v.type());
+      VisitStorageType(out.type(), [&]<typename T>(std::type_identity<T>) {
+        T cell{};
+        if constexpr (std::is_same_v<T, uint8_t>) {
+          if (!v.is_null()) cell = v.bool_value() ? 1 : 0;
+        } else if constexpr (std::is_same_v<T, int64_t>) {
+          if (!v.is_null()) cell = v.int64_value();
+        } else if constexpr (std::is_same_v<T, double>) {
+          cell = v.double_value();
+        } else {
+          cell = v.string_value();
+        }
+        out.AppendBulk<T>(BitVector(n, !v.is_null()),
+                          [&](T* rows) { std::fill(rows, rows + n, cell); });
+      });
       return out;
     }
     case ExprKind::kArithmetic: {
-      FEISU_ASSIGN_OR_RETURN(ColumnVector lhs,
-                             EvaluateExpr(*expr.child(0), batch));
-      FEISU_ASSIGN_OR_RETURN(ColumnVector rhs,
-                             EvaluateExpr(*expr.child(1), batch));
+      Operand lhs;
+      Operand rhs;
+      FEISU_RETURN_IF_ERROR(ResolveOperand(*expr.child(0), batch, &lhs));
+      FEISU_RETURN_IF_ERROR(ResolveOperand(*expr.child(1), batch, &rhs));
       FEISU_ASSIGN_OR_RETURN(DataType out_type,
                              InferType(expr, batch.schema()));
-      ColumnVector out(out_type);
-      out.Reserve(n);
-      // Typed double arrays, no per-row boxing: a row is NULL when either
-      // input is, and the NULL slots' stored 0 is never used.
-      BitVector valid = BitVector::And(lhs.validity(), rhs.validity());
-      std::vector<double> lscratch, rscratch;
-      const double* a = AsDoubleArray(lhs, &lscratch);
-      const double* b = AsDoubleArray(rhs, &rscratch);
-      const bool int_out = out_type == DataType::kInt64;
-      auto emit = [&](double v) {
-        if (int_out) {
-          out.AppendInt64(static_cast<int64_t>(v));
-        } else {
-          out.AppendDouble(v);
-        }
-      };
-      const ArithOp op = expr.arith_op();
-      for (size_t i = 0; i < n; ++i) {
-        if (!valid.Get(i)) {
-          out.AppendNull();
-          continue;
-        }
-        switch (op) {
-          case ArithOp::kAdd:
-            emit(a[i] + b[i]);
-            break;
-          case ArithOp::kSub:
-            emit(a[i] - b[i]);
-            break;
-          case ArithOp::kMul:
-            emit(a[i] * b[i]);
-            break;
-          case ArithOp::kDiv:  // out_type is always kDouble for division
-            if (b[i] == 0) {
-              out.AppendNull();
-            } else {
-              out.AppendDouble(a[i] / b[i]);
-            }
-            break;
-          case ArithOp::kMod: {
-            int64_t d = static_cast<int64_t>(b[i]);
-            if (d == 0) {
-              out.AppendNull();
-            } else {
-              emit(static_cast<double>(static_cast<int64_t>(a[i]) % d));
-            }
-            break;
-          }
-        }
-      }
-      return out;
+      return EvaluateArithmetic(expr.arith_op(), lhs, rhs, n, out_type);
     }
     case ExprKind::kComparison:
     case ExprKind::kLogical: {
@@ -449,20 +432,30 @@ Result<ColumnVector> EvaluateExpr(const Expr& expr,
       FEISU_ASSIGN_OR_RETURN(TriStateVector tri,
                              EvaluatePredicate3VL(expr, batch));
       ColumnVector out(DataType::kBool);
-      out.Reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (tri.is_true.Get(i) || tri.is_false.Get(i)) {
-          out.AppendBool(tri.is_true.Get(i));
-        } else {
-          out.AppendNull();
-        }
-      }
+      out.AppendBulk<uint8_t>(
+          BitVector::Or(tri.is_true, tri.is_false), [&](uint8_t* rows) {
+            tri.is_true.ForEachSetBit([rows](size_t i) { rows[i] = 1; });
+          });
       return out;
     }
     case ExprKind::kStar:
       return Status::InvalidArgument("'*' outside COUNT(*)");
   }
   return Status::Internal("unreachable");
+}
+
+Result<ExprColumn> EvaluateColumn(const Expr& expr,
+                                  const RecordBatch& batch) {
+  ExprColumn out;
+  if (expr.kind() == ExprKind::kColumnRef) {
+    out.borrowed = LookupColumn(expr, batch);
+    if (out.borrowed == nullptr) {
+      return Status::NotFound("unknown column " + expr.QualifiedName());
+    }
+    return out;
+  }
+  FEISU_ASSIGN_OR_RETURN(out.computed, EvaluateExpr(expr, batch));
+  return out;
 }
 
 Result<TriStateVector> EvaluatePredicate3VL(const Expr& expr,

@@ -1,6 +1,8 @@
 #ifndef FEISU_EXPR_EVALUATOR_H_
 #define FEISU_EXPR_EVALUATOR_H_
 
+#include <optional>
+
 #include "common/result.h"
 #include "columnar/block.h"
 #include "columnar/record_batch.h"
@@ -42,6 +44,19 @@ Result<BitVector> EvaluatePredicate(const Expr& expr,
 /// or logical expression yields a BOOL column that is NULL where the
 /// predicate is UNKNOWN.
 Result<ColumnVector> EvaluateExpr(const Expr& expr, const RecordBatch& batch);
+
+/// The column a scalar expression yields over a batch, without copying a
+/// column reference: a reference is borrowed from the batch (so it lives
+/// only as long as the batch), anything else is computed and owned.
+struct ExprColumn {
+  const ColumnVector* borrowed = nullptr;
+  std::optional<ColumnVector> computed;
+
+  const ColumnVector& get() const { return computed ? *computed : *borrowed; }
+};
+
+/// EvaluateExpr that borrows column references instead of copying them.
+Result<ExprColumn> EvaluateColumn(const Expr& expr, const RecordBatch& batch);
 
 /// Resolves a column reference against a batch, preferring the qualified
 /// name ("t.c", produced by joins on name collisions) over the bare name.

@@ -707,6 +707,61 @@ TEST(AggregateDifferentialTest, ConsumeCountFastPath) {
   EXPECT_EQ(Fingerprint(*vf), Fingerprint(*of));
 }
 
+// A key-less aggregate maps every row to the one global group without a
+// per-row probe, and its partial and final state equal a grouped run over
+// a key that is the same on every row, minus that key column.
+TEST(AggregateStatsTest, KeylessConsumeProbesOncePerBatchAtMost) {
+  auto batches = MakeGrid(DataType::kInt64, DataType::kDouble, 1, 0.2, 4,
+                          300, 45);
+  const Schema& schema = batches[0].schema();
+  auto specs = Specs({{AggFunc::kCount, nullptr},
+                      {AggFunc::kCount, "a"},
+                      {AggFunc::kSum, "a"},
+                      {AggFunc::kAvg, "a"},
+                      {AggFunc::kMin, "a"},
+                      {AggFunc::kMax, "a"}});
+  // The grouped twin groups by a column that holds 7 on every row.
+  Schema keyed_schema({{"one", DataType::kInt64, false},
+                       {"k", schema.field(0).type, true},
+                       {"a", schema.field(1).type, true}});
+  auto keyless = Aggregator::Make({}, specs, schema);
+  auto grouped = Aggregator::Make({Expr::ColumnRef("one")}, specs,
+                                  keyed_schema);
+  ASSERT_TRUE(keyless.ok() && grouped.ok());
+  for (const RecordBatch& batch : batches) {
+    const uint64_t before = keyless->stats().hash_probes;
+    ASSERT_TRUE(keyless->Consume(batch).ok());
+    EXPECT_LE(keyless->stats().hash_probes - before, 1u);
+    std::vector<ColumnVector> cols;
+    ColumnVector one(DataType::kInt64);
+    for (size_t i = 0; i < batch.num_rows(); ++i) one.AppendInt64(7);
+    cols.push_back(std::move(one));
+    cols.push_back(batch.column(0));
+    cols.push_back(batch.column(1));
+    ASSERT_TRUE(grouped->Consume(RecordBatch(keyed_schema, cols)).ok());
+  }
+  EXPECT_EQ(keyless->stats().hash_probes, 1u);
+  EXPECT_EQ(keyless->num_groups(), 1u);
+  // Drops the key column of the grouped twin's batch.
+  auto without_key = [](const RecordBatch& batch, const Schema& schema) {
+    std::vector<ColumnVector> cols;
+    for (size_t c = 1; c < batch.num_columns(); ++c) {
+      cols.push_back(batch.column(c));
+    }
+    return RecordBatch(schema, std::move(cols));
+  };
+  auto kp = keyless->PartialResult();
+  auto gp = grouped->PartialResult();
+  ASSERT_TRUE(kp.ok() && gp.ok());
+  EXPECT_EQ(Fingerprint(*kp),
+            Fingerprint(without_key(*gp, keyless->partial_schema())));
+  auto kf = keyless->FinalResult();
+  auto gf = grouped->FinalResult();
+  ASSERT_TRUE(kf.ok() && gf.ok());
+  EXPECT_EQ(Fingerprint(*kf),
+            Fingerprint(without_key(*gf, keyless->final_schema())));
+}
+
 // ---------- Hash-table behavior and stats counters ----------
 
 TEST(AggregateStatsTest, CountersTrackTableActivity) {

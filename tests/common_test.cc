@@ -208,6 +208,19 @@ TEST(BitVectorTest, PushBackGrows) {
   EXPECT_FALSE(bits.Get(69));
 }
 
+TEST(BitVectorTest, MovedFromIsEmpty) {
+  BitVector bits(70, true);
+  BitVector moved(std::move(bits));
+  EXPECT_EQ(moved.size(), 70u);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is pinned
+  EXPECT_EQ(bits.size(), 0u);
+  BitVector assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.CountOnes(), 70u);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is pinned
+  EXPECT_TRUE(moved.empty());
+}
+
 TEST(BitVectorTest, AndOrNot) {
   BitVector a(8, false);
   BitVector b(8, false);

@@ -260,6 +260,42 @@ TEST(OperatorsTest, ProjectComputesAndRenames) {
   EXPECT_EQ(out->column(1).GetString(0), "east");
 }
 
+// A consumed input moves each column that only a bare item reads; a
+// column read twice, or also inside a computed item, is copied. Either
+// way the output equals the borrowing ProjectBatch.
+TEST(OperatorsTest, ConsumingProjectMovesOnlyOnceReferencedColumns) {
+  const char* kQueries[] = {
+      "SELECT region, amount FROM t",
+      "SELECT amount, region, amount FROM t",
+      "SELECT amount * 2 AS a2, amount, region FROM t",
+      "SELECT region FROM t",
+      "SELECT amount + 1 AS a1 FROM t",
+  };
+  for (const char* sql : kQueries) {
+    auto stmt = ParseSql(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    RecordBatch input = MakeSales();
+    auto borrowed = ProjectBatch(input, stmt->items);
+    ASSERT_TRUE(borrowed.ok()) << sql;
+    auto consumed = ProjectBatch(std::move(input), stmt->items);
+    ASSERT_TRUE(consumed.ok()) << sql;
+    EXPECT_EQ(consumed->schema(), borrowed->schema()) << sql;
+    EXPECT_EQ(consumed->ToString(100), borrowed->ToString(100)) << sql;
+  }
+  // A moved column keeps its storage buffer; a column read twice is
+  // copied into a new one.
+  RecordBatch input = MakeSales();
+  const std::string* region_data = input.column(0).strings().data();
+  const int64_t* amount_data = input.column(1).ints().data();
+  auto stmt = ParseSql("SELECT region, amount, amount * 2 AS a2 FROM t");
+  ASSERT_TRUE(stmt.ok());
+  auto out = ProjectBatch(std::move(input), stmt->items);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->column(0).strings().data(), region_data);
+  EXPECT_NE(out->column(1).ints().data(), amount_data);
+  EXPECT_EQ(out->column(1).GetInt64(4), 50);
+}
+
 TEST(OperatorsTest, SortAscDescAndStability) {
   RecordBatch batch = MakeSales();
   auto stmt = ParseSql("SELECT a FROM t ORDER BY region ASC, amount DESC");

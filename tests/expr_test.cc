@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,67 @@ TEST(EvaluatorTest, NullPropagatesThroughArithmetic) {
   auto col = EvaluateExpr(*stmt->items[0].expr, batch);
   ASSERT_TRUE(col.ok());
   EXPECT_TRUE(col->IsNull(3));
+}
+
+// Arithmetic reads column operands in place and computed operands from
+// their own column; mixed either way, a NULL operand, a zero divisor and a
+// zero modulus all give NULL, and every NULL slot holds 0.
+TEST(EvaluatorTest, ArithmeticOverNullsAndZeroDivisors) {
+  RecordBatch batch = MakeBatch();  // a 1..5; b 10,20,30,NULL,50; d halves
+  const std::optional<double> kNull;
+  struct Case {
+    const char* sql;
+    DataType type;
+    std::vector<std::optional<double>> expected;
+  };
+  const Case kCases[] = {
+      {"b - a", DataType::kInt64, {9, 18, 27, kNull, 45}},
+      {"(a - 3) * b", DataType::kInt64, {-20, -20, 0, kNull, 100}},
+      {"b * (a - 3)", DataType::kInt64, {-20, -20, 0, kNull, 100}},
+      {"b / (a - 3)", DataType::kDouble, {-5, -20, kNull, kNull, 25}},
+      {"(b + 0) / (a - 3)", DataType::kDouble, {-5, -20, kNull, kNull, 25}},
+      {"d / (a - 1)", DataType::kDouble, {kNull, 1.5, 1.25, 3.5 / 3, 1.125}},
+      {"b % (a - 1)", DataType::kInt64, {kNull, 0, 0, kNull, 2}},
+      {"(a + 10) % a", DataType::kInt64, {0, 0, 1, 2, 0}},
+      {"a % 0", DataType::kInt64, {kNull, kNull, kNull, kNull, kNull}},
+      {"b / 0", DataType::kDouble, {kNull, kNull, kNull, kNull, kNull}},
+      {"d * 2 + a", DataType::kDouble, {2, 5, 8, 11, 14}},
+  };
+  for (const Case& c : kCases) {
+    auto stmt = ParseSql(std::string("SELECT ") + c.sql + " FROM t");
+    ASSERT_TRUE(stmt.ok()) << c.sql;
+    auto col = EvaluateExpr(*stmt->items[0].expr, batch);
+    ASSERT_TRUE(col.ok()) << c.sql << ": " << col.status().ToString();
+    ASSERT_EQ(col->type(), c.type) << c.sql;
+    ASSERT_EQ(col->size(), c.expected.size()) << c.sql;
+    for (size_t i = 0; i < c.expected.size(); ++i) {
+      const bool is_int = c.type == DataType::kInt64;
+      const double slot = is_int ? static_cast<double>(col->ints()[i])
+                                 : col->doubles()[i];
+      if (!c.expected[i].has_value()) {
+        EXPECT_TRUE(col->IsNull(i)) << c.sql << " row " << i;
+        EXPECT_EQ(slot, 0.0) << c.sql << " NULL slot " << i;
+      } else {
+        EXPECT_FALSE(col->IsNull(i)) << c.sql << " row " << i;
+        EXPECT_DOUBLE_EQ(slot, *c.expected[i]) << c.sql << " row " << i;
+      }
+    }
+    // The borrowing entry point computes the same column.
+    auto borrowed = EvaluateColumn(*stmt->items[0].expr, batch);
+    ASSERT_TRUE(borrowed.ok()) << c.sql;
+    EXPECT_EQ(borrowed->get().validity(), col->validity()) << c.sql;
+  }
+}
+
+TEST(EvaluatorTest, EvaluateColumnBorrowsColumnReferences) {
+  RecordBatch batch = MakeBatch();
+  auto ref = EvaluateColumn(*Expr::ColumnRef("s"), batch);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(&ref->get(), batch.ColumnByName("s"));
+  EXPECT_FALSE(ref->computed.has_value());
+  EXPECT_TRUE(EvaluateColumn(*Expr::ColumnRef("nope"), batch)
+                  .status()
+                  .IsNotFound());
 }
 
 TEST(EvaluatorTest, LiteralPredicate) {

@@ -165,6 +165,295 @@ TEST(SelectiveDecodeTest, CountersShowSkippedWorkAtLowSelectivity) {
   EXPECT_GT(counters.runs_skipped, 0u);
 }
 
+// ---------- Bulk materialization: typed storage vs a per-value reference
+
+// Row i of `col` appended to `out` one value at a time (the reference every
+// bulk path must reproduce: a NULL row stores 0 / false / "").
+void AppendCellByValue(const ColumnVector& col, size_t i, ColumnVector* out) {
+  if (col.IsNull(i)) {
+    out->AppendNull();
+    return;
+  }
+  switch (col.type()) {
+    case DataType::kBool:
+      out->AppendBool(col.GetBool(i));
+      break;
+    case DataType::kInt64:
+      out->AppendInt64(col.GetInt64(i));
+      break;
+    case DataType::kDouble:
+      out->AppendDouble(col.GetDouble(i));
+      break;
+    case DataType::kString:
+      out->AppendString(col.GetString(i));
+      break;
+  }
+}
+
+// Typed storage (NULL slots included) and validity are equal; doubles
+// bit for bit.
+void ExpectSameStorage(const ColumnVector& expected, const ColumnVector& got,
+                       const std::string& label) {
+  ASSERT_EQ(expected.type(), got.type()) << label;
+  ASSERT_EQ(expected.size(), got.size()) << label;
+  EXPECT_TRUE(expected.validity() == got.validity()) << label;
+  EXPECT_EQ(expected.bools(), got.bools()) << label;
+  EXPECT_EQ(expected.ints(), got.ints()) << label;
+  EXPECT_EQ(expected.strings(), got.strings()) << label;
+  ASSERT_EQ(expected.doubles().size(), got.doubles().size()) << label;
+  if (!got.doubles().empty()) {
+    EXPECT_EQ(std::memcmp(expected.doubles().data(), got.doubles().data(),
+                          got.doubles().size() * sizeof(double)),
+              0)
+        << label;
+  }
+}
+
+// The selected rows of `col`, appended value by value.
+ColumnVector SelectByValue(const ColumnVector& col, const BitVector* sel) {
+  ColumnVector out(col.type());
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (sel == nullptr || sel->Get(i)) AppendCellByValue(col, i, &out);
+  }
+  return out;
+}
+
+TEST(BulkDecodeTest, TypedStorageMatchesPerValueReference) {
+  const DataType kTypes[] = {DataType::kBool, DataType::kInt64,
+                             DataType::kDouble, DataType::kString};
+  const Encoding kEncodings[] = {Encoding::kPlain, Encoding::kRle,
+                                 Encoding::kDict, Encoding::kBitPack};
+  for (DataType type : kTypes) {
+    for (Encoding encoding : kEncodings) {
+      for (size_t rows : {size_t{0}, size_t{1}, size_t{64}, size_t{777}}) {
+        for (bool with_nulls : {false, true}) {
+          ColumnVector col = MakeColumn(type, rows, with_nulls, rows + 29);
+          EncodedColumn encoded = EncodeColumnAs(col, encoding);
+          std::string label = std::string(EncodingName(encoded.encoding)) +
+                              " " + DataTypeName(type) + " rows=" +
+                              std::to_string(rows) +
+                              (with_nulls ? " nulls" : "");
+          auto full = DecodeColumn(type, encoded);
+          ASSERT_TRUE(full.ok()) << label;
+          ExpectSameStorage(SelectByValue(col, nullptr), *full, label);
+          for (const BitVector& selection : SelectionGrid(rows, rows + 5)) {
+            auto selective = DecodeColumn(type, encoded, &selection);
+            ASSERT_TRUE(selective.ok()) << label;
+            ExpectSameStorage(SelectByValue(col, &selection), *selective,
+                              label + " selective");
+            ExpectSameStorage(SelectByValue(col, &selection),
+                              col.Filter(selection), label + " Filter");
+          }
+        }
+      }
+    }
+  }
+}
+
+// Bit-packed NULL rows encode as the frame minimum; decoded, their slot
+// must still hold 0, not the minimum.
+TEST(BulkDecodeTest, BitPackNullSlotsHoldZero) {
+  ColumnVector col(DataType::kInt64);
+  for (int i = 0; i < 130; ++i) {
+    if (i % 7 == 3) {
+      col.AppendNull();
+    } else {
+      col.AppendInt64(1000 + i % 11);
+    }
+  }
+  EncodedColumn encoded = EncodeColumnAs(col, Encoding::kBitPack);
+  ASSERT_EQ(encoded.encoding, Encoding::kBitPack);
+  auto full = DecodeColumn(DataType::kInt64, encoded);
+  ASSERT_TRUE(full.ok());
+  ExpectSameStorage(col, *full, "bit-pack full");
+  EXPECT_EQ(full->ints()[3], 0);
+  BitVector selection(col.size(), false);
+  for (size_t i = 0; i < col.size(); i += 3) selection.Set(i, true);
+  auto selective = DecodeColumn(DataType::kInt64, encoded, &selection);
+  ASSERT_TRUE(selective.ok());
+  ExpectSameStorage(SelectByValue(col, &selection), *selective,
+                    "bit-pack selective");
+}
+
+// Long RLE runs cut by a selection that starts, ends and skips mid-run:
+// each kept piece of a run fills only its selected rows.
+TEST(BulkDecodeTest, RleRunsCutBySelection) {
+  for (DataType type : {DataType::kInt64, DataType::kBool}) {
+    ColumnVector col(type);
+    for (int run = 0; run < 7; ++run) {
+      for (int k = 0; k < 100; ++k) {
+        if (run == 4 && k >= 40 && k < 60) {
+          col.AppendNull();
+        } else if (type == DataType::kInt64) {
+          col.AppendInt64(run * 10 + 5);
+        } else {
+          col.AppendBool(run % 2 == 0);
+        }
+      }
+    }
+    EncodedColumn encoded = EncodeColumnAs(col, Encoding::kRle);
+    ASSERT_EQ(encoded.encoding, Encoding::kRle);
+    BitVector selection(col.size(), false);
+    selection.SetRange(50, 150, true);   // second half of run 0, half of 1
+    selection.Set(230, true);            // one row inside run 2
+    selection.SetRange(399, 451, true);  // last row of run 3 into the NULLs
+    selection.SetRange(455, 470, true);  // NULL rows to valid rows
+    // Runs 5 and 6 stay unselected.
+    ResetDecodeCounters();
+    auto out = DecodeColumn(type, encoded, &selection);
+    ASSERT_TRUE(out.ok());
+    ExpectSameStorage(SelectByValue(col, &selection), *out,
+                      DataTypeName(type));
+    DecodeCounters counters = GetDecodeCounters();
+    EXPECT_EQ(counters.values_materialized, selection.CountOnes());
+    EXPECT_GE(counters.runs_skipped, 2u);  // runs 5 and 6 at least
+  }
+}
+
+// Append at every alignment of the destination, with NULLs on both sides,
+// equals appending the same rows one boxed value at a time.
+TEST(BulkAppendTest, RecordBatchAppendMatchesAppendRow) {
+  Schema schema({{"b", DataType::kBool, true},
+                 {"i", DataType::kInt64, true},
+                 {"d", DataType::kDouble, true},
+                 {"s", DataType::kString, true}});
+  auto make = [&](size_t rows, uint64_t seed) {
+    std::vector<ColumnVector> cols;
+    for (const Field& f : schema.fields()) {
+      cols.push_back(MakeColumn(f.type, rows, true, seed++));
+    }
+    return RecordBatch(schema, std::move(cols));
+  };
+  for (size_t prefix : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                        size_t{65}, size_t{127}}) {
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{64}, size_t{200}}) {
+      RecordBatch head = make(prefix, prefix + 1);
+      RecordBatch tail = make(rows, rows + 100);
+      RecordBatch bulk = head;
+      ASSERT_TRUE(bulk.Append(tail).ok());
+      RecordBatch by_row(schema);
+      for (const RecordBatch* part : {&head, &tail}) {
+        for (size_t r = 0; r < part->num_rows(); ++r) {
+          std::vector<Value> row;
+          for (size_t c = 0; c < part->num_columns(); ++c) {
+            row.push_back(part->column(c).GetValue(r));
+          }
+          ASSERT_TRUE(by_row.AppendRow(row).ok());
+        }
+      }
+      for (size_t c = 0; c < schema.num_fields(); ++c) {
+        ExpectSameStorage(by_row.column(c), bulk.column(c),
+                          "prefix=" + std::to_string(prefix) +
+                              " rows=" + std::to_string(rows) + " col " +
+                              schema.field(c).name);
+      }
+    }
+  }
+}
+
+TEST(BulkAppendTest, TakeAndGatherOrNullMatchPerValueReference) {
+  for (DataType type : {DataType::kBool, DataType::kInt64, DataType::kDouble,
+                        DataType::kString}) {
+    for (bool with_nulls : {false, true}) {
+      ColumnVector col = MakeColumn(type, 300, with_nulls, 31);
+      Rng rng(12);
+      std::vector<uint32_t> take;
+      std::vector<int64_t> gather;
+      ColumnVector take_ref(type);
+      ColumnVector gather_ref(type);
+      for (int i = 0; i < 150; ++i) {
+        uint32_t idx = static_cast<uint32_t>(rng.NextUint64(col.size()));
+        take.push_back(idx);
+        AppendCellByValue(col, idx, &take_ref);
+        bool pad = rng.NextBool(0.1);
+        gather.push_back(pad ? -1 : static_cast<int64_t>(idx));
+        if (pad) {
+          gather_ref.AppendNull();
+        } else {
+          AppendCellByValue(col, idx, &gather_ref);
+        }
+      }
+      ExpectSameStorage(take_ref, col.Take(take), "Take");
+      ExpectSameStorage(gather_ref, col.GatherOrNull(gather), "GatherOrNull");
+    }
+  }
+}
+
+// ---------- BitVector bulk primitives vs PushBack ----------
+
+// Bit patterns with all-zero, all-one and mixed words.
+std::vector<BitVector> BitPatterns(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<BitVector> out;
+  out.emplace_back(n, false);
+  out.emplace_back(n, true);
+  BitVector mixed(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    // Word 0 random, word 1 all ones, word 2 all zeros, then random.
+    size_t w = i / 64;
+    bool bit = w == 1 ? true : (w == 2 ? false : rng.NextBool(0.4));
+    mixed.Set(i, bit);
+  }
+  out.push_back(std::move(mixed));
+  return out;
+}
+
+BitVector PushBackCopy(const BitVector& bits, BitVector out) {
+  for (size_t i = 0; i < bits.size(); ++i) out.PushBack(bits.Get(i));
+  return out;
+}
+
+TEST(BitVectorBulkTest, AppendMatchesPushBack) {
+  const size_t kOffsets[] = {0, 1, 63, 64, 65, 127};
+  for (size_t offset : kOffsets) {
+    for (const BitVector& head : BitPatterns(offset, offset + 1)) {
+      for (size_t n : {size_t{0}, size_t{1}, size_t{64}, size_t{65},
+                       size_t{200}}) {
+        for (const BitVector& tail : BitPatterns(n, n + 7)) {
+          BitVector bulk = head;
+          bulk.Append(tail);
+          BitVector reference = PushBackCopy(tail, head);
+          EXPECT_TRUE(bulk == reference)
+              << "offset " << offset << " + " << n << ": "
+              << bulk.ToString() << " vs " << reference.ToString();
+          EXPECT_EQ(bulk.CountOnes(), reference.CountOnes());
+          // The trailing-bit invariant survives: Not() then Not() is exact.
+          BitVector flipped = BitVector::Not(BitVector::Not(bulk));
+          EXPECT_TRUE(flipped == reference);
+        }
+      }
+    }
+  }
+}
+
+TEST(BitVectorBulkTest, GatherMatchesPushBack) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{127}, size_t{128}, size_t{300}}) {
+    std::vector<BitVector> selections = BitPatterns(n, n + 3);
+    // Selections whose packed output starts each word at offset 0, 1, 63,
+    // 64, 65 and 127: a prefix of that many set bits, then a sparse tail.
+    for (size_t offset : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                          size_t{65}, size_t{127}}) {
+      if (offset > n) continue;
+      BitVector sel(n, false);
+      sel.SetRange(0, offset, true);
+      for (size_t i = offset; i < n; i += 3) sel.Set(i, true);
+      selections.push_back(std::move(sel));
+    }
+    for (const BitVector& src : BitPatterns(n, n + 11)) {
+      for (const BitVector& sel : selections) {
+        BitVector reference;
+        sel.ForEachSetBit([&](size_t i) { reference.PushBack(src.Get(i)); });
+        BitVector gathered = BitVector::Gather(src, sel);
+        EXPECT_TRUE(gathered == reference)
+            << "n=" << n << " sel=" << sel.ToString() << "\n"
+            << gathered.ToString() << " vs " << reference.ToString();
+        EXPECT_EQ(gathered.size(), sel.CountOnes());
+      }
+    }
+  }
+}
+
 // ---------- ColumnVector gather / filter helpers ----------
 
 TEST(ColumnVectorGatherTest, GatherOrNullPadsNegativeIndices) {

@@ -126,18 +126,23 @@ def agg_speedups(micro_ops: dict) -> dict:
     return speedups
 
 
-# (encoded bench, decode-then-evaluate baseline, artifact label): the
-# compressed-domain pairs BENCH_micro_ops.json tracks. Benches with args
-# pair per arg (label gets an _x<arg> suffix).
+# (encoded bench, frozen reference, artifact label): the compressed-domain
+# pairs BENCH_micro_ops.json tracks. Each reference is bench-local code
+# (a per-value decode of the payload, then a per-row compare or group-by)
+# that never changes, so the ratio moves only with the encoded kernel: a
+# faster engine decode path cannot read as an encoded-kernel regression.
+# Benches with args pair per arg (label gets an _x<arg> suffix).
 COMPRESSED_EVAL_PAIRS = [
-    ("BM_DictPredicateEncoded", "BM_DictPredicateDecode", "dict_predicate"),
-    ("BM_RlePredicateEncoded", "BM_RlePredicateDecode", "rle_predicate"),
-    ("BM_AggConsumeDictCodes", "BM_AggConsumeStringKeys", "dict_group_by"),
+    ("BM_DictPredicateEncoded", "BM_DictPredicateReference",
+     "dict_predicate"),
+    ("BM_RlePredicateEncoded", "BM_RlePredicateReference", "rle_predicate"),
+    ("BM_AggConsumeDictCodes", "BM_AggGroupByStringReference",
+     "dict_group_by"),
 ]
 
 
 def compressed_eval_speedups(micro_ops: dict) -> dict:
-    """Encoded-kernel vs decode-baseline speedups for the compressed-domain
+    """Encoded-kernel vs frozen-reference speedups for the compressed-domain
     execution paths (dict/RLE predicates, group-by on dict codes)."""
     times = {row["name"]: row.get("real_time_ns")
              for row in micro_ops.get("benchmarks", [])}
@@ -155,7 +160,7 @@ def compressed_eval_speedups(micro_ops: dict) -> dict:
                 continue
             key = label + suffix.replace("/", "_x")
             speedups[key] = {
-                "decode_ns": baseline,
+                "reference_ns": baseline,
                 "encoded_ns": t,
                 "speedup": baseline / t,
             }
@@ -275,7 +280,7 @@ def main() -> int:
               f"-> {row['speedup']:.2f}x")
     for key, row in sorted(compressed.items()):
         print(f"compressed eval {key}: {row['encoded_ns']:.0f} ns encoded "
-              f"vs {row['decode_ns']:.0f} ns decode "
+              f"vs {row['reference_ns']:.0f} ns reference "
               f"-> {row['speedup']:.2f}x")
     if not args.skip_fig9a:
         verdict = ("REPRODUCED"
