@@ -498,6 +498,44 @@ void BM_AggConsumePartial(benchmark::State& state) {
 }
 BENCHMARK(BM_AggConsumePartial)->Arg(64)->Arg(32768);
 
+// Master-side finalize of 65 536 groups: per-spec finalization, then the
+// one sort of the groups into typed key order. Arg 0 groups by an int64
+// key, arg 1 by a string key; keys arrive in shuffled order.
+void BM_AggFinalResult(benchmark::State& state) {
+  constexpr size_t kGroups = 65536;
+  const bool string_key = state.range(0) != 0;
+  Schema schema({{"k", string_key ? DataType::kString : DataType::kInt64,
+                  true},
+                 {"v", DataType::kDouble, true}});
+  std::vector<uint32_t> ids(kGroups);
+  for (size_t i = 0; i < kGroups; ++i) ids[i] = static_cast<uint32_t>(i);
+  Rng rng(17);
+  for (size_t i = kGroups - 1; i > 0; --i) {
+    std::swap(ids[i], ids[static_cast<size_t>(
+                          rng.NextInt64(0, static_cast<int64_t>(i)))]);
+  }
+  RecordBatch batch(schema);
+  batch.Reserve(kGroups);
+  for (uint32_t id : ids) {
+    std::string name = "key_";
+    name += std::to_string(id);
+    Value key = string_key ? Value::String(std::move(name))
+                           : Value::Int64(static_cast<int64_t>(id) * 7919);
+    batch.AppendRow({key, Value::Double(rng.NextDouble())}).ok();
+  }
+  auto agg =
+      Aggregator::Make({Expr::ColumnRef("k")}, AggBenchSpecs(), schema);
+  agg->Consume(batch).ok();
+  for (auto _ : state) {
+    auto result = agg->FinalResult();
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["groups"] = static_cast<double>(agg->num_groups());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kGroups));
+}
+BENCHMARK(BM_AggFinalResult)->Arg(0)->Arg(1);
+
 // --- Compressed-domain execution: predicate kernels + group-by on codes.
 // Each encoded bench has two comparisons over the same data: the engine's
 // own decode-then-evaluate path (BM_*Decode, BM_AggConsumeStringKeys), and

@@ -79,13 +79,6 @@ class LeafServer {
   BTreeIndexManager& btree_manager() { return btree_manager_; }
   SsdCache* ssd_cache() { return ssd_cache_.get(); }
 
-  /// Drops cached decoded blocks (host-memory optimization, not simulated
-  /// state).
-  void DropDecodedBlocks() FEISU_EXCLUDES(decoded_mutex_) {
-    MutexLock lock(decoded_mutex_);
-    decoded_blocks_.clear();
-  }
-
  private:
   /// Loads + decodes a block, charging `io` for the given columns only
   /// (columnar read). The decoded block is memoized in host memory to keep

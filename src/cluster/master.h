@@ -143,10 +143,6 @@ struct QueryStats {
   uint64_t tenant_quota_hits = 0;  ///< this tenant's quota deferrals+rejections
   TaskStats leaf;  ///< accumulated leaf-side stats
   std::string plan_text;
-
-  double ResponseSeconds() const {
-    return static_cast<double>(response_time) / kSimSecond;
-  }
 };
 
 struct QueryResult {

@@ -240,13 +240,7 @@ IndexCacheStats FeisuEngine::AggregateIndexStats() const {
 
 ResolverStats FeisuEngine::AggregateResolverStats() const {
   ResolverStats total;
-  for (const auto& leaf : leaves_) {
-    const ResolverStats& s = leaf->resolver_stats();
-    total.direct_hits += s.direct_hits;
-    total.composed_hits += s.composed_hits;
-    total.misses += s.misses;
-    total.bitmap_words += s.bitmap_words;
-  }
+  for (const auto& leaf : leaves_) total += leaf->resolver_stats();
   return total;
 }
 

@@ -5,15 +5,14 @@
 #include <numeric>
 #include <type_traits>
 
-#include "common/hash.h"
 #include "columnar/block.h"
+#include "exec/keys.h"
 #include "expr/evaluator.h"
 
 namespace feisu {
 
 namespace {
 
-constexpr uint64_t kKeyHashSeed = 0xCBF29CE484222325ULL;
 constexpr size_t kInitialSlots = 16;
 
 bool NeedsSum(AggFunc func) {
@@ -164,16 +163,26 @@ void FoldExtreme(const ColumnVector& in, bool is_min,
   });
 }
 
-}  // namespace
+/// Orders two cells of `col` that SortKey ties (both NULL, or equal under
+/// Value::Compare) by exact stored value: int64 by value, since Compare
+/// reads it as a double, and doubles by bit pattern (-0.0 and +0.0, NaN
+/// payloads). Tied bools and strings are equal.
+int CompareExact(const ColumnVector& col, uint32_t a, uint32_t b) {
+  if (col.IsNull(a)) return 0;
+  if (col.type() == DataType::kInt64) {
+    int64_t x = col.ints()[a];
+    int64_t y = col.ints()[b];
+    return (x > y) - (x < y);
+  }
+  if (col.type() == DataType::kDouble) {
+    uint64_t x = std::bit_cast<uint64_t>(col.doubles()[a]);
+    uint64_t y = std::bit_cast<uint64_t>(col.doubles()[b]);
+    return (x > y) - (x < y);
+  }
+  return 0;
+}
 
-/// Typed per-row view of one batch's key columns: one word per cell plus
-/// one combined hash per row. Hash input covers the null flag, the runtime
-/// type tag and the word, mirroring what the serialized key bytes encode.
-struct Aggregator::BatchKeys {
-  std::vector<const ColumnVector*> cols;
-  std::vector<std::vector<uint64_t>> words;  ///< [col][row]
-  std::vector<uint64_t> hashes;              ///< [row]
-};
+}  // namespace
 
 Result<Aggregator> Aggregator::Make(std::vector<ExprPtr> group_by,
                                     std::vector<AggSpec> specs,
@@ -222,53 +231,7 @@ Result<Aggregator> Aggregator::Make(std::vector<ExprPtr> group_by,
   return agg;
 }
 
-Aggregator::BatchKeys Aggregator::MakeBatchKeys(
-    std::vector<const ColumnVector*> cols, size_t n) const {
-  BatchKeys keys;
-  keys.cols = std::move(cols);
-  keys.words.resize(keys.cols.size());
-  for (size_t c = 0; c < keys.cols.size(); ++c) {
-    const ColumnVector& col = *keys.cols[c];
-    std::vector<uint64_t>& w = keys.words[c];
-    w.resize(n, 0);
-    switch (col.type()) {
-      case DataType::kBool:
-        for (size_t i = 0; i < n; ++i) w[i] = col.bools()[i] != 0 ? 1 : 0;
-        break;
-      case DataType::kInt64:
-        for (size_t i = 0; i < n; ++i) {
-          w[i] = static_cast<uint64_t>(col.ints()[i]);
-        }
-        break;
-      case DataType::kDouble:
-        for (size_t i = 0; i < n; ++i) {
-          w[i] = std::bit_cast<uint64_t>(col.doubles()[i]);
-        }
-        break;
-      case DataType::kString:
-        for (size_t i = 0; i < n; ++i) {
-          if (!col.IsNull(i)) w[i] = HashString(col.strings()[i]);
-        }
-        break;
-    }
-  }
-  keys.hashes.assign(n, kKeyHashSeed);
-  for (size_t c = 0; c < keys.cols.size(); ++c) {
-    const ColumnVector& col = *keys.cols[c];
-    uint64_t type_tag = static_cast<uint64_t>(col.type()) + 1;
-    for (size_t i = 0; i < n; ++i) {
-      if (col.IsNull(i)) {
-        keys.hashes[i] = HashCombine(keys.hashes[i], 0);
-      } else {
-        keys.hashes[i] = HashCombine(keys.hashes[i], type_tag);
-        keys.hashes[i] = HashCombine(keys.hashes[i], keys.words[c][i]);
-      }
-    }
-  }
-  return keys;
-}
-
-bool Aggregator::GroupEquals(uint32_t group, const BatchKeys& keys,
+bool Aggregator::GroupEquals(uint32_t group, const KeyWords& keys,
                              size_t row) const {
   for (size_t c = 0; c < keys.cols.size(); ++c) {
     const ColumnVector& col = *keys.cols[c];
@@ -345,7 +308,7 @@ uint32_t Aggregator::FindOrAppend(uint64_t h, const Equals& equals,
   return group;
 }
 
-uint32_t Aggregator::FindOrInsert(const BatchKeys& keys, size_t row) {
+uint32_t Aggregator::FindOrInsert(const KeyWords& keys, size_t row) {
   return FindOrAppend(
       keys.hashes[row],
       [&](uint32_t g) { return GroupEquals(g, keys, row); },
@@ -357,13 +320,8 @@ uint32_t Aggregator::FindOrInsert(const BatchKeys& keys, size_t row) {
 }
 
 uint32_t Aggregator::FindOrInsertDictKey(const std::string* key) {
-  uint64_t h = kKeyHashSeed;
-  if (key == nullptr) {
-    h = HashCombine(h, 0);
-  } else {
-    h = HashCombine(h, static_cast<uint64_t>(DataType::kString) + 1);
-    h = HashCombine(h, HashString(*key));
-  }
+  uint64_t h = FoldKeyCell(kKeyHashSeed, key == nullptr, DataType::kString,
+                           key == nullptr ? 0 : HashString(*key));
   ColumnVector& stored = state_[0];
   size_t before = num_groups();
   uint32_t group = FindOrAppend(
@@ -461,7 +419,7 @@ Status Aggregator::Consume(const RecordBatch& batch) {
   } else {
     // Vectorized grouping: typed key words + hashes, then one table probe
     // per row producing the row -> group mapping.
-    BatchKeys keys = MakeBatchKeys(std::move(key_ptrs), n);
+    KeyWords keys = MakeKeyWords(std::move(key_ptrs), n);
     for (size_t i = 0; i < n; ++i) gids[i] = FindOrInsert(keys, i);
   }
   Accumulate(args.cols, gids);
@@ -568,7 +526,7 @@ Status Aggregator::ConsumePartial(const RecordBatch& batch) {
   for (size_t k = 0; k < group_by_.size(); ++k) {
     key_ptrs.push_back(&batch.column(k));
   }
-  BatchKeys keys = MakeBatchKeys(std::move(key_ptrs), n);
+  KeyWords keys = MakeKeyWords(std::move(key_ptrs), n);
   std::vector<uint32_t> gids(n);
   for (size_t i = 0; i < n; ++i) gids[i] = FindOrInsert(keys, i);
 
@@ -623,19 +581,22 @@ Result<RecordBatch> Aggregator::FinalResult() const {
     }
   }
   // Then gather once into the canonical order: groups sorted by their
-  // serialized key bytes.
-  std::vector<std::string> serialized(num_groups());
+  // keys, each NULL first and then in Value::Compare order. Distinct keys
+  // that Compare ties (int64 above 2^53, -0.0 and +0.0, NaN payloads)
+  // order by their exact stored value, so the order is total.
+  std::vector<SortKey> keys;
+  keys.reserve(num_keys);
   for (size_t k = 0; k < num_keys; ++k) {
-    for (size_t g = 0; g < serialized.size(); ++g) {
-      // One serialization per group and key, only at the final result.
-      // feisu-lint: allow(per-row-getvalue)
-      SerializeValue(&serialized[g], state_[k].GetValue(g));
-    }
+    keys.emplace_back(ExprColumn{&state_[k], std::nullopt}, false);
   }
-  std::vector<uint32_t> order(serialized.size());
+  std::vector<uint32_t> order(num_groups());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return serialized[a] < serialized[b];
+    int cmp = CompareRows(keys, a, b);
+    for (size_t k = 0; cmp == 0 && k < num_keys; ++k) {
+      cmp = CompareExact(state_[k], a, b);
+    }
+    return cmp < 0;
   });
   return RecordBatch(final_schema_, std::move(cols)).Take(order);
 }

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "columnar/encoding.h"
 #include "columnar/record_batch.h"
+#include "exec/keys.h"
 #include "expr/evaluator.h"
 #include "plan/logical_plan.h"
 
@@ -53,8 +54,9 @@ struct AggStats {
 /// open-addressing hash table maps typed per-row key words to group ids;
 /// batch-at-a-time typed kernels accumulate into the columns. PartialResult
 /// is a copy of the state in insertion order. Only FinalResult sorts: once,
-/// by serialized key bytes, so final output never depends on insertion or
-/// hash-table order.
+/// in typed key order (each key NULL first, then Value::Compare order,
+/// ties between distinct keys broken by the exact stored value), so final
+/// output never depends on insertion or hash-table order.
 ///
 /// Merging partials is aggregation over the partial columns. A stem
 /// consumes its children's partials in a fixed order and sees each group
@@ -101,7 +103,7 @@ class Aggregator {
   Result<RecordBatch> PartialResult() const;
 
   /// Emits finalized per-group values: group keys then one column per spec
-  /// named spec.output_name, sorted by serialized group-key bytes.
+  /// named spec.output_name, sorted in typed group-key order.
   Result<RecordBatch> FinalResult() const;
 
   /// Schema of PartialResult batches.
@@ -114,9 +116,6 @@ class Aggregator {
   const AggStats& stats() const { return stats_; }
 
  private:
-  /// Per-row typed key view of one input batch; defined in aggregate.cc.
-  struct BatchKeys;
-
   Aggregator() = default;
 
   /// Every spec's argument over one batch: `cols[s]` is spec `s`'s input
@@ -131,12 +130,6 @@ class Aggregator {
   /// Make's inference.
   Status EvaluateArgs(const RecordBatch& batch, BatchArgs* args) const;
 
-  /// Builds words + combined hashes for the given key columns over `n`
-  /// rows (`n` is explicit so a key-less partial merge still gets one hash
-  /// per partial row).
-  BatchKeys MakeBatchKeys(std::vector<const ColumnVector*> cols,
-                          size_t n) const;
-
   /// The one probe-and-append routine: probes the flat table for hash `h`,
   /// `equals(g)` deciding whether group `g` holds the key. On a miss it
   /// appends a new group: `append_keys()` writes its key cells, then every
@@ -146,14 +139,14 @@ class Aggregator {
                         const AppendKeys& append_keys);
 
   /// Find-or-insert for one row of a batch's key columns.
-  uint32_t FindOrInsert(const BatchKeys& keys, size_t row);
+  uint32_t FindOrInsert(const KeyWords& keys, size_t row);
 
   /// Single-string-key find-or-insert for the dictionary-code path
   /// (`key == nullptr` is the NULL key). Its hash equals FindOrInsert's
   /// over a string column, so groups are shared freely between the paths.
   uint32_t FindOrInsertDictKey(const std::string* key);
 
-  bool GroupEquals(uint32_t group, const BatchKeys& keys, size_t row) const;
+  bool GroupEquals(uint32_t group, const KeyWords& keys, size_t row) const;
 
   /// Creates (if needed) the single key-less group of a global aggregation.
   uint32_t EnsureGlobalGroup();

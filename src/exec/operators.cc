@@ -1,74 +1,15 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
-#include <type_traits>
 #include <unordered_map>
 
-#include "common/hash.h"
+#include "exec/keys.h"
 #include "expr/evaluator.h"
 
 namespace feisu {
 
 namespace {
-
-/// Precomputed, type-specialized key for one ORDER BY expression. Ordering
-/// matches Value::Compare exactly — NULLs sort before everything, numeric
-/// columns (bool/int64/double) convert to double and compare through
-/// CompareNumbers (a strict weak order: NaN sorts last), strings
-/// lexicographically — without constructing a Value per comparison.
-class SortKey {
- public:
-  explicit SortKey(ExprColumn key) : key_(std::move(key)) {
-    const ColumnVector& col = key_.get();
-    if (col.type() == DataType::kString) return;
-    // NULL slots hold 0, so they convert to 0.0 like before; Compare
-    // checks validity first anyway.
-    nums_.resize(col.size());
-    VisitStorageType(col.type(), [&]<typename T>(std::type_identity<T>) {
-      if constexpr (std::is_same_v<T, uint8_t>) {
-        const std::vector<T>& v = col.storage<T>();
-        for (size_t i = 0; i < v.size(); ++i) nums_[i] = v[i] != 0 ? 1.0 : 0.0;
-      } else if constexpr (!std::is_same_v<T, std::string>) {
-        const std::vector<T>& v = col.storage<T>();
-        for (size_t i = 0; i < v.size(); ++i) {
-          nums_[i] = static_cast<double>(v[i]);
-        }
-      }
-    });
-  }
-
-  int Compare(uint32_t a, uint32_t b) const {
-    const ColumnVector& col = key_.get();
-    bool a_null = col.IsNull(a);
-    bool b_null = col.IsNull(b);
-    if (a_null || b_null) {
-      if (a_null && b_null) return 0;
-      return a_null ? -1 : 1;
-    }
-    if (col.type() == DataType::kString) {
-      int cmp = col.GetString(a).compare(col.GetString(b));
-      return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-    }
-    return CompareNumbers(nums_[a], nums_[b]);
-  }
-
- private:
-  ExprColumn key_;  ///< borrowed from the input batch for a column ref
-  std::vector<double> nums_;  ///< unused for string columns
-};
-
-Result<std::vector<SortKey>> MakeSortKeys(
-    const RecordBatch& input, const std::vector<OrderByItem>& order_by) {
-  std::vector<SortKey> keys;
-  keys.reserve(order_by.size());
-  for (const auto& item : order_by) {
-    FEISU_ASSIGN_OR_RETURN(ExprColumn col, EvaluateColumn(*item.expr, input));
-    keys.emplace_back(std::move(col));
-  }
-  return keys;
-}
 
 /// Index in `batch` of one of its columns.
 size_t ColumnIndex(const RecordBatch& batch, const ColumnVector* col) {
@@ -156,12 +97,7 @@ Result<RecordBatch> SortBatch(const RecordBatch& input,
   std::iota(indices.begin(), indices.end(), 0);
   std::stable_sort(indices.begin(), indices.end(),
                    [&](uint32_t a, uint32_t b) {
-                     for (size_t k = 0; k < keys.size(); ++k) {
-                       int cmp = keys[k].Compare(a, b);
-                       if (cmp == 0) continue;
-                       return order_by[k].descending ? cmp > 0 : cmp < 0;
-                     }
-                     return false;
+                     return CompareRows(keys, a, b) < 0;
                    });
   return input.Take(indices);
 }
@@ -188,12 +124,8 @@ Result<RecordBatch> TopNBatch(const RecordBatch& input,
   // less(a, b): a orders strictly before b; ties break on input position
   // for stability.
   auto less = [&](uint32_t a, uint32_t b) {
-    for (size_t k = 0; k < keys.size(); ++k) {
-      int cmp = keys[k].Compare(a, b);
-      if (cmp == 0) continue;
-      return order_by[k].descending ? cmp > 0 : cmp < 0;
-    }
-    return a < b;
+    int cmp = CompareRows(keys, a, b);
+    return cmp != 0 ? cmp < 0 : a < b;
   };
   // Max-heap of the current best `limit` rows (heap top = worst kept row).
   std::vector<uint32_t> heap;
@@ -297,65 +229,31 @@ void ClassifyConjuncts(const std::vector<ExprPtr>& conjuncts,
   }
 }
 
-/// Type-specialized equi-join key columns for one side of a hash join.
-/// Each cell collapses to one 64-bit word (type switch hoisted out of the
-/// row loop); equality keeps the old serialized-Value byte-key semantics:
-/// the column type participates (an int64 key never matches a double key,
-/// even at the same numeric value), doubles compare bitwise, strings by
-/// content, and a NULL in any key column disqualifies the row.
+/// Equi-join key columns for one side of a hash join, over the shared key
+/// kernel's words and hashes. In key equality the column type participates
+/// (an int64 key never matches a double key, even at the same numeric
+/// value), doubles compare bitwise, strings by content, and a NULL in any
+/// key column disqualifies the row.
 class JoinKeys {
  public:
   explicit JoinKeys(std::vector<ExprColumn> cols) : cols_(std::move(cols)) {
-    num_rows_ = cols_.empty() ? 0 : col(0).size();
-    words_.resize(cols_.size());
+    const size_t n = cols_.empty() ? 0 : cols_[0].get().size();
+    std::vector<const ColumnVector*> ptrs;
+    for (const ExprColumn& col : cols_) ptrs.push_back(&col.get());
+    keys_ = MakeKeyWords(std::move(ptrs), n);
+    has_null_.assign(n, 0);
+    for (const ExprColumn& key : cols_) {
+      const ColumnVector& col = key.get();
+      if (col.NullCount() == 0) continue;
+      for (size_t i = 0; i < n; ++i) {
+        if (col.IsNull(i)) has_null_[i] = 1;
+      }
+    }
     interned_.assign(cols_.size(), 0);
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      const ColumnVector& key = col(c);
-      std::vector<uint64_t>& w = words_[c];
-      w.reserve(num_rows_);
-      switch (key.type()) {
-        case DataType::kBool:
-          for (size_t i = 0; i < num_rows_; ++i) {
-            w.push_back(key.GetBool(i) ? 1 : 0);
-          }
-          break;
-        case DataType::kInt64:
-          for (size_t i = 0; i < num_rows_; ++i) {
-            w.push_back(static_cast<uint64_t>(key.GetInt64(i)));
-          }
-          break;
-        case DataType::kDouble:
-          for (size_t i = 0; i < num_rows_; ++i) {
-            w.push_back(std::bit_cast<uint64_t>(key.GetDouble(i)));
-          }
-          break;
-        case DataType::kString:
-          for (size_t i = 0; i < num_rows_; ++i) {
-            w.push_back(HashString(key.GetString(i)));
-          }
-          break;
-      }
-    }
-    hashes_.reserve(num_rows_);
-    has_null_.reserve(num_rows_);
-    for (size_t i = 0; i < num_rows_; ++i) {
-      bool has_null = false;
-      uint64_t h = 0x9E3779B97F4A7C15ULL;
-      for (size_t c = 0; c < cols_.size(); ++c) {
-        if (col(c).IsNull(i)) {
-          has_null = true;
-          break;
-        }
-        h = HashCombine(h, static_cast<uint64_t>(col(c).type()));
-        h = HashCombine(h, words_[c][i]);
-      }
-      has_null_.push_back(has_null ? 1 : 0);
-      hashes_.push_back(has_null ? 0 : h);
-    }
   }
 
   bool HasNull(size_t row) const { return has_null_[row] != 0; }
-  uint64_t Hash(size_t row) const { return hashes_[row]; }
+  uint64_t Hash(size_t row) const { return keys_.hashes[row]; }
 
   /// Dictionary-style interning of string key columns shared by both
   /// sides: every distinct build-side string gets a code (the build row of
@@ -364,20 +262,20 @@ class JoinKeys {
   /// never-matching sentinel. RowsEqual then compares codes and skips the
   /// per-candidate byte comparison entirely — the same code-domain trick
   /// the dict predicate kernels use. Bucket hashes are computed before the
-  /// rewrite and left untouched, so candidate visit order — and therefore
-  /// output row order — is byte-identical to the uninterned path.
+  /// rewrite and left untouched.
   static void InternStringColumns(JoinKeys* build, JoinKeys* probe) {
     constexpr uint64_t kMiss = ~0ULL;
+    const size_t build_rows = build->has_null_.size();
     for (size_t c = 0; c < build->cols_.size(); ++c) {
       if (build->col(c).type() != DataType::kString ||
           probe->col(c).type() != DataType::kString) {
         continue;
       }
       size_t cap = 16;
-      while (cap < build->num_rows_ * 2) cap <<= 1;
+      while (cap < build_rows * 2) cap <<= 1;
       std::vector<uint32_t> slot_row(cap, UINT32_MAX);
       const ColumnVector& bcol = build->col(c);
-      const std::vector<uint64_t>& bw = build->words_[c];
+      const std::vector<uint64_t>& bw = build->keys_.words[c];
       // Linear probe over the precomputed content-hash words; `insert`
       // claims the first empty slot for the build row, lookups return the
       // owning row's code (its row id) or kMiss.
@@ -395,24 +293,24 @@ class JoinKeys {
           idx = (idx + 1) & (cap - 1);
         }
       };
-      std::vector<uint64_t> new_bw(build->num_rows_);
-      for (size_t i = 0; i < build->num_rows_; ++i) {
+      std::vector<uint64_t> new_bw(build_rows);
+      for (size_t i = 0; i < build_rows; ++i) {
         new_bw[i] =
             intern(bw[i], bcol.GetString(i), true, static_cast<uint32_t>(i));
       }
       const ColumnVector& pcol = probe->col(c);
-      std::vector<uint64_t>& pw = probe->words_[c];
-      for (size_t i = 0; i < probe->num_rows_; ++i) {
+      std::vector<uint64_t>& pw = probe->keys_.words[c];
+      for (size_t i = 0; i < pw.size(); ++i) {
         pw[i] = intern(pw[i], pcol.GetString(i), false, 0);
       }
-      build->words_[c] = std::move(new_bw);
+      build->keys_.words[c] = std::move(new_bw);
       build->interned_[c] = 1;
       probe->interned_[c] = 1;
     }
   }
 
-  /// True iff the old byte keys would have been equal. The hash is only a
-  /// bucket address; candidates verify here (strings by actual content —
+  /// Key equality of row `ar` of `a` and row `br` of `b`. The hash is only
+  /// a bucket address; candidates verify here (strings by actual content —
   /// their word is just a content hash).
   static bool RowsEqual(const JoinKeys& a, size_t ar, const JoinKeys& b,
                         size_t br) {
@@ -420,7 +318,7 @@ class JoinKeys {
       const ColumnVector& ac = a.col(c);
       const ColumnVector& bc = b.col(c);
       if (ac.type() != bc.type()) return false;
-      if (a.words_[c][ar] != b.words_[c][br]) return false;
+      if (a.keys_.words[c][ar] != b.keys_.words[c][br]) return false;
       // Interned string cells carry a code as their word: equal codes mean
       // equal content, no byte comparison needed.
       if (ac.type() == DataType::kString &&
@@ -436,11 +334,9 @@ class JoinKeys {
   const ColumnVector& col(size_t c) const { return cols_[c].get(); }
 
   std::vector<ExprColumn> cols_;  ///< borrowed for column-ref keys
-  std::vector<std::vector<uint64_t>> words_;  ///< one word per cell
-  std::vector<uint64_t> hashes_;              ///< 0 for NULL-key rows
+  KeyWords keys_;
   std::vector<uint8_t> has_null_;
   std::vector<uint8_t> interned_;  ///< per column: words are dict codes
-  size_t num_rows_ = 0;
 };
 
 }  // namespace
@@ -489,16 +385,10 @@ Result<RecordBatch> HashJoinBatches(const RecordBatch& left,
     }
   }
 
-  // Matches accumulate as row-id pairs (-1 = outer-join NULL padding);
-  // output columns materialize once at the end with a typed gather instead
-  // of boxing every cell through AppendRow.
-  std::vector<int64_t> left_rows;
-  std::vector<int64_t> right_rows;
-  auto emit = [&](int64_t lrow, int64_t rrow) {
-    left_rows.push_back(lrow);
-    right_rows.push_back(rrow);
-  };
-  auto materialize = [&]() -> RecordBatch {
+  // Rows travel as row-id pairs (-1 = outer-join NULL padding) and
+  // materialize with a typed gather instead of boxing cells into Values.
+  auto gather = [&](const std::vector<int64_t>& left_rows,
+                    const std::vector<int64_t>& right_rows) {
     std::vector<ColumnVector> out_cols;
     out_cols.reserve(left.num_columns() + right.num_columns());
     for (size_t c = 0; c < left.num_columns(); ++c) {
@@ -510,80 +400,69 @@ Result<RecordBatch> HashJoinBatches(const RecordBatch& left,
     return RecordBatch(out_schema, std::move(out_cols));
   };
 
-  // Residual evaluation happens on a single combined row; build a one-row
-  // batch lazily only when residuals exist.
-  auto residual_ok = [&](size_t lrow, size_t rrow) -> Result<bool> {
-    if (residual.empty()) return true;
-    RecordBatch pair(out_schema);
-    std::vector<Value> row;
-    for (size_t c = 0; c < left.num_columns(); ++c) {
-      // Builds one single-row batch for residual evaluation, not a
-      // per-row input scan. feisu-lint: allow(per-row-getvalue)
-      row.push_back(left.column(c).GetValue(lrow));
+  // Candidate pairs, left rows in order and each left row's candidates in
+  // right row order: every right row without equi keys (a nested loop),
+  // else the build rows whose keys equal the left row's.
+  std::vector<int64_t> cand_left;
+  std::vector<int64_t> cand_right;
+  for (size_t l = 0; l < left.num_rows(); ++l) {
+    auto add = [&](size_t r) {
+      cand_left.push_back(static_cast<int64_t>(l));
+      cand_right.push_back(static_cast<int64_t>(r));
+    };
+    if (keys.empty()) {
+      for (size_t r = 0; r < right.num_rows(); ++r) add(r);
+      continue;
     }
-    for (size_t c = 0; c < right.num_columns(); ++c) {
-      // feisu-lint: allow(per-row-getvalue): single-row residual batch.
-      row.push_back(right.column(c).GetValue(rrow));
+    if (left_keys.HasNull(l)) continue;
+    auto it = build.find(left_keys.Hash(l));
+    if (it == build.end()) continue;
+    for (uint32_t r : it->second) {
+      if (JoinKeys::RowsEqual(left_keys, l, right_keys, r)) add(r);
     }
-    FEISU_RETURN_IF_ERROR(pair.AppendRow(row));
-    for (const auto& r : residual) {
-      FEISU_ASSIGN_OR_RETURN(BitVector bits, EvaluatePredicate(*r, pair));
-      if (!bits.Get(0)) return false;
-    }
-    return true;
-  };
-
-  std::vector<bool> right_matched(right.num_rows(), false);
-
-  if (options.type == JoinType::kCross ||
-      (keys.empty() && options.type == JoinType::kInner)) {
-    for (size_t l = 0; l < left.num_rows(); ++l) {
-      for (size_t r = 0; r < right.num_rows(); ++r) {
-        FEISU_ASSIGN_OR_RETURN(bool ok, residual_ok(l, r));
-        if (ok) emit(static_cast<int64_t>(l), static_cast<int64_t>(r));
-      }
-    }
-    return materialize();
   }
 
+  // Each residual conjunct is evaluated once, over all candidates.
+  BitVector keep(cand_left.size(), true);
+  if (!residual.empty() && !cand_left.empty()) {
+    RecordBatch pairs = gather(cand_left, cand_right);
+    for (const ExprPtr& r : residual) {
+      FEISU_ASSIGN_OR_RETURN(BitVector bits, EvaluatePredicate(*r, pairs));
+      keep.And(bits);
+    }
+  }
+
+  // Surviving pairs in candidate order; a left row without one is padded
+  // in place for LEFT OUTER, unmatched right rows at the end for RIGHT
+  // OUTER.
+  std::vector<int64_t> left_rows;
+  std::vector<int64_t> right_rows;
+  std::vector<bool> right_matched(right.num_rows(), false);
+  size_t next = 0;
   for (size_t l = 0; l < left.num_rows(); ++l) {
     bool matched = false;
-    if (!keys.empty()) {
-      if (!left_keys.HasNull(l)) {
-        auto it = build.find(left_keys.Hash(l));
-        if (it != build.end()) {
-          for (uint32_t r : it->second) {
-            if (!JoinKeys::RowsEqual(left_keys, l, right_keys, r)) continue;
-            FEISU_ASSIGN_OR_RETURN(bool ok, residual_ok(l, r));
-            if (!ok) continue;
-            matched = true;
-            right_matched[r] = true;
-            emit(static_cast<int64_t>(l), r);
-          }
-        }
-      }
-    } else {
-      // No equi keys (e.g. pure range condition): nested loop.
-      for (size_t r = 0; r < right.num_rows(); ++r) {
-        FEISU_ASSIGN_OR_RETURN(bool ok, residual_ok(l, r));
-        if (!ok) continue;
-        matched = true;
-        right_matched[r] = true;
-        emit(static_cast<int64_t>(l), static_cast<int64_t>(r));
-      }
+    for (; next < cand_left.size() &&
+           cand_left[next] == static_cast<int64_t>(l);
+         ++next) {
+      if (!keep.Get(next)) continue;
+      matched = true;
+      right_matched[cand_right[next]] = true;
+      left_rows.push_back(cand_left[next]);
+      right_rows.push_back(cand_right[next]);
     }
     if (!matched && options.type == JoinType::kLeftOuter) {
-      emit(static_cast<int64_t>(l), -1);
+      left_rows.push_back(static_cast<int64_t>(l));
+      right_rows.push_back(-1);
     }
   }
   if (options.type == JoinType::kRightOuter) {
     for (size_t r = 0; r < right.num_rows(); ++r) {
-      if (!right_matched[r]) {
-        emit(-1, static_cast<int64_t>(r));
-      }
+      if (right_matched[r]) continue;
+      left_rows.push_back(-1);
+      right_rows.push_back(static_cast<int64_t>(r));
     }
   }
-  return materialize();
+  return gather(left_rows, right_rows);
 }
 
 }  // namespace feisu

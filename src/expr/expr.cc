@@ -190,10 +190,6 @@ ExprPtr Expr::Aggregate(AggFunc func, ExprPtr arg, ExprPtr within) {
   return e;
 }
 
-ExprPtr Expr::Star() {
-  return Make(ExprKind::kStar);
-}
-
 std::string Expr::QualifiedName() const {
   if (table_.empty()) return column_;
   return table_ + "." + column_;

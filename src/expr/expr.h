@@ -54,7 +54,6 @@ class Expr {
   static ExprPtr Not(ExprPtr child);
   static ExprPtr Arith(ArithOp op, ExprPtr lhs, ExprPtr rhs);
   static ExprPtr Aggregate(AggFunc func, ExprPtr arg, ExprPtr within = nullptr);
-  static ExprPtr Star();
 
   ExprKind kind() const { return kind_; }
 

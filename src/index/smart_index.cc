@@ -27,20 +27,6 @@ BitVector SmartIndex::Bits() const {
   return out;
 }
 
-bool SmartIndex::CombineAnd(const SmartIndex& a, const SmartIndex& b,
-                            std::string* out, size_t* tokens) {
-  if (a.num_rows_ != b.num_rows_) return false;
-  return BitVector::RleAnd(a.compressed_bits_, b.compressed_bits_, out,
-                           tokens);
-}
-
-bool SmartIndex::CombineOr(const SmartIndex& a, const SmartIndex& b,
-                           std::string* out, size_t* tokens) {
-  if (a.num_rows_ != b.num_rows_) return false;
-  return BitVector::RleOr(a.compressed_bits_, b.compressed_bits_, out,
-                          tokens);
-}
-
 size_t SmartIndex::MemoryBytes() const {
   return compressed_bits_.size() + key_.predicate.size() + 48;
 }

@@ -46,15 +46,6 @@ class SmartIndex {
   /// rather than row count, inflating only the final selection vector.
   const std::string& compressed_bits() const { return compressed_bits_; }
 
-  /// RLE-domain AND/OR of two cached indexes over the same block. Writes a
-  /// compressed payload without inflating either operand; false when the
-  /// indexes cover different row counts (or a payload is malformed).
-  /// `tokens` receives the combine cost in RLE tokens when non-null.
-  static bool CombineAnd(const SmartIndex& a, const SmartIndex& b,
-                         std::string* out, size_t* tokens = nullptr);
-  static bool CombineOr(const SmartIndex& a, const SmartIndex& b,
-                        std::string* out, size_t* tokens = nullptr);
-
   /// Memory the index occupies in the leaf server's cache: compressed
   /// payload plus key/metadata overhead. This is what counts against the
   /// 512 MB default budget in the paper's experiments.

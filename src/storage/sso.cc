@@ -13,11 +13,6 @@ void SsoAuthenticator::RegisterUser(const std::string& user) {
   user_domains_.emplace(user, std::set<std::string>{});
 }
 
-bool SsoAuthenticator::IsRegistered(const std::string& user) const {
-  MutexLock lock(mutex_);
-  return user_domains_.contains(user);
-}
-
 void SsoAuthenticator::GrantDomain(const std::string& user,
                                    const std::string& domain) {
   MutexLock lock(mutex_);

@@ -37,7 +37,6 @@ class SsoAuthenticator {
   SsoAuthenticator() = default;
 
   void RegisterUser(const std::string& user);
-  bool IsRegistered(const std::string& user) const;
 
   /// Grants `user` access to a storage `domain`. Unknown users are
   /// registered implicitly.

@@ -105,7 +105,6 @@ class StorageSystem {
   SimTime WriteCost(uint64_t bytes) const;
 
   uint64_t TotalBytes() const { return total_bytes_; }
-  size_t FileCount() const { return files_.size(); }
 
  private:
   std::string name_;

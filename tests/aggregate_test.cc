@@ -1,13 +1,16 @@
 // Differential tests for the vectorized hash Aggregator against the
 // ordered-map implementation it replaced (OracleAggregator below is a
-// faithful copy of that seed code). Final batches must be byte-identical to
-// the oracle's. Partial batches list groups in first-insertion order (the
-// oracle's are key-sorted), so they must hold the same bytes once both are
-// sorted by serialized group key. Both are asserted on serialized block
-// bytes, not on logical equality.
+// faithful copy of that seed code, except that it emits final groups in the
+// typed key order of the final-result contract). Final batches must be
+// byte-identical to the oracle's. Partial batches list groups in
+// first-insertion order (the oracle's are key-sorted), so they must hold
+// the same bytes once both are sorted by serialized group key. Both are
+// asserted on serialized block bytes, not on logical equality.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -186,7 +189,14 @@ class OracleAggregator {
       FEISU_RETURN_IF_ERROR(out.AppendRow(row));
       return out;
     }
-    for (const auto& [key, group] : groups_) {
+    std::vector<const Group*> ordered;
+    for (const auto& [key, group] : groups_) ordered.push_back(&group);
+    std::sort(ordered.begin(), ordered.end(),
+              [](const Group* a, const Group* b) {
+                return TypedKeyLess(a->keys, b->keys);
+              });
+    for (const Group* group_ptr : ordered) {
+      const Group& group = *group_ptr;
       std::vector<Value> row;
       for (const Value& v : group.keys) row.push_back(v);
       for (size_t s = 0; s < specs_.size(); ++s) {
@@ -237,6 +247,31 @@ class OracleAggregator {
     std::vector<Value> keys;
     std::vector<AggState> states;
   };
+
+  // The final-result order: keys compare one by one under
+  // Value::Compare (NULL first); distinct keys that tie there (int64 above
+  // 2^53, -0.0 and +0.0, NaN payloads) then order by exact value, signed
+  // int64 or double bit pattern.
+  static bool TypedKeyLess(const std::vector<Value>& a,
+                           const std::vector<Value>& b) {
+    for (size_t k = 0; k < a.size(); ++k) {
+      int cmp = a[k].Compare(b[k]);
+      if (cmp != 0) return cmp < 0;
+    }
+    for (size_t k = 0; k < a.size(); ++k) {
+      if (a[k].is_null()) continue;
+      if (a[k].type() == DataType::kInt64 &&
+          a[k].int64_value() != b[k].int64_value()) {
+        return a[k].int64_value() < b[k].int64_value();
+      }
+      if (a[k].type() == DataType::kDouble) {
+        uint64_t x = std::bit_cast<uint64_t>(a[k].double_value());
+        uint64_t y = std::bit_cast<uint64_t>(b[k].double_value());
+        if (x != y) return x < y;
+      }
+    }
+    return false;
+  }
 
   Group& GroupFor(const std::vector<Value>& keys) {
     std::string serialized = SerializeKeys(keys);
@@ -669,6 +704,100 @@ TEST(AggregateDifferentialTest, DoubleKeyBitPatterns) {
                            Specs({{AggFunc::kCount, nullptr},
                                   {AggFunc::kSum, "a"}}),
                            schema, {batch}, "double bit patterns");
+}
+
+// Distinct keys that Value::Compare ties — int64 above 2^53, -0.0 and
+// +0.0, two NaN payloads — still have exactly one final order: rows fed
+// forward or reversed, and merged through either stem tree, finalize to
+// the same bytes, and ties on every key break by exact value.
+TEST(AggregateOrderTest, ComparisonTiesBreakByExactValue) {
+  const int64_t big = int64_t{1} << 60;
+  const double nan_a = std::bit_cast<double>(0x7FF8000000000001ULL);
+  const double nan_b = std::bit_cast<double>(0x7FF8000000000002ULL);
+  Schema schema({{"i", DataType::kInt64, true},
+                 {"d", DataType::kDouble, true},
+                 {"a", DataType::kInt64, true}});
+  const std::vector<std::pair<Value, Value>> keys = {
+      {Value::Int64(big + 1), Value::Double(0.0)},
+      {Value::Int64(big), Value::Double(0.0)},
+      {Value::Int64(1), Value::Double(nan_b)},
+      {Value::Int64(big), Value::Double(-0.0)},
+      {Value::Null(), Value::Double(-0.0)},
+      {Value::Int64(1), Value::Double(nan_a)},
+      {Value::Int64(big + 1), Value::Double(-1.0)},
+      {Value::Null(), Value::Double(0.0)},
+      {Value::Int64(1), Value::Double(2.0)}};
+  // One single-row batch per key, in list order or reversed.
+  auto batches = [&](bool reversed) {
+    std::vector<RecordBatch> out;
+    for (size_t n = 0; n < keys.size(); ++n) {
+      size_t r = reversed ? keys.size() - 1 - n : n;
+      RecordBatch batch(schema);
+      EXPECT_TRUE(batch
+                      .AppendRow({keys[r].first, keys[r].second,
+                                  Value::Int64(static_cast<int64_t>(r))})
+                      .ok());
+      out.push_back(std::move(batch));
+    }
+    return out;
+  };
+  const std::vector<ExprPtr> group_by = {Expr::ColumnRef("i"),
+                                         Expr::ColumnRef("d")};
+  const auto specs = Specs({{AggFunc::kSum, "a"}});
+  auto make = [&] {
+    auto agg = Aggregator::Make(group_by, specs, schema);
+    EXPECT_TRUE(agg.ok());
+    return std::move(*agg);
+  };
+  auto partial_of = [&](const std::vector<RecordBatch>& input, size_t begin,
+                        size_t end) {
+    Aggregator agg = make();
+    for (size_t b = begin; b < end; ++b) {
+      Aggregator leaf = make();
+      EXPECT_TRUE(leaf.Consume(input[b]).ok());
+      EXPECT_TRUE(agg.ConsumePartial(*leaf.PartialResult()).ok());
+    }
+    return *agg.PartialResult();
+  };
+  std::vector<std::string> finals;
+  for (bool reversed : {false, true}) {
+    std::vector<RecordBatch> input = batches(reversed);
+    // Raw rows straight into one aggregator.
+    Aggregator direct = make();
+    for (const RecordBatch& batch : input) {
+      ASSERT_TRUE(direct.Consume(batch).ok());
+    }
+    finals.push_back(Fingerprint(*direct.FinalResult()));
+    // One stem over every leaf, and two stems over halves merged at the
+    // master in the opposite order.
+    Aggregator one_stem = make();
+    ASSERT_TRUE(one_stem.ConsumePartial(partial_of(input, 0, input.size()))
+                    .ok());
+    finals.push_back(Fingerprint(*one_stem.FinalResult()));
+    Aggregator two_stems = make();
+    ASSERT_TRUE(two_stems.ConsumePartial(partial_of(input, 4, input.size()))
+                    .ok());
+    ASSERT_TRUE(two_stems.ConsumePartial(partial_of(input, 0, 4)).ok());
+    finals.push_back(Fingerprint(*two_stems.FinalResult()));
+    ExpectPipelinesIdentical(group_by, specs, schema, input,
+                             reversed ? "ties reversed" : "ties forward");
+  }
+  for (const std::string& bytes : finals) EXPECT_EQ(bytes, finals[0]);
+
+  // The order itself: NULL first; 2.0 before the NaNs, NaN payloads by bit
+  // pattern; the 2^60 keys tie as doubles, so `d` orders them first and
+  // then the exact int64 and the bit pattern (+0.0 before -0.0).
+  Aggregator agg = make();
+  for (const RecordBatch& batch : batches(false)) {
+    ASSERT_TRUE(agg.Consume(batch).ok());
+  }
+  auto final_batch = agg.FinalResult();
+  ASSERT_TRUE(final_batch.ok());
+  std::vector<int64_t> row_ids;  // SUM(a) is the key's input row
+  for (size_t r = 0; r < final_batch->num_rows(); ++r) {
+    row_ids.push_back(final_batch->column(2).GetInt64(r));
+  }
+  EXPECT_EQ(row_ids, (std::vector<int64_t>{7, 4, 8, 5, 2, 6, 1, 3, 0}));
 }
 
 TEST(AggregateDifferentialTest, EmptyInputGroupedAndUngrouped) {

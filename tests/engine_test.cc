@@ -126,6 +126,25 @@ TEST_F(EngineFixture, Fig7NegatedPredicateReusesIndex) {
   EXPECT_EQ(result.batch.column(0).GetInt64(0), 19188000);  // sum of ids with id%10<=5
 }
 
+TEST_F(EngineFixture, ResolverStatsTotalSumsEveryLeafField) {
+  Run("SELECT COUNT(*) FROM t WHERE mod = 1");
+  Run("SELECT COUNT(*) FROM t WHERE mod = 2");
+  // Both atoms are cached, so the OR composes in the RLE domain.
+  QueryResult result = Run("SELECT SUM(id) FROM t WHERE mod = 1 OR mod = 2");
+  EXPECT_GT(result.stats.leaf.index_composed_hits, 0u);
+  ResolverStats sum;
+  for (size_t i = 0; i < engine_->num_leaves(); ++i) {
+    sum += engine_->leaf(i).resolver_stats();
+  }
+  ResolverStats total = engine_->AggregateResolverStats();
+  EXPECT_GT(total.rle_tokens, 0u);
+  EXPECT_EQ(total.rle_tokens, sum.rle_tokens);
+  EXPECT_EQ(total.direct_hits, sum.direct_hits);
+  EXPECT_EQ(total.composed_hits, sum.composed_hits);
+  EXPECT_EQ(total.misses, sum.misses);
+  EXPECT_EQ(total.bitmap_words, sum.bitmap_words);
+}
+
 TEST_F(EngineFixture, IdenticalQueryReusesTaskResults) {
   Run("SELECT COUNT(*) FROM t WHERE mod = 1");
   QueryResult again = Run("SELECT COUNT(*) FROM t WHERE mod = 1");

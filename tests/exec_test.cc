@@ -74,18 +74,45 @@ TEST(AggregatorTest, GroupBy) {
   auto result = agg->FinalResult();
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 2u);
-  // Groups come out in serialized-key order; find them by value.
-  int64_t east = 0;
-  int64_t west = 0;
-  for (size_t i = 0; i < result->num_rows(); ++i) {
-    if (result->column(0).GetString(i) == "east") {
-      east = result->column(1).GetInt64(i);
-    } else {
-      west = result->column(1).GetInt64(i);
-    }
+  // Groups come out in typed key order.
+  EXPECT_EQ(result->column(0).GetString(0), "east");
+  EXPECT_EQ(result->column(1).GetInt64(0), 90);
+  EXPECT_EQ(result->column(0).GetString(1), "west");
+  EXPECT_EQ(result->column(1).GetInt64(1), 60);
+}
+
+// The final order is Value::Compare's, NULL first: int64 keys by value
+// (not by their little-endian bytes, which put 256 before 1) and strings
+// lexicographically (not shortest first).
+TEST(AggregatorTest, GroupByEmitsTypedKeyOrder) {
+  Schema schema({{"n", DataType::kInt64, true},
+                 {"s", DataType::kString, true}});
+  RecordBatch batch(schema);
+  for (const auto& [n, s] : std::vector<std::pair<Value, Value>>{
+           {Value::Int64(256), Value::String("b")},
+           {Value::Int64(1), Value::String("ab")},
+           {Value::Null(), Value::Null()},
+           {Value::Int64(-5), Value::String("b")}}) {
+    ASSERT_TRUE(batch.AppendRow({n, s}).ok());
   }
-  EXPECT_EQ(east, 90);
-  EXPECT_EQ(west, 60);
+  for (const char* key : {"n", "s"}) {
+    auto agg = Aggregator::Make({Expr::ColumnRef(key)},
+                                Specs({{AggFunc::kCount, nullptr}}),
+                                schema);
+    ASSERT_TRUE(agg.ok());
+    ASSERT_TRUE(agg->Consume(batch).ok());
+    auto result = agg->FinalResult();
+    ASSERT_TRUE(result.ok());
+    std::vector<std::string> keys;
+    for (size_t r = 0; r < result->num_rows(); ++r) {
+      keys.push_back(result->column(0).GetValue(r).ToString());
+    }
+    const std::vector<std::string> expected =
+        std::string(key) == "n"
+            ? std::vector<std::string>{"NULL", "-5", "1", "256"}
+            : std::vector<std::string>{"NULL", "'ab'", "'b'"};
+    EXPECT_EQ(keys, expected);
+  }
 }
 
 TEST(AggregatorTest, NullsDoNotAggregate) {
@@ -494,6 +521,110 @@ TEST(HashJoinTest, EquiPlusResidual) {
   auto out = HashJoinBatches(l, r, options);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 1u);
+}
+
+// Inputs whose residual `lv < rv` rejects some equi-key candidates: left
+// row (2, 30) keeps only one of its two candidates, (4, 50) loses its only
+// one, and a NULL `lv` fails the residual against every right row.
+std::pair<RecordBatch, RecordBatch> MakeResidualJoinInputs() {
+  Schema left({{"k", DataType::kInt64, true}, {"lv", DataType::kInt64, true}});
+  RecordBatch l(left);
+  for (const auto& [k, v] :
+       std::vector<std::pair<Value, Value>>{{Value::Int64(2), Value::Int64(10)},
+                                            {Value::Int64(1), Value::Int64(5)},
+                                            {Value::Int64(2), Value::Int64(30)},
+                                            {Value::Null(), Value::Null()},
+                                            {Value::Int64(4), Value::Int64(50)}}) {
+    EXPECT_TRUE(l.AppendRow({k, v}).ok());
+  }
+  Schema right(
+      {{"k", DataType::kInt64, true}, {"rv", DataType::kInt64, true}});
+  RecordBatch r(right);
+  for (const auto& [k, v] :
+       std::vector<std::pair<Value, Value>>{{Value::Int64(2), Value::Int64(20)},
+                                            {Value::Int64(4), Value::Int64(40)},
+                                            {Value::Int64(2), Value::Int64(35)},
+                                            {Value::Null(), Value::Int64(99)},
+                                            {Value::Int64(5), Value::Int64(1)}}) {
+    EXPECT_TRUE(r.AppendRow({k, v}).ok());
+  }
+  return {l, r};
+}
+
+ExprPtr ResidualLess() {
+  return Expr::Compare(CompareOp::kLt, Expr::ColumnRef("lv"),
+                       Expr::ColumnRef("rv"));
+}
+
+// Every output row as "a|b|c|d", in output order.
+std::vector<std::string> JoinRows(const RecordBatch& batch) {
+  std::vector<std::string> rows;
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    std::string row;
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      if (c > 0) row += "|";
+      row += batch.column(c).GetValue(r).ToString();
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST(HashJoinTest, LeftOuterResidualRowsAndOrder) {
+  auto [l, r] = MakeResidualJoinInputs();
+  auto out = HashJoinBatches(
+      l, r,
+      PrefixedJoin(JoinType::kLeftOuter,
+                   Expr::And(EquiCondition(), ResidualLess())));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // Padding sits at its left row's position.
+  EXPECT_EQ(JoinRows(*out),
+            (std::vector<std::string>{"2|10|2|20", "2|10|2|35",
+                                      "1|5|NULL|NULL", "2|30|2|35",
+                                      "NULL|NULL|NULL|NULL",
+                                      "4|50|NULL|NULL"}));
+}
+
+TEST(HashJoinTest, RightOuterResidualRowsAndOrder) {
+  auto [l, r] = MakeResidualJoinInputs();
+  auto out = HashJoinBatches(
+      l, r,
+      PrefixedJoin(JoinType::kRightOuter,
+                   Expr::And(EquiCondition(), ResidualLess())));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // Matches in left-row order, then every unmatched right row at the end:
+  // (4, 40) only had a candidate the residual rejected.
+  EXPECT_EQ(JoinRows(*out),
+            (std::vector<std::string>{"2|10|2|20", "2|10|2|35", "2|30|2|35",
+                                      "NULL|NULL|4|40", "NULL|NULL|NULL|99",
+                                      "NULL|NULL|5|1"}));
+}
+
+TEST(HashJoinTest, LeftOuterRangeJoinPadsInPlace) {
+  auto [l, r] = MakeResidualJoinInputs();
+  auto out = HashJoinBatches(
+      l, r,
+      PrefixedJoin(JoinType::kLeftOuter,
+                   Expr::Compare(CompareOp::kGt, Expr::ColumnRef("lv"),
+                                 Expr::ColumnRef("rv"))));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(JoinRows(*out),
+            (std::vector<std::string>{
+                "2|10|5|1", "1|5|5|1", "2|30|2|20", "2|30|5|1",
+                "NULL|NULL|NULL|NULL", "4|50|2|20", "4|50|4|40", "4|50|2|35",
+                "4|50|5|1"}));
+}
+
+TEST(HashJoinTest, CrossJoinResidualRowsAndOrder) {
+  auto [l, r] = MakeResidualJoinInputs();
+  auto out =
+      HashJoinBatches(l, r, PrefixedJoin(JoinType::kCross, ResidualLess()));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(JoinRows(*out),
+            (std::vector<std::string>{
+                "2|10|2|20", "2|10|4|40", "2|10|2|35", "2|10|NULL|99",
+                "1|5|2|20", "1|5|4|40", "1|5|2|35", "1|5|NULL|99",
+                "2|30|4|40", "2|30|2|35", "2|30|NULL|99", "4|50|NULL|99"}));
 }
 
 TEST(HashJoinTest, NoCollisionKeepsPlainNames) {

@@ -55,9 +55,7 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale):
                    aggregation and comparison kernels, and the
                    compressed-domain kernels) exist to avoid. Hot operators
                    and the evaluator must use the typed column accessors.
-                   Genuine single-row sites (e.g.
-                   one-row residual evaluation, the once-per-group key
-                   serialization of the final sort) carry an inline waiver:
+                   Genuine single-row sites carry an inline waiver:
                    `// feisu-lint: allow(per-row-getvalue): <reason>`.
   stale-waiver     A `feisu-lint: allow(...)` comment that no longer
                    suppresses any finding (or names an unknown rule) is
