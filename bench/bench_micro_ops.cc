@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,7 +20,10 @@
 #include "exec/aggregate.h"
 #include "exec/operators.h"
 #include "expr/evaluator.h"
+#include "expr/normalize.h"
 #include "index/btree.h"
+#include "index/index_cache.h"
+#include "index/index_resolver.h"
 #include "sql/parser.h"
 
 namespace feisu {
@@ -253,6 +257,47 @@ void BM_InflateAndReserialize(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_InflateAndReserialize)->Arg(65536)->Arg(1 << 20);
+
+// --- SmartIndex probe: one warm query over a 32-block table. ---
+
+// Per iteration: key the query's conjuncts once, then resolve each of them
+// on every block (probe, RLE combine, one inflation). Arg 0: two atoms,
+// both direct hits. Arg 1: an atom (direct hit) and a disjunction composed
+// from its two cached operands.
+void BM_SmartIndexProbe(benchmark::State& state) {
+  constexpr int64_t kBlocks = 32;
+  constexpr size_t kRows = 2048;
+  const std::string where = state.range(0) == 0
+                                ? "c2 > 5 AND c3 <= 7"
+                                : "c2 > 5 AND (c3 = 1 OR c4 = 2)";
+  auto stmt = ParseSql("SELECT COUNT(*) FROM t WHERE " + where);
+  if (!stmt.ok()) {
+    state.SkipWithError("parse failed");
+    return;
+  }
+  IndexCache cache;
+  uint64_t seed = 1;
+  for (int64_t block = 0; block < kBlocks; ++block) {
+    for (const char* atom : {"c2 > 5", "c3 <= 7", "c3 = 1", "c4 = 2"}) {
+      auto atom_stmt = ParseSql(std::string("SELECT a FROM t WHERE ") + atom);
+      for (const KeyedPredicate& keyed : KeyConjuncts(atom_stmt->where)) {
+        cache.Insert({block, keyed.key}, BlockyBits(kRows, seed++), 0);
+      }
+    }
+  }
+  for (auto _ : state) {
+    IndexResolver resolver(&cache);
+    const std::vector<KeyedPredicate> conjuncts = KeyConjuncts(stmt->where);
+    for (int64_t block = 0; block < kBlocks; ++block) {
+      for (const KeyedPredicate& conjunct : conjuncts) {
+        std::optional<BitVector> bits = resolver.Resolve(block, conjunct, 1);
+        benchmark::DoNotOptimize(bits);
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBlocks);
+}
+BENCHMARK(BM_SmartIndexProbe)->Arg(0)->Arg(1);
 
 // --- Typed hash join (word keys + gather output, no per-cell boxing). ---
 

@@ -36,11 +36,17 @@ std::vector<std::string> ExprColumns(const ExprPtr& expr) {
   return cols;
 }
 
+/// The synthetic row-id column a task with no data columns outputs (e.g.
+/// `SELECT 1 FROM t WHERE ...`): it keeps the row count flowing through
+/// downstream operators.
+Schema RowIdSchema() {
+  return Schema({{"__rowid", DataType::kInt64, false}});
+}
+
 /// Decodes the task's data columns, pushing `selection` (may be null: all
-/// rows) down into the column decoders. When the task needs no data columns
-/// (e.g. `SELECT 1 FROM t WHERE ...`), a synthetic row-id column keeps the
-/// row count flowing through downstream operators — built only for the
-/// selected rows, not all num_rows of the block.
+/// rows) down into the column decoders. With no data columns the row-id
+/// column is built only for the selected rows, not all num_rows of the
+/// block.
 Result<RecordBatch> DecodeDataBatch(const ColumnarBlock& block,
                                     const std::vector<std::string>& columns,
                                     const BitVector* selection) {
@@ -59,8 +65,27 @@ Result<RecordBatch> DecodeDataBatch(const ColumnarBlock& block,
   });
   std::vector<ColumnVector> cols;
   cols.push_back(std::move(rowid));
-  return RecordBatch(Schema({{"__rowid", DataType::kInt64, false}}),
-                     std::move(cols));
+  return RecordBatch(RowIdSchema(), std::move(cols));
+}
+
+/// The zero-row batch of the task's data columns, straight from the block
+/// schema: what DecodeDataBatch returns for an empty selection, without
+/// running a decoder.
+Result<RecordBatch> EmptyDataBatch(const Schema& schema,
+                                   const std::vector<std::string>& columns) {
+  if (columns.empty()) return RecordBatch(RowIdSchema());
+  std::vector<Field> fields;
+  fields.reserve(columns.size());
+  for (const auto& name : columns) {
+    int idx = schema.FieldIndex(name);
+    if (idx < 0) {
+      std::string message = "no such column: ";
+      message += name;
+      return Status::NotFound(message);
+    }
+    fields.push_back(schema.field(static_cast<size_t>(idx)));
+  }
+  return RecordBatch(Schema(std::move(fields)));
 }
 
 }  // namespace
@@ -195,7 +220,10 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
   stats.cpu_time += config_.cpu_task_fixed;
   const uint32_t num_rows = task.block.num_rows;
 
-  std::vector<ExprPtr> conjuncts = NormalizePredicate(task.predicate);
+  std::vector<KeyedPredicate> own_conjuncts;
+  if (task.conjuncts == nullptr) own_conjuncts = KeyConjuncts(task.predicate);
+  const std::vector<KeyedPredicate>& conjuncts =
+      task.conjuncts != nullptr ? *task.conjuncts : own_conjuncts;
 
   // --- 1. Zone-map pruning over catalog block statistics. A conjunct of
   // the form <column> OP <literal> whose min/max excludes any match lets
@@ -207,7 +235,9 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
       std::string column;
       CompareOp op;
       const Value* literal = nullptr;
-      if (!MatchColumnOpLiteral(*conjunct, &column, &op, &literal)) continue;
+      if (!MatchColumnOpLiteral(*conjunct.expr, &column, &op, &literal)) {
+        continue;
+      }
       int idx = -1;
       for (size_t i = 0; i < task.block.stats_columns.size(); ++i) {
         if (task.block.stats_columns[i] == column) {
@@ -237,11 +267,8 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
       stats.AccumulateAgg(agg.stats());
       return result;
     }
-    // Selective decode against an all-false selection touches no row data
-    // at all; only the schema comes out.
-    BitVector none(block->num_rows(), false);
     FEISU_ASSIGN_OR_RETURN(result.batch,
-                           DecodeDataBatch(*block, task.columns, &none));
+                           EmptyDataBatch(block->schema(), task.columns));
     return result;
   };
 
@@ -252,7 +279,7 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
 
   // --- 2. Resolve conjuncts: SmartIndex -> B-tree -> evaluation. ---
   std::vector<BitVector> bitmaps;
-  std::vector<ExprPtr> missing;
+  std::vector<const KeyedPredicate*> missing;
   std::set<std::string> charged_columns;
 
   for (const auto& conjunct : conjuncts) {
@@ -282,7 +309,7 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
       std::string column;
       CompareOp op;
       const Value* literal = nullptr;
-      if (MatchColumnOpLiteral(*conjunct, &column, &op, &literal)) {
+      if (MatchColumnOpLiteral(*conjunct.expr, &column, &op, &literal)) {
         const ColumnBTreeIndex* index =
             btree_manager_.Find(task.block.block_id, column);
         if (index == nullptr) {
@@ -311,14 +338,14 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
         }
       }
     }
-    missing.push_back(conjunct);
+    missing.push_back(&conjunct);
   }
 
   // --- 3. Evaluate unresolved conjuncts by scanning their columns. ---
   if (!missing.empty()) {
     std::set<std::string> needed;
-    for (const auto& conjunct : missing) {
-      for (const auto& col : ExprColumns(conjunct)) needed.insert(col);
+    for (const KeyedPredicate* conjunct : missing) {
+      for (const auto& col : ExprColumns(conjunct->expr)) needed.insert(col);
     }
     std::vector<std::string> to_charge;
     for (const auto& col : needed) {
@@ -339,7 +366,7 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
       TriStateVector tri;
       FEISU_ASSIGN_OR_RETURN(
           bool handled,
-          TryEvaluatePredicateEncoded(*missing[m], *block, &tri));
+          TryEvaluatePredicateEncoded(*missing[m]->expr, *block, &tri));
       if (handled) encoded[m] = std::move(tri);
     }
     // Decode only what the fallback conjuncts actually reference; when
@@ -352,7 +379,7 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
       for (size_t m = 0; m < missing.size(); ++m) {
         if (encoded[m].has_value()) continue;
         any_fallback = true;
-        for (const auto& col : ExprColumns(missing[m])) {
+        for (const auto& col : ExprColumns(missing[m]->expr)) {
           decode_cols.insert(col);
         }
       }
@@ -365,40 +392,32 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
       }
     }
     for (size_t m = 0; m < missing.size(); ++m) {
-      const ExprPtr& conjunct = missing[m];
+      const KeyedPredicate& conjunct = *missing[m];
       TriStateVector tri;
       if (encoded[m].has_value()) {
         tri = std::move(*encoded[m]);
         stats.values_skipped_encoded += num_rows;
       } else {
-        FEISU_ASSIGN_OR_RETURN(tri,
-                               EvaluatePredicate3VL(*conjunct, *pred_batch));
+        FEISU_ASSIGN_OR_RETURN(
+            tri, EvaluatePredicate3VL(*conjunct.expr, *pred_batch));
       }
       stats.rows_scanned += num_rows;
       stats.cpu_time += RowCost(num_rows, config_.cpu_per_row_predicate);
-      // Take our own copy of the TRUE bitmap before touching the cache:
-      // IndexCache::Insert is a mutating call, and any pointer previously
-      // obtained from the cache (Lookup/Peek) is invalidated by it. Pushing
-      // first keeps this code correct even if the bitmap ever starts
-      // flowing through a cache pointer instead of a local.
-      bitmaps.push_back(tri.is_true);
       if (config_.enable_smart_index) {
-        index_cache_.Insert({task.block.block_id, PredicateKey(conjunct)},
-                            tri.is_true, now);
+        index_cache_.Insert({task.block.block_id, conjunct.key}, tri.is_true,
+                            now);
         // Materialize the negation's bitmap under the negated predicate's
         // key (paper Fig. 7: `!(c2 > 5)` reuses the work done for
         // `c2 <= 5`). Under three-valued logic the negation's TRUE set is
         // the original's FALSE set — NOT of the TRUE bitmap would wrongly
-        // include rows with NULL operands. Only atoms get duals; a
+        // include rows with NULL operands. Only atoms have a dual key; a
         // disjunction's negation never matches a normalized lookup key.
-        if (conjunct->kind() == ExprKind::kComparison ||
-            (conjunct->kind() == ExprKind::kLogical &&
-             conjunct->logical_op() == LogicalOp::kNot)) {
-          ExprPtr dual = CanonicalizeAtoms(PushDownNot(Expr::Not(conjunct)));
-          index_cache_.Insert({task.block.block_id, PredicateKey(dual)},
+        if (!conjunct.dual_key.empty()) {
+          index_cache_.Insert({task.block.block_id, conjunct.dual_key},
                               tri.is_false, now);
         }
       }
+      bitmaps.push_back(std::move(tri.is_true));
     }
   }
 

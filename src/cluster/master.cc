@@ -55,6 +55,8 @@ LeafTask ScanTaskShape(const PlanNode& scan, const PlanNode* agg,
   shape.table = scan.table;
   shape.columns = scan.columns;
   shape.predicate = scan.scan_predicate;
+  shape.conjuncts = std::make_shared<const std::vector<KeyedPredicate>>(
+      KeyConjuncts(scan.scan_predicate));
   shape.has_aggregate = agg != nullptr;
   if (agg == nullptr) {
     shape.limit = scan.limit_hint;

@@ -2,12 +2,14 @@
 #define FEISU_CLUSTER_TASK_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "columnar/record_batch.h"
 #include "columnar/table.h"
 #include "common/sim_clock.h"
+#include "expr/normalize.h"
 #include "plan/logical_plan.h"
 
 namespace feisu {
@@ -25,6 +27,10 @@ struct LeafTask {
   TableBlockMeta block;
   std::vector<std::string> columns;  ///< data columns the output needs
   ExprPtr predicate;                 ///< pushed filter; may be null
+  /// KeyConjuncts(predicate), built once per query by the master and
+  /// shared by all of its block tasks. Null: the leaf keys `predicate`
+  /// itself.
+  std::shared_ptr<const std::vector<KeyedPredicate>> conjuncts;
   bool has_aggregate = false;
   std::vector<ExprPtr> group_by;
   std::vector<AggSpec> aggregates;

@@ -359,13 +359,17 @@ Result<ColumnVector> DecodePlain(DataType type, const std::string& in,
       break;
     case DataType::kString: {
       // Variable-width payload: the offsets aren't random-access, so the
-      // walk is sequential either way — but unselected rows skip the
-      // string copy entirely.
+      // walk is sequential. It stops after the last selected row (at once
+      // for an empty selection), and unselected rows skip the string copy.
+      const uint32_t walk =
+          selection == nullptr
+              ? num_rows
+              : static_cast<uint32_t>(selection->SetBitsEnd());
       Status truncated = Status::OK();
       col.AppendBulk<std::string>(
           std::move(out_validity), [&](std::string* rows) {
             size_t out = 0;
-            for (uint32_t i = 0; i < num_rows; ++i) {
+            for (uint32_t i = 0; i < walk; ++i) {
               uint32_t len = 0;
               if (!ReadScalar(in, &pos, &len) || pos + len > in.size()) {
                 truncated = Status::Corruption("truncated string column");

@@ -340,6 +340,15 @@ bool BitVector::AnyInRange(size_t begin, size_t end) const {
   return false;
 }
 
+size_t BitVector::SetBitsEnd() const {
+  for (size_t w = words_.size(); w > 0; --w) {
+    if (words_[w - 1] != 0) {
+      return w * 64 - static_cast<size_t>(std::countl_zero(words_[w - 1]));
+    }
+  }
+  return 0;
+}
+
 void BitVector::KeepFirstSetBits(size_t n) {
   size_t w = 0;
   for (; w < words_.size(); ++w) {

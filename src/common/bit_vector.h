@@ -91,6 +91,10 @@ class BitVector {
   /// fully unselected range costs one load per 64 rows.
   bool AnyInRange(size_t begin, size_t end) const;
 
+  /// One past the highest set bit; 0 when no bit is set. Scans words from
+  /// the end.
+  size_t SetBitsEnd() const;
+
   /// Clears every set bit after the first `n`. Word-level: one popcount
   /// per word up to the word holding the n-th set bit, then whole-word
   /// clears.

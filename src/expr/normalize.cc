@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
+
 namespace feisu {
 
 namespace {
@@ -35,6 +37,18 @@ ExprPtr PushDownNotImpl(const ExprPtr& expr, bool negated) {
     return Expr::Not(expr);  // CONTAINS: keep the NOT wrapper
   }
   return negated ? Expr::Not(expr) : expr;
+}
+
+KeyedPredicate KeyPredicate(const ExprPtr& expr) {
+  KeyedPredicate keyed;
+  keyed.expr = expr;
+  keyed.key = PredicateKey(expr);
+  keyed.key_hash = HashString(keyed.key);
+  if (IsLogical(expr, LogicalOp::kAnd) || IsLogical(expr, LogicalOp::kOr)) {
+    keyed.children.push_back(KeyPredicate(expr->child(0)));
+    keyed.children.push_back(KeyPredicate(expr->child(1)));
+  }
+  return keyed;
 }
 
 }  // namespace
@@ -108,6 +122,20 @@ std::vector<ExprPtr> NormalizePredicate(const ExprPtr& expr) {
 
 std::string PredicateKey(const ExprPtr& conjunct) {
   return conjunct->ToString();
+}
+
+std::vector<KeyedPredicate> KeyConjuncts(const ExprPtr& predicate) {
+  std::vector<KeyedPredicate> out;
+  for (const ExprPtr& conjunct : NormalizePredicate(predicate)) {
+    KeyedPredicate keyed = KeyPredicate(conjunct);
+    if (conjunct->kind() == ExprKind::kComparison ||
+        IsLogical(conjunct, LogicalOp::kNot)) {
+      keyed.dual_key = PredicateKey(
+          CanonicalizeAtoms(PushDownNot(Expr::Not(conjunct))));
+    }
+    out.push_back(std::move(keyed));
+  }
+  return out;
 }
 
 }  // namespace feisu

@@ -1,6 +1,7 @@
 #ifndef FEISU_EXPR_NORMALIZE_H_
 #define FEISU_EXPR_NORMALIZE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,26 @@ std::vector<ExprPtr> NormalizePredicate(const ExprPtr& expr);
 /// Canonical cache key of one conjunct; equal predicates (after
 /// normalization) produce equal keys. This is the SmartIndex lookup key.
 std::string PredicateKey(const ExprPtr& conjunct);
+
+/// A normalized predicate with its SmartIndex key rendered and hashed: the
+/// per-query half of a SmartIndex probe, so a per-block probe only has to
+/// fold the block id into `key_hash`.
+struct KeyedPredicate {
+  ExprPtr expr;
+  std::string key;        ///< PredicateKey(expr)
+  uint64_t key_hash = 0;  ///< HashString(key)
+  /// For a conjunct that is an atom or a NOT atom: the key of its
+  /// materialized dual, PredicateKey(CanonicalizeAtoms(PushDownNot(
+  /// Expr::Not(expr)))). Empty otherwise.
+  std::string dual_key;
+  /// For AND/OR nodes: both operands, keyed the same way (the resolver's
+  /// compositional probes). Empty for atoms and NOT.
+  std::vector<KeyedPredicate> children;
+};
+
+/// NormalizePredicate(predicate) with every conjunct keyed. The master
+/// builds this once per query and every block task of the query shares it.
+std::vector<KeyedPredicate> KeyConjuncts(const ExprPtr& predicate);
 
 }  // namespace feisu
 

@@ -12,11 +12,7 @@ IndexCache::IndexCache(IndexCacheConfig config)
   for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
-IndexCache::Shard& IndexCache::ShardFor(const SmartIndexKey& key) {
-  return *shards_[SmartIndexKeyHash()(key) % shards_.size()];
-}
-
-const IndexCache::Shard& IndexCache::ShardFor(const SmartIndexKey& key) const {
+IndexCache::Shard& IndexCache::ShardFor(const SmartIndexKeyView& key) {
   return *shards_[SmartIndexKeyHash()(key) % shards_.size()];
 }
 
@@ -24,9 +20,9 @@ uint64_t IndexCache::ShardCapacity() const {
   return capacity_bytes_.load(std::memory_order_relaxed) / shards_.size();
 }
 
-bool IndexCache::IsPreferred(const SmartIndexKey& key) const {
+bool IndexCache::IsPreferred(std::string_view predicate) const {
   ReaderLock lock(preferred_mutex_);
-  return preferred_predicates_.contains(key.predicate);
+  return preferred_predicates_.contains(predicate);
 }
 
 bool IndexCache::IsExpired(const Shard& shard, const SmartIndex& index,
@@ -34,14 +30,15 @@ bool IndexCache::IsExpired(const Shard& shard, const SmartIndex& index,
   if (now - index.created_at() <= config_.ttl) return false;
   // Preferred indices may outlive their TTL while memory is not full
   // (paper §IV-C.2).
-  if (IsPreferred(index.key()) && shard.memory_bytes <= ShardCapacity()) {
+  if (IsPreferred(index.key().predicate) &&
+      shard.memory_bytes <= ShardCapacity()) {
     return false;
   }
   return true;
 }
 
-std::shared_ptr<const SmartIndex> IndexCache::Lookup(const SmartIndexKey& key,
-                                                     SimTime now) {
+std::shared_ptr<const SmartIndex> IndexCache::Lookup(
+    const SmartIndexKeyView& key, SimTime now) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
   auto it = shard.entries.find(key);
@@ -56,14 +53,12 @@ std::shared_ptr<const SmartIndex> IndexCache::Lookup(const SmartIndexKey& key,
     return nullptr;
   }
   ++shard.stats.hits;
-  shard.lru.erase(it->second.lru_it);
-  shard.lru.push_front(key);
-  it->second.lru_it = shard.lru.begin();
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   return it->second.index;
 }
 
-std::shared_ptr<const SmartIndex> IndexCache::Peek(const SmartIndexKey& key,
-                                                   SimTime now) {
+std::shared_ptr<const SmartIndex> IndexCache::Peek(
+    const SmartIndexKeyView& key, SimTime now) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
   auto it = shard.entries.find(key);
@@ -72,21 +67,22 @@ std::shared_ptr<const SmartIndex> IndexCache::Peek(const SmartIndexKey& key,
   return it->second.index;
 }
 
-void IndexCache::Insert(const SmartIndexKey& key, const BitVector& bits,
+void IndexCache::Insert(SmartIndexKey key, const BitVector& bits,
                         SimTime now) {
   // Build outside the lock: RLE compression is the expensive part.
-  auto index = std::make_shared<const SmartIndex>(key, bits, now);
+  auto index = std::make_shared<const SmartIndex>(std::move(key), bits, now);
+  const SmartIndexKeyView view(index->key());
   uint64_t bytes = index->MemoryBytes();
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(view);
   MutexLock lock(shard.mutex);
-  RemoveLocked(&shard, key);
+  RemoveLocked(&shard, view);
   if (bytes > ShardCapacity()) return;
   EvictForSpaceLocked(&shard, bytes);
   if (shard.memory_bytes + bytes > ShardCapacity()) return;
-  shard.lru.push_front(key);
+  shard.lru.push_front(view);
   Entry entry{std::move(index), shard.lru.begin()};
   shard.memory_bytes += bytes;
-  shard.entries.emplace(key, std::move(entry));
+  shard.entries.emplace(view, std::move(entry));
   ++shard.stats.insertions;
 }
 
@@ -103,7 +99,7 @@ void IndexCache::EvictExpired(SimTime now) {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mutex);
-    std::vector<SmartIndexKey> victims;
+    std::vector<SmartIndexKeyView> victims;
     // All expired entries are removed under this same lock, so collection
     // order affects no observable state (counters bump once per victim).
     // feisu-analyze: allow(unordered-iter): removal set, order unobservable
@@ -161,7 +157,7 @@ void IndexCache::ResetStats() {
   }
 }
 
-void IndexCache::RemoveLocked(Shard* shard, const SmartIndexKey& key) {
+void IndexCache::RemoveLocked(Shard* shard, const SmartIndexKeyView& key) {
   auto it = shard->entries.find(key);
   if (it == shard->entries.end()) return;
   shard->memory_bytes -= it->second.index->MemoryBytes();
@@ -177,17 +173,15 @@ void IndexCache::EvictForSpaceLocked(Shard* shard, uint64_t incoming_bytes) {
     bool allow_preferred = pass == 1;
     while (shard->memory_bytes + incoming_bytes > capacity &&
            !shard->entries.empty()) {
-      SmartIndexKey victim;
-      bool found = false;
-      for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
-        if (allow_preferred || !IsPreferred(*it)) {
-          victim = *it;
-          found = true;
-          break;
-        }
+      auto victim = shard->lru.rbegin();
+      while (victim != shard->lru.rend() && !allow_preferred &&
+             IsPreferred(victim->predicate)) {
+        ++victim;
       }
-      if (!found) break;
-      RemoveLocked(shard, victim);
+      if (victim == shard->lru.rend()) break;
+      // A copy: RemoveLocked erases the list node the iterator points at.
+      const SmartIndexKeyView key = *victim;
+      RemoveLocked(shard, key);
       ++shard->stats.lru_evictions;
     }
     if (shard->memory_bytes + incoming_bytes <= capacity) return;

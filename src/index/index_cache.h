@@ -2,10 +2,12 @@
 #define FEISU_INDEX_INDEX_CACHE_H_
 
 #include <atomic>
+#include <functional>
 #include <list>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -94,18 +96,19 @@ class IndexCache {
   /// Looks up the index for (block, predicate) at simulated time `now`.
   /// Expired entries are treated as misses and removed. Returns nullptr on
   /// miss. The returned pointer owns the index: it stays valid for as long
-  /// as the caller holds it, no matter what the cache does afterwards.
-  std::shared_ptr<const SmartIndex> Lookup(const SmartIndexKey& key,
+  /// as the caller holds it, no matter what the cache does afterwards. A
+  /// hit allocates nothing: it moves its LRU node to the front in place.
+  std::shared_ptr<const SmartIndex> Lookup(const SmartIndexKeyView& key,
                                            SimTime now);
 
   /// Same as Lookup but without touching the hit/miss statistics or LRU
   /// order (used by the resolver's compositional probes).
-  std::shared_ptr<const SmartIndex> Peek(const SmartIndexKey& key,
+  std::shared_ptr<const SmartIndex> Peek(const SmartIndexKeyView& key,
                                          SimTime now);
 
   /// Inserts (or replaces) the index for `key`. Evicts LRU entries as
   /// needed; an entry larger than its shard's budget is not cached.
-  void Insert(const SmartIndexKey& key, const BitVector& bits, SimTime now);
+  void Insert(SmartIndexKey key, const BitVector& bits, SimTime now);
 
   /// User preference hook (paper: "interfaces for users to set preferences
   /// and retire strategies on indices"). Preferred predicates survive TTL
@@ -128,30 +131,31 @@ class IndexCache {
  private:
   struct Entry {
     std::shared_ptr<const SmartIndex> index;
-    std::list<SmartIndexKey>::iterator lru_it;
+    std::list<SmartIndexKeyView>::iterator lru_it;
   };
 
-  /// One independently locked LRU domain.
+  /// One independently locked LRU domain. Map and LRU keys are views of
+  /// the key owned by the entry's own SmartIndex, which the entry keeps
+  /// alive for as long as either refers to it.
   struct Shard {
     mutable Mutex mutex;
-    std::unordered_map<SmartIndexKey, Entry, SmartIndexKeyHash> entries
+    std::unordered_map<SmartIndexKeyView, Entry, SmartIndexKeyHash> entries
         FEISU_GUARDED_BY(mutex);
-    std::list<SmartIndexKey> lru
+    std::list<SmartIndexKeyView> lru
         FEISU_GUARDED_BY(mutex);  // front = most recently used
     uint64_t memory_bytes FEISU_GUARDED_BY(mutex) = 0;
     IndexCacheStats stats FEISU_GUARDED_BY(mutex);
   };
 
-  Shard& ShardFor(const SmartIndexKey& key);
-  const Shard& ShardFor(const SmartIndexKey& key) const;
+  Shard& ShardFor(const SmartIndexKeyView& key);
   uint64_t ShardCapacity() const;
   bool IsExpired(const Shard& shard, const SmartIndex& index,
                  SimTime now) const FEISU_REQUIRES(shard.mutex);
-  bool IsPreferred(const SmartIndexKey& key) const
+  bool IsPreferred(std::string_view predicate) const
       FEISU_EXCLUDES(preferred_mutex_);
   /// Both helpers require `shard->mutex` to be held by the caller
   /// (compile-time enforced).
-  void RemoveLocked(Shard* shard, const SmartIndexKey& key)
+  void RemoveLocked(Shard* shard, const SmartIndexKeyView& key)
       FEISU_REQUIRES(shard->mutex);
   void EvictForSpaceLocked(Shard* shard, uint64_t incoming_bytes)
       FEISU_REQUIRES(shard->mutex);
@@ -163,7 +167,7 @@ class IndexCache {
   /// guarded by each Shard's own mutex.
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable SharedMutex preferred_mutex_;
-  std::set<std::string> preferred_predicates_
+  std::set<std::string, std::less<>> preferred_predicates_
       FEISU_GUARDED_BY(preferred_mutex_);
 };
 

@@ -2,10 +2,11 @@
 #define FEISU_INDEX_INDEX_RESOLVER_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
-#include "expr/expr.h"
+#include "expr/normalize.h"
 #include "index/index_cache.h"
 
 namespace feisu {
@@ -46,23 +47,33 @@ struct ResolverStats {
 /// (BitVector::RleAnd/RleOr) at a cost proportional to run count, and only
 /// the final selection vector is inflated into words.
 ///
+/// Every probe uses the keys the conjunct carries (KeyConjuncts), so a
+/// per-block resolution renders and hashes no predicate text.
+///
 /// Returns nullopt when the conjunct cannot be resolved from cache (the
 /// caller then scans, evaluates, and inserts a fresh index).
 class IndexResolver {
  public:
   explicit IndexResolver(IndexCache* cache) : cache_(cache) {}
 
-  std::optional<BitVector> Resolve(int64_t block_id, const ExprPtr& conjunct,
+  std::optional<BitVector> Resolve(int64_t block_id,
+                                   const KeyedPredicate& conjunct,
                                    SimTime now);
+
+  /// Resolve without the final inflation: the conjunct's RLE payload, or
+  /// nullptr (counted as a miss) when it cannot be resolved. A direct hit
+  /// shares ownership of the cached index, so the payload stays valid
+  /// after the cache evicts the entry; a composed result is a fresh buffer.
+  std::shared_ptr<const std::string> ResolvePayload(
+      int64_t block_id, const KeyedPredicate& conjunct, SimTime now);
 
   const ResolverStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ResolverStats(); }
 
  private:
-  /// Resolves to a compressed RLE payload without inflating it.
-  std::optional<std::string> ResolveImpl(int64_t block_id,
-                                         const ExprPtr& expr, SimTime now,
-                                         bool top_level);
+  std::shared_ptr<const std::string> ResolveImpl(int64_t block_id,
+                                                 const KeyedPredicate& node,
+                                                 SimTime now, bool top_level);
 
   IndexCache* cache_;
   ResolverStats stats_;

@@ -6,9 +6,12 @@
 
 namespace feisu {
 
-size_t SmartIndexKeyHash::operator()(const SmartIndexKey& key) const {
-  return static_cast<size_t>(HashCombine(
-      HashInt64(key.block_id), HashString(key.predicate)));
+SmartIndexKeyView::SmartIndexKeyView(int64_t block, std::string_view text)
+    : SmartIndexKeyView(block, text, HashString(text)) {}
+
+size_t SmartIndexKeyHash::operator()(const SmartIndexKeyView& key) const {
+  return static_cast<size_t>(
+      HashCombine(HashInt64(key.block_id), key.predicate_hash));
 }
 
 SmartIndex::SmartIndex(SmartIndexKey key, const BitVector& bits,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/bit_vector.h"
 #include "common/sim_clock.h"
@@ -20,8 +21,33 @@ struct SmartIndexKey {
   }
 };
 
+/// A borrowed SmartIndex key with its predicate text already hashed: what
+/// a cache probe takes, so a hit builds no string. The text must outlive
+/// the view.
+struct SmartIndexKeyView {
+  int64_t block_id = 0;
+  std::string_view predicate;
+  uint64_t predicate_hash = 0;  ///< HashString(predicate)
+
+  SmartIndexKeyView(int64_t block, std::string_view text,
+                    uint64_t text_hash)
+      : block_id(block), predicate(text), predicate_hash(text_hash) {}
+  /// Hashes `text` (for callers that have not keyed it in advance).
+  SmartIndexKeyView(int64_t block, std::string_view text);
+  SmartIndexKeyView(const SmartIndexKey& key)  // NOLINT(google-explicit-constructor): borrows
+      : SmartIndexKeyView(key.block_id, key.predicate) {}
+
+  bool operator==(const SmartIndexKeyView& other) const {
+    return block_id == other.block_id &&
+           predicate_hash == other.predicate_hash &&
+           predicate == other.predicate;
+  }
+};
+
+/// HashCombine(HashInt64(block_id), HashString(predicate)), folding in the
+/// view's stored text hash (an owned key converts to a view).
 struct SmartIndexKeyHash {
-  size_t operator()(const SmartIndexKey& key) const;
+  size_t operator()(const SmartIndexKeyView& key) const;
 };
 
 /// One cached predicate-evaluation result: a compressed 0-1 vector over the

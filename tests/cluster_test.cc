@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "cluster/cluster_manager.h"
@@ -16,6 +18,7 @@
 #include "columnar/block.h"
 #include "columnar/encoding.h"
 #include "common/rng.h"
+#include "expr/normalize.h"
 #include "sql/parser.h"
 #include "storage/storage_factory.h"
 
@@ -646,6 +649,146 @@ TEST(LeafServerTest, UnorderedLimitIsPrefixOfUncappedTask) {
         ExpectSameTaskStats(head->stats, all->stats);
       }
     }
+  }
+}
+
+void ExpectSameBatch(const RecordBatch& a, const RecordBatch& b) {
+  ASSERT_EQ(a.schema(), b.schema());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    EXPECT_EQ(EncodeColumnAs(a.column(c), Encoding::kPlain).payload,
+              EncodeColumnAs(b.column(c), Encoding::kPlain).payload);
+  }
+}
+
+// The master keys a query's conjuncts once and every block task shares
+// them; a task without them (perfbench's layered twin builds its tasks
+// field by field) keys its predicate itself. Both give the same batch and
+// the same stats, on a cold cache and then on the warm one.
+TEST(LeafServerTest, MasterKeyedConjunctsMatchLeafKeyedOnes) {
+  LeafFixture fixture;
+  const std::vector<std::string> kColumnSets[] = {{"c1"}, {"c1", "s"}, {}};
+  for (const char* condition :
+       {"", "c2 < 3", "c2 > 0 AND NOT (c2 > 5)", "c2 = 1 OR c2 = 8",
+        "s CONTAINS 'eve' AND c1 >= 100", "NOT (s CONTAINS 'od')",
+        "c1 > 5000", "c2 = 3 AND c1 = 4"}) {
+    for (const std::vector<std::string>& columns : kColumnSets) {
+      SCOPED_TRACE(std::string("WHERE ") + condition + ", " +
+                   std::to_string(columns.size()) + " columns");
+      LeafTask own = fixture.MakeTask(condition, columns);
+      LeafTask keyed = own;
+      keyed.conjuncts = std::make_shared<const std::vector<KeyedPredicate>>(
+          KeyConjuncts(keyed.predicate));
+      LeafServer own_leaf(0, &fixture.router, LeafServerConfig());
+      LeafServer keyed_leaf(0, &fixture.router, LeafServerConfig());
+      for (SimTime now : {SimTime{0}, kSimSecond}) {  // cold, then warm
+        auto a = own_leaf.Execute(own, now);
+        auto b = keyed_leaf.Execute(keyed, now);
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        ExpectSameBatch(a->batch, b->batch);
+        ExpectSameTaskStats(a->stats, b->stats);
+      }
+      EXPECT_EQ(own_leaf.index_cache().stats().hits,
+                keyed_leaf.index_cache().stats().hits);
+      EXPECT_EQ(own_leaf.index_cache().stats().insertions,
+                keyed_leaf.index_cache().stats().insertions);
+    }
+  }
+}
+
+// A zone-pruned or zero-match projection task builds its zero-row batch
+// from the block schema. It equals what decoding through an all-false
+// selection gives, for columns of every encoding and for the row-id
+// output of a task with no data columns; an unknown column is NotFound.
+TEST(LeafServerTest, EmptyOutputsMatchAllFalseDecode) {
+  PathRouter router;
+  router.Register("/hdfs", MakeHdfs(), true)->RegisterNode(0);
+  Schema schema{std::vector<Field>{{"run", DataType::kInt64, true},
+                                   {"small", DataType::kInt64, true},
+                                   {"wide", DataType::kInt64, false},
+                                   {"flag", DataType::kBool, true},
+                                   {"ratio", DataType::kDouble, true},
+                                   {"cat", DataType::kString, true},
+                                   {"name", DataType::kString, false}}};
+  RecordBatch batch(schema);
+  for (int i = 0; i < 1000; ++i) {
+    Value null;
+    ASSERT_TRUE(batch
+                    .AppendRow({Value::Int64(i / 100),
+                                i % 13 == 0 ? null : Value::Int64(i % 10),
+                                Value::Int64(int64_t{i} << 40),
+                                Value::Bool(i < 500),
+                                Value::Double(i * 0.25),
+                                i % 17 == 0 ? null
+                                            : Value::String(i % 3 == 0
+                                                                ? "red"
+                                                                : "blue"),
+                                Value::String("row" + std::to_string(i))})
+                    .ok());
+  }
+  ColumnarBlock block = ColumnarBlock::FromBatch(1, batch);
+  std::set<Encoding> encodings;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    encodings.insert(block.ColumnEncoding(c));
+  }
+  ASSERT_EQ(encodings.size(), 4u);  // plain, RLE, dict and bit-pack
+  TableBlockMeta meta;
+  meta.block_id = 1;
+  meta.path = "/hdfs/e/blk_0";
+  meta.num_rows = 1000;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    meta.stats.push_back(block.stats(c));
+    meta.stats_columns.push_back(schema.field(c).name);
+  }
+  std::string payload = block.Serialize();
+  meta.bytes = payload.size();
+  ASSERT_TRUE(router.Write(meta.path, std::move(payload)).ok());
+
+  std::vector<std::vector<std::string>> column_sets = {{}};
+  std::vector<std::string> all;
+  for (const Field& f : schema.fields()) {
+    column_sets.push_back({f.name});
+    all.push_back(f.name);
+  }
+  column_sets.push_back(all);
+  const BitVector none(1000, false);
+  // Zone-pruned, then zero-match (each atom's range admits the block).
+  for (const char* condition : {"small > 100", "small = 3 AND wide = 0"}) {
+    auto stmt = ParseSql(std::string("SELECT run FROM e WHERE ") + condition);
+    ASSERT_TRUE(stmt.ok());
+    for (const std::vector<std::string>& columns : column_sets) {
+      SCOPED_TRACE(std::string(condition) + ", " +
+                   (columns.empty() ? std::string("__rowid") : columns[0]) +
+                   " x" + std::to_string(columns.size()));
+      LeafTask task;
+      task.table = "e";
+      task.block = meta;
+      task.columns = columns;
+      task.predicate = stmt->where;
+      LeafServer leaf(0, &router, LeafServerConfig());
+      auto result = leaf.Execute(task, 0);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->stats.block_skipped,
+                std::string(condition) == "small > 100");
+      EXPECT_EQ(result->stats.rows_matched, 0u);
+      if (columns.empty()) {
+        ExpectSameBatch(
+            result->batch,
+            RecordBatch(Schema({{"__rowid", DataType::kInt64, false}})));
+        continue;
+      }
+      auto decoded = block.DecodeBatch(columns, &none);
+      ASSERT_TRUE(decoded.ok());
+      ExpectSameBatch(result->batch, *decoded);
+    }
+    LeafTask unknown;
+    unknown.table = "e";
+    unknown.block = meta;
+    unknown.columns = {"run", "nope"};
+    unknown.predicate = stmt->where;
+    LeafServer leaf(0, &router, LeafServerConfig());
+    EXPECT_TRUE(leaf.Execute(unknown, 0).status().IsNotFound());
   }
 }
 

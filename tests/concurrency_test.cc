@@ -12,7 +12,9 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "expr/normalize.h"
 #include "index/index_cache.h"
+#include "index/index_resolver.h"
 #include "storage/storage_factory.h"
 #include "workload/datagen.h"
 
@@ -138,15 +140,25 @@ TEST(IndexCacheConcurrencyTest, ParallelHammerKeepsHandlesValid) {
 
 // A handle taken just before a concurrent flood of inserts (which evicts
 // the entry) must survive and stay bit-exact — the ownership contract that
-// replaced the old raw-pointer API.
+// replaced the old raw-pointer API. The resolver's direct-hit payload is
+// such a handle too: it borrows the cached bytes instead of copying them.
 TEST(IndexCacheConcurrencyTest, HandleOutlivesConcurrentEviction) {
   IndexCacheConfig config;
   config.capacity_bytes = 8 * 1024;
   IndexCache cache(config);
-  SmartIndexKey key{1, "(a > 1)"};
+  std::vector<KeyedPredicate> conjuncts =
+      KeyConjuncts(Expr::Compare(CompareOp::kGt, Expr::ColumnRef("a"),
+                                 Expr::Literal(Value::Int64(1))));
+  ASSERT_EQ(conjuncts.size(), 1u);
+  SmartIndexKey key{1, conjuncts[0].key};
   cache.Insert(key, PatternBits(42), 0);
   std::shared_ptr<const SmartIndex> held = cache.Lookup(key, 0);
   ASSERT_NE(held, nullptr);
+  IndexResolver resolver(&cache);
+  std::shared_ptr<const std::string> payload =
+      resolver.ResolvePayload(1, conjuncts[0], 0);
+  ASSERT_NE(payload, nullptr);
+  EXPECT_EQ(resolver.stats().direct_hits, 1u);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -159,7 +171,11 @@ TEST(IndexCacheConcurrencyTest, HandleOutlivesConcurrentEviction) {
   }
   for (auto& thread : threads) thread.join();
 
+  EXPECT_EQ(cache.Peek(key, 1), nullptr);  // evicted
   EXPECT_TRUE(held->Bits() == PatternBits(42));
+  BitVector bits;
+  ASSERT_TRUE(BitVector::DeserializeRle(*payload, &bits));
+  EXPECT_TRUE(bits == PatternBits(42));
 }
 
 // ---------- Parallel leaf path: determinism ----------

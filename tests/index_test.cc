@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <list>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "expr/evaluator.h"
 #include "expr/normalize.h"
@@ -18,6 +21,15 @@ ExprPtr ParsePredicate(const std::string& condition) {
   auto stmt = ParseSql("SELECT a FROM t WHERE " + condition);
   EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
   return CanonicalizeAtoms(PushDownNot(stmt->where));
+}
+
+// The single keyed conjunct of `condition`: what a leaf task probes with.
+KeyedPredicate KeyedConjunct(const std::string& condition) {
+  auto stmt = ParseSql("SELECT a FROM t WHERE " + condition);
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  std::vector<KeyedPredicate> conjuncts = KeyConjuncts(stmt->where);
+  EXPECT_EQ(conjuncts.size(), 1u) << condition;
+  return conjuncts.at(0);
 }
 
 BitVector MakeBits(const std::string& pattern) {
@@ -213,6 +225,117 @@ TEST(IndexCacheTest, LookupHandleSurvivesInsertChurnAndEviction) {
   EXPECT_TRUE(after->Bits() == MakeBits("0000"));
 }
 
+// With one shard, a hit moves its entry to the LRU front exactly as an
+// erase followed by a push to the front did: after every insert, the
+// resident set equals that of a list model of the old policy.
+TEST(IndexCacheTest, SingleShardEvictionOrderFollowsHits) {
+  const BitVector bits = MakeBits("0110");
+  auto key_of = [](int i) {
+    std::string key = "(k > ";
+    if (i < 10) key += "0";
+    key += std::to_string(i);
+    key += ")";
+    return key;
+  };
+  constexpr size_t kResident = 6;
+  const uint64_t entry_bytes = SmartIndex({1, key_of(0)}, bits, 0).MemoryBytes();
+  IndexCache cache(SmallCache(kResident * entry_bytes));
+  std::list<std::string> model;  // front = most recently used
+  Rng rng(5);
+  constexpr int kInserts = 40;
+  for (int i = 0; i < kInserts; ++i) {
+    for (int h = 0; h < 3 && !model.empty(); ++h) {
+      auto it = std::next(model.begin(),
+                          static_cast<std::ptrdiff_t>(
+                              rng.NextUint64(model.size())));
+      ASSERT_NE(cache.Lookup({1, *it}, 1), nullptr) << *it;
+      std::string key = *it;
+      model.erase(it);
+      model.push_front(key);
+    }
+    cache.Insert({1, key_of(i)}, bits, 1);
+    model.push_front(key_of(i));
+    if (model.size() > kResident) model.pop_back();
+    for (int j = 0; j <= i; ++j) {
+      const bool resident =
+          std::find(model.begin(), model.end(), key_of(j)) != model.end();
+      EXPECT_EQ(cache.Peek({1, key_of(j)}, 1) != nullptr, resident)
+          << "after insert " << i << ", key " << key_of(j);
+    }
+  }
+  EXPECT_EQ(cache.stats().lru_evictions, kInserts - kResident);
+}
+
+// ---------- Keyed conjuncts ----------
+
+// The keys the master builds once per query are exactly the keys the leaf
+// used to render per block: PredicateKey over NormalizePredicate, the
+// hash of that text, and the dual's rendering for atoms and NOT atoms.
+TEST(KeyConjunctsTest, KeysMatchPerConjunctRendering) {
+  const char* const kConditions[] = {
+      "c2 > 0 AND c2 <= 5",             // Q10
+      "c2 > 0 AND !(c2 > 5)",           // Q11
+      "NOT (c2 <= 0 OR c2 > 5)",        // Q12
+      "a = 1 OR b = 2",
+      "(a = 1 AND b = 2) OR c = 3",
+      "5 < a AND NOT (b != 'x')",
+      "s CONTAINS 'x' AND NOT (s CONTAINS 'y')",
+      "NOT (s CONTAINS 'x' OR a >= 2.5)",
+      "(a = 1 OR b = 2) AND (c = 3 OR NOT (d CONTAINS 'z'))",
+  };
+  for (const char* condition : kConditions) {
+    SCOPED_TRACE(condition);
+    auto stmt = ParseSql(std::string("SELECT a FROM t WHERE ") + condition);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    const std::vector<ExprPtr> normalized = NormalizePredicate(stmt->where);
+    const std::vector<KeyedPredicate> keyed = KeyConjuncts(stmt->where);
+    ASSERT_EQ(keyed.size(), normalized.size());
+    for (size_t i = 0; i < keyed.size(); ++i) {
+      const ExprPtr& conjunct = normalized[i];
+      EXPECT_EQ(keyed[i].key, PredicateKey(conjunct));
+      EXPECT_EQ(keyed[i].key_hash, HashString(keyed[i].key));
+      const bool atom =
+          conjunct->kind() == ExprKind::kComparison ||
+          (conjunct->kind() == ExprKind::kLogical &&
+           conjunct->logical_op() == LogicalOp::kNot);
+      EXPECT_EQ(keyed[i].dual_key,
+                atom ? PredicateKey(CanonicalizeAtoms(
+                           PushDownNot(Expr::Not(conjunct))))
+                     : std::string());
+      // AND/OR nodes key their operands for compositional probes.
+      if (conjunct->kind() == ExprKind::kLogical &&
+          conjunct->logical_op() != LogicalOp::kNot) {
+        ASSERT_EQ(keyed[i].children.size(), 2u);
+        for (size_t c = 0; c < 2; ++c) {
+          EXPECT_EQ(keyed[i].children[c].key,
+                    PredicateKey(conjunct->child(c)));
+          EXPECT_EQ(keyed[i].children[c].key_hash,
+                    HashString(keyed[i].children[c].key));
+        }
+      } else {
+        EXPECT_TRUE(keyed[i].children.empty());
+      }
+    }
+  }
+  EXPECT_TRUE(KeyConjuncts(nullptr).empty());
+}
+
+// A borrowed key hashes and compares exactly like the owned key it views.
+TEST(SmartIndexTest, KeyViewHashesLikeOwnedKey) {
+  SmartIndexKeyHash hasher;
+  for (int64_t block : {int64_t{0}, int64_t{7}, int64_t{-3}}) {
+    for (const char* text : {"(a > 1)", "((a = 1) OR (b = 2))", ""}) {
+      SmartIndexKey owned{block, text};
+      const uint64_t expected =
+          HashCombine(HashInt64(block), HashString(text));
+      EXPECT_EQ(hasher(owned), expected);
+      EXPECT_EQ(hasher(SmartIndexKeyView(block, text, HashString(text))),
+                expected);
+      EXPECT_EQ(hasher(SmartIndexKeyView(owned)), expected);
+    }
+  }
+}
+
 // ---------- IndexResolver (Fig. 7 bitmap algebra) ----------
 
 TEST(ResolverTest, DirectHit) {
@@ -220,10 +343,16 @@ TEST(ResolverTest, DirectHit) {
   IndexResolver resolver(&cache);
   ExprPtr p = ParsePredicate("c2 > 0");
   cache.Insert({1, PredicateKey(p)}, MakeBits("0110"), 0);
-  auto bits = resolver.Resolve(1, p, 10);
+  auto bits = resolver.Resolve(1, KeyedConjunct("c2 > 0"), 10);
   ASSERT_TRUE(bits.has_value());
   EXPECT_EQ(bits->ToString(), "0110");
   EXPECT_EQ(resolver.stats().direct_hits, 1u);
+  // A direct hit borrows the cached payload instead of copying it.
+  std::shared_ptr<const std::string> payload =
+      resolver.ResolvePayload(1, KeyedConjunct("c2 > 0"), 10);
+  ASSERT_NE(payload, nullptr);
+  EXPECT_EQ(payload.get(), &cache.Peek({1, PredicateKey(p)}, 10)
+                                ->compressed_bits());
 }
 
 TEST(ResolverTest, NegationResolvesViaMaterializedDual) {
@@ -237,7 +366,7 @@ TEST(ResolverTest, NegationResolvesViaMaterializedDual) {
                MakeBits("0011"), 0);
   cache.Insert({1, PredicateKey(ParsePredicate("c2 <= 5"))},
                MakeBits("1000"), 0);  // row 1 has NULL c2
-  auto bits = resolver.Resolve(1, ParsePredicate("c2 <= 5"), 10);
+  auto bits = resolver.Resolve(1, KeyedConjunct("c2 <= 5"), 10);
   ASSERT_TRUE(bits.has_value());
   EXPECT_EQ(bits->ToString(), "1000");
   EXPECT_EQ(resolver.stats().direct_hits, 1u);
@@ -250,7 +379,7 @@ TEST(ResolverTest, NoUnsafeBitNotComposition) {
   // the TRUE set would wrongly select NULL rows).
   cache.Insert({1, PredicateKey(ParsePredicate("c2 > 5"))},
                MakeBits("0011"), 0);
-  EXPECT_FALSE(resolver.Resolve(1, ParsePredicate("c2 <= 5"), 10)
+  EXPECT_FALSE(resolver.Resolve(1, KeyedConjunct("c2 <= 5"), 10)
                    .has_value());
 }
 
@@ -261,9 +390,10 @@ TEST(ResolverTest, OrComposition) {
                MakeBits("1000"), 0);
   cache.Insert({1, PredicateKey(ParsePredicate("b = 2"))},
                MakeBits("0100"), 0);
-  auto bits = resolver.Resolve(1, ParsePredicate("a = 1 OR b = 2"), 10);
+  auto bits = resolver.Resolve(1, KeyedConjunct("a = 1 OR b = 2"), 10);
   ASSERT_TRUE(bits.has_value());
   EXPECT_EQ(bits->ToString(), "1100");
+  EXPECT_EQ(resolver.stats().composed_hits, 2u);
 }
 
 TEST(ResolverTest, NotContainsResolvesByDirectKeyOnly) {
@@ -272,14 +402,13 @@ TEST(ResolverTest, NotContainsResolvesByDirectKeyOnly) {
   cache.Insert({1, PredicateKey(ParsePredicate("s CONTAINS 'x'"))},
                MakeBits("1010"), 0);
   // Without the materialized dual entry, NOT(CONTAINS) misses.
-  EXPECT_FALSE(resolver.Resolve(1, ParsePredicate("NOT (s CONTAINS 'x')"),
-                                10)
-                   .has_value());
+  EXPECT_FALSE(
+      resolver.Resolve(1, KeyedConjunct("NOT (s CONTAINS 'x')"), 10)
+          .has_value());
   // With it, the lookup is a direct hit.
   cache.Insert({1, PredicateKey(ParsePredicate("NOT (s CONTAINS 'x')"))},
                MakeBits("0101"), 0);
-  auto bits =
-      resolver.Resolve(1, ParsePredicate("NOT (s CONTAINS 'x')"), 10);
+  auto bits = resolver.Resolve(1, KeyedConjunct("NOT (s CONTAINS 'x')"), 10);
   ASSERT_TRUE(bits.has_value());
   EXPECT_EQ(bits->ToString(), "0101");
 }
@@ -287,7 +416,7 @@ TEST(ResolverTest, NotContainsResolvesByDirectKeyOnly) {
 TEST(ResolverTest, MissWhenNothingCached) {
   IndexCache cache;
   IndexResolver resolver(&cache);
-  auto bits = resolver.Resolve(1, ParsePredicate("a = 1"), 10);
+  auto bits = resolver.Resolve(1, KeyedConjunct("a = 1"), 10);
   EXPECT_FALSE(bits.has_value());
   EXPECT_EQ(resolver.stats().misses, 1u);
 }
@@ -298,7 +427,7 @@ TEST(ResolverTest, PartialOrCompositionMisses) {
   cache.Insert({1, PredicateKey(ParsePredicate("a = 1"))},
                MakeBits("1000"), 0);
   // Other disjunct missing: cannot compose.
-  auto bits = resolver.Resolve(1, ParsePredicate("a = 1 OR b = 2"), 10);
+  auto bits = resolver.Resolve(1, KeyedConjunct("a = 1 OR b = 2"), 10);
   EXPECT_FALSE(bits.has_value());
 }
 
@@ -307,7 +436,7 @@ TEST(ResolverTest, WrongBlockMisses) {
   IndexResolver resolver(&cache);
   ExprPtr p = ParsePredicate("a = 1");
   cache.Insert({1, PredicateKey(p)}, MakeBits("1"), 0);
-  EXPECT_FALSE(resolver.Resolve(2, p, 10).has_value());
+  EXPECT_FALSE(resolver.Resolve(2, KeyedConjunct("a = 1"), 10).has_value());
 }
 
 // ---------- BPlusTree ----------

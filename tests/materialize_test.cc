@@ -250,6 +250,58 @@ TEST(BulkDecodeTest, TypedStorageMatchesPerValueReference) {
   }
 }
 
+// The plain decoder walks a string payload only up to the selection's last
+// set bit. Empty, prefix-only (an unordered LIMIT's KeepFirstSetBits),
+// scattered and full selections on every plain type equal the per-value
+// reference; a string payload cut anywhere up to the end of the last
+// selected row is still Corruption, while bytes after it are never read.
+TEST(BulkDecodeTest, PlainDecodeStopsAtLastSelectedRow) {
+  constexpr size_t kRows = 300;
+  BitVector scattered(kRows, false);
+  for (size_t i = 0; i < kRows; i += 7) scattered.Set(i, true);
+  BitVector prefix = scattered;
+  prefix.KeepFirstSetBits(10);  // last selected row: 63
+  const BitVector kSelections[] = {BitVector(kRows, false), prefix, scattered,
+                                   BitVector(kRows, true)};
+  const char* const kNames[] = {"empty", "prefix", "scattered", "full"};
+  for (DataType type : {DataType::kBool, DataType::kInt64, DataType::kDouble,
+                        DataType::kString}) {
+    ColumnVector col = MakeColumn(type, kRows, true, 41);
+    EncodedColumn encoded = EncodeColumnAs(col, Encoding::kPlain);
+    ASSERT_EQ(encoded.encoding, Encoding::kPlain);
+    for (size_t s = 0; s < 4; ++s) {
+      std::string label = std::string(DataTypeName(type)) + " " + kNames[s];
+      auto decoded = DecodeColumn(type, encoded, &kSelections[s]);
+      ASSERT_TRUE(decoded.ok()) << label;
+      ExpectSameStorage(SelectByValue(col, &kSelections[s]), *decoded, label);
+    }
+  }
+
+  ColumnVector col = MakeColumn(DataType::kString, kRows, true, 43);
+  const std::string payload =
+      EncodeColumnAs(col, Encoding::kPlain).payload;
+  // Byte offset where row 63's length prefix starts and where its bytes
+  // end: every row after it takes a 4-byte length plus its bytes.
+  size_t row_end = payload.size();
+  for (size_t i = kRows - 1; i > 63; --i) {
+    row_end -= 4 + col.strings()[i].size();
+  }
+  const size_t row_begin = row_end - 4 - col.strings()[63].size();
+  for (size_t cut : {row_begin, row_begin + 2, row_end - 1}) {
+    EncodedColumn truncated{Encoding::kPlain, payload.substr(0, cut)};
+    EXPECT_TRUE(DecodeColumn(DataType::kString, truncated, &prefix)
+                    .status()
+                    .IsCorruption())
+        << "cut at " << cut;
+  }
+  EncodedColumn tail_cut{Encoding::kPlain, payload.substr(0, row_end)};
+  auto head = DecodeColumn(DataType::kString, tail_cut, &prefix);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  ExpectSameStorage(SelectByValue(col, &prefix), *head, "string tail cut");
+  EncodedColumn empty_cut{Encoding::kPlain, payload.substr(0, row_begin)};
+  EXPECT_TRUE(DecodeColumn(DataType::kString, empty_cut, &kSelections[0]).ok());
+}
+
 // Bit-packed NULL rows encode as the frame minimum; decoded, their slot
 // must still hold 0, not the minimum.
 TEST(BulkDecodeTest, BitPackNullSlotsHoldZero) {
@@ -534,6 +586,8 @@ TEST(BitVectorScanTest, KeepFirstSetBitsMatchesIndexPrefix) {
         EXPECT_EQ(cut.SetIndices(), expected)
             << n << " bits, density " << density << ", keep " << keep;
         EXPECT_EQ(cut.size(), n);
+        EXPECT_EQ(cut.SetBitsEnd(),
+                  expected.empty() ? size_t{0} : expected.back() + size_t{1});
       }
     }
   }
