@@ -51,11 +51,6 @@ std::optional<JobInfo> JobManager::Find(int64_t job_id) const {
   return it->second;
 }
 
-size_t JobManager::NumJobs() const {
-  MutexLock lock(mutex_);
-  return jobs_.size();
-}
-
 void JobManager::SetAdmissionInfo(int64_t job_id, const std::string& domain,
                                   int domain_job_limit) {
   MutexLock lock(mutex_);

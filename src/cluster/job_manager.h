@@ -46,7 +46,7 @@ struct JobInfo {
   std::string error;
   JobRecoveryRecord recovery;
   /// Priority band (higher runs first; FIFO within a band). Set at
-  /// submission from MasterConfig::default_priority or SubmitOptions.
+  /// submission from kDefaultJobPriority or SubmitOptions.
   int priority = 1;
   /// Storage domain of the job's first table plus that storage system's
   /// resource-consumption agreement on concurrent jobs (0 = unlimited);
@@ -85,7 +85,6 @@ class JobManager {
                 const std::string& error = "") FEISU_EXCLUDES(mutex_);
   /// Snapshot of one job's record; nullopt for unknown ids.
   std::optional<JobInfo> Find(int64_t job_id) const FEISU_EXCLUDES(mutex_);
-  size_t NumJobs() const FEISU_EXCLUDES(mutex_);
 
   /// Sets the job's admission metadata (storage domain + per-storage job
   /// agreement) consulted by the PopRunnable eligibility check.

@@ -14,6 +14,10 @@ namespace feisu {
 
 namespace {
 
+/// Floor on the fraction of a data column charged after bitmap filtering
+/// (late materialization reads whole pages, not single rows).
+constexpr double kMinReadFraction = 1.0 / 64.0;
+
 /// True for an atom of the form <column> OP <literal> (the shape zone maps
 /// and B-tree probes can serve); extracts the pieces.
 bool MatchColumnOpLiteral(const Expr& expr, std::string* column,
@@ -177,10 +181,7 @@ SimTime LeafServer::ChargeColumnRead(const ColumnarBlock& block,
                                      const TableBlockMeta& meta,
                                      const std::vector<std::string>& columns,
                                      double fraction, TaskStats* stats) {
-  if (fraction < config_.min_read_fraction) {
-    fraction = config_.min_read_fraction;
-  }
-  if (fraction > 1.0) fraction = 1.0;
+  fraction = std::clamp(fraction, kMinReadFraction, 1.0);
   SimTime io = 0;
   auto storage = router_->Resolve(meta.path);
   for (const auto& column : columns) {

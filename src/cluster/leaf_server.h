@@ -31,10 +31,6 @@ struct LeafServerConfig {
   /// paper's terabyte tables. 1.0 = charge exactly what is stored.
   double sim_data_scale = 1.0;
 
-  /// Floor on the fraction of a data column charged after bitmap
-  /// filtering (late materialization reads whole pages, not single rows).
-  double min_read_fraction = 1.0 / 64.0;
-
   // CPU cost constants (per-row / per-word simulated charges).
   SimTime cpu_task_fixed = 20 * kSimMicrosecond;  ///< per-task overhead
   SimTime cpu_per_row_predicate = 12;   ///< evaluate one predicate on one row

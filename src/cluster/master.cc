@@ -5,7 +5,6 @@
 #include <sstream>
 #include <set>
 
-#include "cluster/timeout_manager.h"
 #include "exec/operators.h"
 #include "plan/optimizer.h"
 #include "plan/planner.h"
@@ -180,7 +179,6 @@ MasterServer::MasterServer(Catalog* catalog, PathRouter* router,
       cluster_(cluster),
       leaves_(leaves),
       config_(config),
-      job_manager_(config.task_result_cache_capacity),
       entry_guard_(sso, catalog, config.daily_query_quota),
       scheduler_(cluster, router, config.network, config.schedule,
                  config.seed) {
@@ -267,7 +265,7 @@ Result<int64_t> MasterServer::SubmitQuery(const std::string& user,
       SelectStatement stmt,
       AdmitStatement(user, sql, now, &domain, &domain_job_limit));
   int priority =
-      options.priority >= 0 ? options.priority : config_.default_priority;
+      options.priority >= 0 ? options.priority : kDefaultJobPriority;
   int64_t job_id = 0;
   {
     MutexLock lock(admission_mutex_);
@@ -373,8 +371,7 @@ void MasterServer::DrainJobs() {
 Result<QueryResult> MasterServer::RunAdmittedJob(int64_t job_id,
                                                  const PendingJob& job) {
   std::optional<JobInfo> info = job_manager_.Find(job_id);
-  int priority =
-      info.has_value() ? info->priority : config_.default_priority;
+  int priority = info.has_value() ? info->priority : kDefaultJobPriority;
   // Fair leaf sharing: weight = priority + 1, so a band-2 job may keep
   // 3x the outstanding leaf tasks of a band-0 one.
   scheduler_.RegisterJobShare(job_id, priority + 1);
@@ -638,46 +635,42 @@ void MasterServer::ExecuteLeafTasks(std::vector<PendingLeafTask>* tasks,
   for (std::future<void>& f : outstanding) f.get();
 }
 
+JobScheduler::HostChoice MasterServer::PickLeafHost(
+    const std::vector<uint32_t>& replicas, SimTime now,
+    const std::set<uint32_t>& excluded) const {
+  JobScheduler::HostChoice choice =
+      scheduler_.FirstUsableHost(replicas, now, excluded);
+  if (choice.host.has_value() && *choice.host >= leaves_->size()) {
+    choice.host.reset();
+  }
+  return choice;
+}
+
 void MasterServer::ExecuteLeafTask(PendingLeafTask* p, SimTime start) {
   // Deterministic host choice independent of scheduler state (which only
   // the commit stage may touch): the first usable replica, then any
   // usable leaf in id order. The executing host affects cache warmth and
   // fault draws, never result bytes — every leaf reads the same blocks
   // through the router.
-  Reachability reach(router_->fault_injector());
   p->completed = false;
   p->attempt_time = start;
   for (;;) {
-    std::optional<uint32_t> host;
-    bool any_alive = false;
-    bool any_candidate = false;  // alive and not excluded, maybe cut off
-    auto consider = [&](uint32_t id) {
-      const NodeInfo* node = cluster_->Node(id);
-      if (host.has_value() || id >= leaves_->size() || node == nullptr ||
-          !node->alive) {
-        return;
-      }
-      any_alive = true;
-      if (p->excluded.contains(id)) return;
-      any_candidate = true;
-      if (reach.Reachable(id, p->attempt_time)) host = id;
-    };
-    for (uint32_t id : p->replicas) consider(id);
-    for (uint32_t id = 0; id < leaves_->size(); ++id) consider(id);
-    if (!any_alive) {
+    JobScheduler::HostChoice choice =
+        PickLeafHost(p->replicas, p->attempt_time, p->excluded);
+    if (!choice.any_alive) {
       p->exec_status = Status::Unavailable("no alive leaf server for task");
       return;
     }
-    if (!any_candidate) return;  // every alive host failed: block lost
+    if (!choice.any_candidate) return;  // every alive host failed: block lost
     SimTime wait = 0;
-    if (!host.has_value()) {
+    if (!choice.host.has_value()) {
       // Every candidate sits behind a partition: wait out one heartbeat
       // interval for a heal.
       ++p->partition_waits;
       wait = cluster_->heartbeat_interval();
     } else {
       Result<TaskResult> executed =
-          (*leaves_)[*host]->Execute(p->task, p->attempt_time);
+          (*leaves_)[*choice.host]->Execute(p->task, p->attempt_time);
       if (executed.ok()) {
         p->result = std::move(*executed);
         p->completed = true;
@@ -693,7 +686,7 @@ void MasterServer::ExecuteLeafTask(PendingLeafTask* p, SimTime start) {
       } else {
         ++p->io_errors;
       }
-      p->excluded.insert(*host);
+      p->excluded.insert(*choice.host);
       wait = RetryBackoff(p->attempts);
     }
     if (p->attempts >= config_.max_task_retries) return;  // block lost
@@ -729,18 +722,14 @@ Result<bool> MasterServer::CommitLeafTask(int max_tasks_per_node,
                                           const JobContext& ctx,
                                           QueryStats* stats,
                                           PendingLeafTask* p) {
-  Reachability reach(router_->fault_injector());
   bool stands = false;
   while (p->exec_status.ok() && p->completed) {
-    p->placement =
+    std::optional<Placement> placed =
         scheduler_.PlaceTask(p->replicas, max_tasks_per_node,
-                             p->attempt_time, ctx.ledger, &p->excluded);
-    const NodeInfo* node = cluster_->Node(p->placement.node_id);
-    if (p->placement.node_id >= leaves_->size() || node == nullptr ||
-        !node->alive || p->excluded.contains(p->placement.node_id) ||
-        !reach.Reachable(p->placement.node_id, p->attempt_time)) {
-      break;  // hosts died since the execute stage: nowhere to book
-    }
+                             p->attempt_time, ctx.ledger, p->excluded);
+    // Hosts died since the execute stage: nowhere to book.
+    if (!placed.has_value()) break;
+    p->placement = *placed;
     SimTime resume = p->attempt_time;
     if (CommitLeafResult(p->attempt_time, ctx, stats, p, &resume)) {
       stands = true;
@@ -765,15 +754,12 @@ Result<bool> MasterServer::CommitLeafTask(int max_tasks_per_node,
 
 void MasterServer::CutOffLeafTasks(std::vector<PendingLeafTask>* tasks,
                                    SimTime now, QueryStats* stats) {
-  // Deadline bookkeeping goes through the TimeoutManager (deterministic,
-  // SimTime-keyed): every task's projected finish is armed as a deadline,
-  // and the tokens popped at the cutoff instant form the survivor set.
-  TimeoutManager timeouts;
+  // Every finish time is known here, so the cutoff is one index into the
+  // sorted finish times.
   std::vector<SimTime> sorted;
   sorted.reserve(tasks->size());
-  for (size_t i = 0; i < tasks->size(); ++i) {
-    timeouts.Arm(i, (*tasks)[i].placement.finish_time);
-    sorted.push_back((*tasks)[i].placement.finish_time);
+  for (const PendingLeafTask& p : *tasks) {
+    sorted.push_back(p.placement.finish_time);
   }
   std::sort(sorted.begin(), sorted.end());
   SimTime cutoff = sorted.empty() ? now : sorted.back();
@@ -801,20 +787,18 @@ void MasterServer::CutOffLeafTasks(std::vector<PendingLeafTask>* tasks,
     }
     cutoff = std::min(cutoff, deadline_cutoff);
   }
-  std::vector<uint64_t> due = timeouts.PopDue(cutoff);
-  std::set<uint64_t> survivors(due.begin(), due.end());
-  // Survivors keep block order, so the merged bytes never depend on which
-  // timeout token popped first.
+  // Survivors keep block order, so the merged bytes never depend on the
+  // order tasks finished in.
   std::vector<PendingLeafTask> kept;
-  kept.reserve(survivors.size());
-  for (size_t i = 0; i < tasks->size(); ++i) {
-    if (survivors.contains(i)) {
-      kept.push_back(std::move((*tasks)[i]));
+  kept.reserve(tasks->size());
+  for (PendingLeafTask& p : *tasks) {
+    if (p.placement.finish_time <= cutoff) {
+      kept.push_back(std::move(p));
       continue;
     }
     ++stats->abandoned_tasks;
     if (config_.response_deadline > 0 &&
-        (*tasks)[i].placement.finish_time > deadline_cutoff) {
+        p.placement.finish_time > deadline_cutoff) {
       ++stats->tasks_terminated_early;
     }
   }
@@ -856,8 +840,7 @@ Result<MasterServer::Staged> MasterServer::MergeLeafResults(
       FEISU_ASSIGN_OR_RETURN(
           std::optional<StemOutput> merged,
           MergeWithStemRecovery(stem_id, std::move(children),
-                                std::move(times), shape.has_aggregate,
-                                shape.group_by, shape.aggregates, schema,
+                                std::move(times), shape, schema,
                                 &next_replacement_id, stats));
       if (!merged.has_value()) {
         stats->abandoned_tasks += group_tasks;
@@ -1041,9 +1024,9 @@ void MasterServer::LaunchSpeculativeBackups(
   FaultInjector* faults = router_->fault_injector();
   for (const StragglerVerdict& v : scheduler_.DetectStragglers(placements)) {
     PendingLeafTask& p = (*pending)[candidates[v.index]];
-    std::optional<uint32_t> alt = scheduler_.PickBackupNode(
-        p.replicas, p.placement.node_id, v.detect_time);
-    if (!alt.has_value() || *alt >= leaves_->size()) continue;
+    std::optional<uint32_t> alt =
+        PickLeafHost(p.replicas, v.detect_time, {p.placement.node_id}).host;
+    if (!alt.has_value()) continue;
     ++stats->backup_tasks_launched;
     p.placement.backup_launched = true;
     LeafServer* leaf = (*leaves_)[*alt].get();
@@ -1087,41 +1070,22 @@ void MasterServer::LaunchSpeculativeBackups(
 Result<std::optional<MasterServer::StemOutput>>
 MasterServer::MergeWithStemRecovery(
     uint32_t stem_id, std::vector<std::vector<RecordBatch>> children,
-    std::vector<SimTime> times, bool has_aggregate,
-    const std::vector<ExprPtr>& group_by,
-    const std::vector<AggSpec>& aggregates, const Schema& schema,
+    std::vector<SimTime> times, const LeafTask& shape, const Schema& schema,
     uint32_t* next_replacement_id, QueryStats* stats) {
   FaultInjector* faults = router_->fault_injector();
-  // Aggregate plans hand the stem one partial per child; row plans charge
-  // it from each child's totals.
-  std::vector<RecordBatch> partials;
+  // Every attempt is charged from the children's byte and row totals; a
+  // replacement stem only moves their ready times.
   std::vector<StemInput> inputs;
-  for (std::vector<RecordBatch>& child : children) {
-    if (has_aggregate) {
-      for (RecordBatch& batch : child) partials.push_back(std::move(batch));
-    } else {
-      inputs.push_back(BatchListTotals(child));
-    }
+  inputs.reserve(children.size());
+  for (const std::vector<RecordBatch>& child : children) {
+    inputs.push_back(BatchListTotals(child));
   }
   uint32_t current_id = stem_id;
   for (int attempt = 0; attempt <= config_.max_task_retries; ++attempt) {
-    StemResult merged;
-    // A fresh aggregator per attempt: a replacement stem restarts the
-    // partial merge from the children's resent partials.
-    std::unique_ptr<Aggregator> stem_agg;
-    if (has_aggregate) {
-      FEISU_ASSIGN_OR_RETURN(Aggregator a,
-                             Aggregator::Make(group_by, aggregates, schema));
-      stem_agg = std::make_unique<Aggregator>(std::move(a));
-      StemServer stem(current_id, config_.network);
-      FEISU_ASSIGN_OR_RETURN(merged,
-                             stem.Merge(partials, times, stem_agg.get()));
-    } else {
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        inputs[i].finish_time = times[i];
-      }
-      merged = ChargeStemMerge(inputs, config_.network);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      inputs[i].finish_time = times[i];
     }
+    StemResult merged = ChargeStemMerge(inputs, config_.network);
     if (faults != nullptr) {
       std::optional<SimTime> crash = faults->StemCrashWithin(
           current_id, merged.start_time, merged.finish_time);
@@ -1138,12 +1102,23 @@ MasterServer::MergeWithStemRecovery(
         continue;
       }
     }
+    // The attempt that stands: aggregate plans merge the children's
+    // partials into one; row plans forward the batches unchanged.
     stats->bytes_shuffled += merged.bytes_received;
     StemOutput out;
     out.finish_time = merged.finish_time;
-    if (has_aggregate) {
-      stats->leaf.AccumulateAgg(stem_agg->stats());
-      out.batches.push_back(std::move(merged.batch));
+    if (shape.has_aggregate) {
+      FEISU_ASSIGN_OR_RETURN(
+          Aggregator stem_agg,
+          Aggregator::Make(shape.group_by, shape.aggregates, schema));
+      for (const std::vector<RecordBatch>& child : children) {
+        for (const RecordBatch& batch : child) {
+          FEISU_RETURN_IF_ERROR(stem_agg.ConsumePartial(batch));
+        }
+      }
+      FEISU_ASSIGN_OR_RETURN(RecordBatch partial, stem_agg.PartialResult());
+      stats->leaf.AccumulateAgg(stem_agg.stats());
+      out.batches.push_back(std::move(partial));
     } else {
       for (std::vector<RecordBatch>& child : children) {
         for (RecordBatch& batch : child) {
@@ -1160,7 +1135,6 @@ MasterServer::MergeWithStemRecovery(
 MasterCheckpoint MasterServer::Checkpoint() const {
   MasterCheckpoint checkpoint;
   checkpoint.tables = catalog_->TableNames();
-  checkpoint.jobs_created = static_cast<int64_t>(job_manager_.NumJobs());
   checkpoint.jobs = job_manager_.SnapshotJobs();
   return checkpoint;
 }

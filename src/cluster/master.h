@@ -42,7 +42,6 @@ struct MasterConfig {
   /// the deadline until the floor is met. 0 = the deadline always wins.
   double min_processed_ratio = 0.0;
   bool enable_task_result_reuse = true;
-  size_t task_result_cache_capacity = 4096;
   /// Read-data-flow management (paper §V-C): an intermediate result larger
   /// than this is dumped to global storage over the write flow and only
   /// its location travels up the tree; the consumer then fetches it over
@@ -84,8 +83,6 @@ struct MasterConfig {
   /// jobs already waiting is rejected (ResourceExhausted) instead of
   /// queued — backpressure, not unbounded latency. 0 = unbounded.
   size_t admission_queue_capacity = 64;
-  /// Priority band for submissions that don't specify one (0 = lowest).
-  int default_priority = 1;
   /// Every Nth queue pop serves the globally oldest waiting job whatever
   /// its band (anti-starvation aging). 0 disables the boost.
   size_t starvation_boost_interval = 8;
@@ -154,9 +151,12 @@ struct QueryResult {
 /// (used by the client tooling and examples).
 std::string FormatQueryStats(const QueryStats& stats);
 
+/// Priority band of a submission that does not name one (0 = lowest).
+inline constexpr int kDefaultJobPriority = 1;
+
 /// Per-submission knobs of MasterServer::SubmitQuery.
 struct SubmitOptions {
-  int priority = -1;  ///< band (higher first); -1 = config default
+  int priority = -1;  ///< band (higher first); -1 = kDefaultJobPriority
 };
 
 /// Snapshot shipped to the backup master (checkpoint + operations log in
@@ -164,7 +164,6 @@ struct SubmitOptions {
 /// re-running jobs that were in flight when the primary died.
 struct MasterCheckpoint {
   std::vector<std::string> tables;
-  int64_t jobs_created = 0;
   std::vector<JobInfo> jobs;
 };
 
@@ -321,6 +320,13 @@ class MasterServer {
   void ExecuteLeafTasks(std::vector<PendingLeafTask>* tasks, int64_t job_id,
                         SimTime now);
 
+  /// JobScheduler::FirstUsableHost limited to hosts this master has a
+  /// LeafServer for: a chosen host without one counts as no host. Picks
+  /// the host of every task attempt and of every speculative backup.
+  JobScheduler::HostChoice PickLeafHost(
+      const std::vector<uint32_t>& replicas, SimTime now,
+      const std::set<uint32_t>& excluded) const;
+
   /// The one worker body. Runs the task from `start` on the first replica
   /// that is alive, reachable and not excluded, else on any such leaf. A
   /// retryable failure excludes that host and retries after capped
@@ -336,8 +342,9 @@ class MasterServer {
       std::vector<PendingLeafTask> tasks, int max_tasks_per_node,
       const JobContext& ctx, QueryStats* stats);
 
-  /// Places an executed task (never on a host it failed on), books it and
-  /// commits it through CommitLeafResult. A result orphaned by a crash or
+  /// Places an executed task with PlaceTask (never on a host it failed on),
+  /// books it and commits it through CommitLeafResult; when no host is
+  /// usable any more the block is lost. A result orphaned by a crash or
   /// partition re-runs ExecuteLeafTask from when the master notices, with
   /// the orphaning host excluded, spending one attempt. Folds the task's
   /// recovery counters into `stats`. Returns true when the result stands,
@@ -365,16 +372,18 @@ class MasterServer {
 
   /// Speculative execution (paper §1 item 3): detects stragglers among the
   /// committed placements (runtime quantile vs. peers), launches a real
-  /// backup copy of each on a different replica, and resolves
+  /// backup copy of each on the first usable host other than the original
+  /// (PickLeafHost: another replica first), and resolves
   /// first-commit-wins through the ordered slots — the earlier finisher's
   /// result stays in the slot, so result bytes are independent of the
   /// winner. Runs on the job's own thread after the commit stage.
   void LaunchSpeculativeBackups(std::vector<PendingLeafTask>* pending,
                                 const JobContext& ctx, QueryStats* stats);
 
-  /// Early termination (processed_ratio / response_deadline knobs): drops
-  /// the tasks that finish after the cutoff, keeping block order, counts
-  /// them as abandoned, and sets stats->leaf_finish_time.
+  /// Early termination (processed_ratio / response_deadline knobs): finds
+  /// the cutoff in the sorted finish times, drops the tasks that finish
+  /// after it, keeping block order, counts them as abandoned, and sets
+  /// stats->leaf_finish_time.
   void CutOffLeafTasks(std::vector<PendingLeafTask>* tasks, SimTime now,
                        QueryStats* stats);
 
@@ -393,20 +402,19 @@ class MasterServer {
   };
 
   /// Stem-level merge with death recovery. `children[i]` is child i's
-  /// batch list, ready at `times[i]`. Aggregate plans merge the children's
-  /// partials through StemServer::Merge; row plans pay the stem's
-  /// ChargeStemMerge from per-child byte and row totals and forward the
-  /// batches unchanged. When the stem-death schedule kills `stem_id`
-  /// inside its merge window (start_time, finish_time], the partial merge
-  /// is reassigned to a replacement stem — the children resend their
-  /// partials one heartbeat interval after the crash — up to
-  /// max_task_retries times. Returns nullopt (not an error) when every
+  /// batch list, ready at `times[i]`. Every attempt pays ChargeStemMerge
+  /// from per-child byte and row totals. When the stem-death schedule
+  /// kills `stem_id` inside that merge window (start_time, finish_time],
+  /// the merge is reassigned to a replacement stem — the children resend
+  /// their partials one heartbeat interval after the crash — up to
+  /// max_task_retries times. Only the attempt that stands merges: an
+  /// aggregate plan (`shape.has_aggregate`) folds the children's partials
+  /// into one, a row plan forwards the batches unchanged; a merge error
+  /// surfaces there. Returns nullopt (not an error) when every
   /// replacement dies too; the caller abandons the subtree honestly.
   Result<std::optional<StemOutput>> MergeWithStemRecovery(
       uint32_t stem_id, std::vector<std::vector<RecordBatch>> children,
-      std::vector<SimTime> times, bool has_aggregate,
-      const std::vector<ExprPtr>& group_by,
-      const std::vector<AggSpec>& aggregates, const Schema& schema,
+      std::vector<SimTime> times, const LeafTask& shape, const Schema& schema,
       uint32_t* next_replacement_id, QueryStats* stats);
 
   SimTime ChargeMasterRows(uint64_t rows) const {

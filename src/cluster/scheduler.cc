@@ -48,58 +48,60 @@ void JobScheduler::BookSlot(
   if (booked.size() > 256) booked.erase(booked.begin(), booked.end() - 64);
 }
 
-Placement JobScheduler::PlaceTask(const std::vector<uint32_t>& replicas,
-                                  int max_tasks_per_node, SimTime now,
-                                  SlotLedger* ledger,
-                                  const std::set<uint32_t>* excluded) {
-  const std::map<uint32_t, std::vector<SimTime>>& node_slots =
-      ledger->node_slots;
-  // A partitioned node is alive but cannot receive a dispatch right now,
-  // so placement treats it exactly like an excluded one.
-  Reachability reach(router_->fault_injector());
-  auto is_excluded = [excluded, &reach, now](uint32_t node_id) {
-    if (excluded != nullptr && excluded->count(node_id) > 0) return true;
-    return !reach.Reachable(node_id, now);
+JobScheduler::HostState JobScheduler::CheckHost(
+    uint32_t node_id, SimTime now, const std::set<uint32_t>& excluded) const {
+  const NodeInfo* node = cluster_->Node(node_id);
+  if (node == nullptr || !node->alive) return HostState::kDead;
+  if (excluded.contains(node_id)) return HostState::kExcluded;
+  // A partitioned node is alive but cannot receive a dispatch right now.
+  if (!Reachability(router_->fault_injector()).Reachable(node_id, now)) {
+    return HostState::kUnreachable;
+  }
+  return HostState::kUsable;
+}
+
+JobScheduler::HostChoice JobScheduler::FirstUsableHost(
+    const std::vector<uint32_t>& replicas, SimTime now,
+    const std::set<uint32_t>& excluded) const {
+  HostChoice choice;
+  auto found = [&](uint32_t node_id) {
+    HostState state = CheckHost(node_id, now, excluded);
+    choice.any_alive |= state != HostState::kDead;
+    choice.any_candidate |= state >= HostState::kUnreachable;
+    if (state == HostState::kUsable) choice.host = node_id;
+    return choice.host.has_value();
   };
-  Placement placement;
-  // 1. Prefer the replica whose slots free up earliest.
-  uint32_t best_node = 0;
-  SimTime best_start = 0;
-  bool found = false;
   for (uint32_t node_id : replicas) {
-    if (is_excluded(node_id)) continue;
-    const NodeInfo* node = cluster_->Node(node_id);
-    if (node == nullptr || !node->alive) continue;
-    int slots = std::min(node->task_slots, max_tasks_per_node);
-    SimTime start = EarliestSlot(node_slots, node_id, slots, now);
-    if (!found || start < best_start) {
-      found = true;
-      best_node = node_id;
-      best_start = start;
-    }
+    if (found(node_id)) return choice;
   }
-  if (found) {
-    placement.node_id = best_node;
-    placement.local = true;
-    placement.start_time = best_start;
-    return placement;
-  }
-  // 2. Fall back: least-loaded alive leaf (remote read).
   for (uint32_t node_id : cluster_->AliveLeafNodes()) {
-    if (is_excluded(node_id)) continue;
-    const NodeInfo* node = cluster_->Node(node_id);
-    int slots = std::min(node->task_slots, max_tasks_per_node);
-    SimTime start = EarliestSlot(node_slots, node_id, slots, now);
-    if (!found || start < best_start) {
-      found = true;
-      best_node = node_id;
-      best_start = start;
-    }
+    if (found(node_id)) return choice;
   }
-  placement.node_id = found ? best_node : 0;
-  placement.local = false;
-  placement.start_time = best_start;
-  return placement;
+  return choice;
+}
+
+std::optional<Placement> JobScheduler::PlaceTask(
+    const std::vector<uint32_t>& replicas, int max_tasks_per_node,
+    SimTime now, SlotLedger* ledger, const std::set<uint32_t>& excluded) {
+  std::optional<Placement> best;
+  auto consider = [&](const std::vector<uint32_t>& hosts, bool local) {
+    for (uint32_t node_id : hosts) {
+      if (CheckHost(node_id, now, excluded) != HostState::kUsable) continue;
+      int slots = std::min(cluster_->Node(node_id)->task_slots,
+                           max_tasks_per_node);
+      SimTime start = EarliestSlot(ledger->node_slots, node_id, slots, now);
+      if (best.has_value() && start >= best->start_time) continue;
+      best.emplace();
+      best->node_id = node_id;
+      best->local = local;
+      best->start_time = start;
+    }
+    return best.has_value();
+  };
+  // The replica whose slots free up earliest; only when no replica is
+  // usable, the earliest-free alive leaf (a remote read).
+  if (!consider(replicas, true)) consider(cluster_->AliveLeafNodes(), false);
+  return best;
 }
 
 void JobScheduler::CommitTask(Placement* placement, SimTime duration,
@@ -158,26 +160,6 @@ std::vector<StragglerVerdict> JobScheduler::DetectStragglers(
         StragglerVerdict{i, placements[i].start_time + horizon});
   }
   return verdicts;
-}
-
-std::optional<uint32_t> JobScheduler::PickBackupNode(
-    const std::vector<uint32_t>& replicas, uint32_t original,
-    SimTime now) const {
-  Reachability reach(router_->fault_injector());
-  auto usable = [&](uint32_t node_id) {
-    if (node_id == original) return false;
-    const NodeInfo* node = cluster_->Node(node_id);
-    return node != nullptr && node->alive && reach.Reachable(node_id, now);
-  };
-  // Prefer another replica holder (local read); otherwise any alive
-  // reachable leaf pays a remote read.
-  for (uint32_t node_id : replicas) {
-    if (usable(node_id)) return node_id;
-  }
-  for (uint32_t node_id : cluster_->AliveLeafNodes()) {
-    if (usable(node_id)) return node_id;
-  }
-  return std::nullopt;
 }
 
 void JobScheduler::ResetLoad() {

@@ -87,16 +87,38 @@ class JobScheduler {
   /// scheduler seed and the job id (deterministic per job).
   SlotLedger MakeJobLedger(int64_t job_id) const;
 
+  /// The one host-eligibility rule, graded so callers can tell why a host
+  /// is not usable: dead (or unknown), excluded, cut off by a partition at
+  /// `now` (Reachability), or usable.
+  enum class HostState { kDead, kExcluded, kUnreachable, kUsable };
+  HostState CheckHost(uint32_t node_id, SimTime now,
+                      const std::set<uint32_t>& excluded) const;
+
+  /// FirstUsableHost's answer: the host, plus whether any replica or leaf
+  /// was alive and whether any alive one was not excluded (a candidate
+  /// that may still sit behind a partition).
+  struct HostChoice {
+    std::optional<uint32_t> host;
+    bool any_alive = false;
+    bool any_candidate = false;
+  };
+
+  /// The first usable host: the replicas in order, then the alive leaves
+  /// in id order. Used for task execution and speculative backups.
+  HostChoice FirstUsableHost(const std::vector<uint32_t>& replicas,
+                             SimTime now,
+                             const std::set<uint32_t>& excluded) const;
+
   /// Picks the booking node for a block's task through `ledger`: the
-  /// alive, reachable replica whose slots free up earliest, else the
-  /// least-loaded alive reachable leaf (a remote read). `replicas` are the
-  /// nodes holding the block. Returns the chosen node and whether it is
-  /// local. `excluded` (optional) lists nodes that must not be chosen —
-  /// the master passes the hosts where the task failed or was orphaned.
-  Placement PlaceTask(const std::vector<uint32_t>& replicas,
-                      int max_tasks_per_node, SimTime now,
-                      SlotLedger* ledger,
-                      const std::set<uint32_t>* excluded = nullptr);
+  /// usable replica whose slots free up earliest, else the usable leaf
+  /// whose slots free up earliest (a remote read). `replicas` are the
+  /// nodes holding the block; `excluded` lists nodes that must not be
+  /// chosen — the master passes the hosts where the task failed or was
+  /// orphaned. Returns nullopt when no host is usable.
+  std::optional<Placement> PlaceTask(
+      const std::vector<uint32_t>& replicas, int max_tasks_per_node,
+      SimTime now, SlotLedger* ledger,
+      const std::set<uint32_t>& excluded = {});
 
   /// Books `duration` of work on `placement`'s node in `ledger`, starting
   /// no earlier than `placement.start_time`; fills start/finish, applying
@@ -114,13 +136,6 @@ class JobScheduler {
   /// in placement order, so replays are deterministic.
   std::vector<StragglerVerdict> DetectStragglers(
       const std::vector<Placement>& placements) const;
-
-  /// Picks the host for a straggler's backup copy: an alive, reachable
-  /// replica other than `original`, else any alive reachable leaf. Returns
-  /// nullopt when the cluster has no candidate (backup not launched).
-  std::optional<uint32_t> PickBackupNode(
-      const std::vector<uint32_t>& replicas, uint32_t original,
-      SimTime now) const;
 
   /// Clears the fair-share peaks and wait count between benchmark phases.
   void ResetLoad() FEISU_EXCLUDES(share_mutex_);

@@ -34,10 +34,10 @@ struct StemInput {
 };
 
 /// The simulated cost of one stem merge, shared by StemServer::Merge and
-/// the master's row exchange (which forwards leaf batches up the tree
-/// without concatenating them): each child's bytes travel on the read data
-/// flow once it finishes, and the stem combines all child rows after the
-/// last input has arrived. Fills every StemResult field except `batch`.
+/// the master's stem merge (which forwards row batches up the tree without
+/// concatenating them): each child's bytes travel on the read data flow
+/// once it finishes, and the stem combines all child rows after the last
+/// input has arrived. Fills every StemResult field except `batch`.
 StemResult ChargeStemMerge(const std::vector<StemInput>& children,
                            const NetworkModel& network,
                            SimTime cpu_per_row_merge = kStemCpuPerRowMerge);
@@ -45,6 +45,8 @@ StemResult ChargeStemMerge(const std::vector<StemInput>& children,
 /// A stem server aggregates task results from leaf servers (or from other
 /// stems) on the way up the execution tree (paper Fig. 3). For aggregation
 /// queries it merges partial states; for plain scans it concatenates rows.
+/// The master merges without it (MasterServer::MergeWithStemRecovery);
+/// perfbench's layered replay still uses it.
 class StemServer {
  public:
   StemServer(uint32_t node_id, NetworkModel network,

@@ -190,6 +190,24 @@ ExprPtr Expr::Aggregate(AggFunc func, ExprPtr arg, ExprPtr within) {
   return e;
 }
 
+ExprPtr WithChildren(const ExprPtr& node,
+                     const std::vector<ExprPtr>& children) {
+  if (children == node->children()) return node;
+  switch (node->kind()) {
+    case ExprKind::kComparison:
+      return Expr::Compare(node->compare_op(), children[0], children[1]);
+    case ExprKind::kLogical:
+      if (node->logical_op() == LogicalOp::kNot) return Expr::Not(children[0]);
+      return node->logical_op() == LogicalOp::kAnd
+                 ? Expr::And(children[0], children[1])
+                 : Expr::Or(children[0], children[1]);
+    case ExprKind::kArithmetic:
+      return Expr::Arith(node->arith_op(), children[0], children[1]);
+    default:
+      return node;
+  }
+}
+
 std::string Expr::QualifiedName() const {
   if (table_.empty()) return column_;
   return table_ + "." + column_;

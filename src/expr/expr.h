@@ -110,6 +110,12 @@ class Expr {
   ExprPtr within_;
 };
 
+/// The same node with `children` in place of its own: a comparison,
+/// logical or arithmetic node is rebuilt around them. Any other node
+/// (column, literal, `*`, aggregate) comes back as is, and so does a node
+/// whose children are unchanged.
+ExprPtr WithChildren(const ExprPtr& node, const std::vector<ExprPtr>& children);
+
 }  // namespace feisu
 
 #endif  // FEISU_EXPR_EXPR_H_

@@ -160,14 +160,10 @@ uint64_t EstimateRows(const PlanPtr& plan, const Catalog& catalog) {
 
 ExprPtr FoldConstantExpr(const ExprPtr& expr) {
   if (expr == nullptr) return nullptr;
-  if (expr->children().empty()) return expr;
   std::vector<ExprPtr> kids;
   kids.reserve(expr->children().size());
-  bool changed = false;
   for (const auto& child : expr->children()) {
-    ExprPtr folded = FoldConstantExpr(child);
-    changed |= (folded != child);
-    kids.push_back(std::move(folded));
+    kids.push_back(FoldConstantExpr(child));
   }
   bool all_literal =
       std::all_of(kids.begin(), kids.end(), [](const ExprPtr& e) {
@@ -179,20 +175,7 @@ ExprPtr FoldConstantExpr(const ExprPtr& expr) {
     ExprPtr folded = TryFoldBinary(*expr, kids[0]->value(), kids[1]->value());
     if (folded != nullptr) return folded;
   }
-  if (!changed) return expr;
-  switch (expr->kind()) {
-    case ExprKind::kComparison:
-      return Expr::Compare(expr->compare_op(), kids[0], kids[1]);
-    case ExprKind::kLogical:
-      if (expr->logical_op() == LogicalOp::kNot) return Expr::Not(kids[0]);
-      return expr->logical_op() == LogicalOp::kAnd
-                 ? Expr::And(kids[0], kids[1])
-                 : Expr::Or(kids[0], kids[1]);
-    case ExprKind::kArithmetic:
-      return Expr::Arith(expr->arith_op(), kids[0], kids[1]);
-    default:
-      return expr;
-  }
+  return WithChildren(expr, kids);
 }
 
 PlanPtr FoldConstants(PlanPtr plan) {

@@ -76,30 +76,12 @@ ExprPtr ExtractAggregates(const ExprPtr& expr, std::vector<AggSpec>* specs) {
     specs->push_back(spec);
     return Expr::ColumnRef(specs->back().output_name);
   }
-  if (expr->children().empty()) return expr;
-  // Rebuild the node with transformed children.
   std::vector<ExprPtr> kids;
   kids.reserve(expr->children().size());
-  bool changed = false;
   for (const auto& child : expr->children()) {
-    ExprPtr t = ExtractAggregates(child, specs);
-    changed |= (t != child);
-    kids.push_back(std::move(t));
+    kids.push_back(ExtractAggregates(child, specs));
   }
-  if (!changed) return expr;
-  switch (expr->kind()) {
-    case ExprKind::kComparison:
-      return Expr::Compare(expr->compare_op(), kids[0], kids[1]);
-    case ExprKind::kLogical:
-      if (expr->logical_op() == LogicalOp::kNot) return Expr::Not(kids[0]);
-      return expr->logical_op() == LogicalOp::kAnd
-                 ? Expr::And(kids[0], kids[1])
-                 : Expr::Or(kids[0], kids[1]);
-    case ExprKind::kArithmetic:
-      return Expr::Arith(expr->arith_op(), kids[0], kids[1]);
-    default:
-      return expr;
-  }
+  return WithChildren(expr, kids);
 }
 
 /// Replaces any subtree structurally equal to a GROUP BY expression with a
@@ -117,28 +99,12 @@ ExprPtr ReplaceGroupRefs(const ExprPtr& expr,
       return Expr::ColumnRef(name);
     }
   }
-  if (expr->children().empty()) return expr;
   std::vector<ExprPtr> kids;
-  bool changed = false;
+  kids.reserve(expr->children().size());
   for (const auto& child : expr->children()) {
-    ExprPtr t = ReplaceGroupRefs(child, group_by);
-    changed |= (t != child);
-    kids.push_back(std::move(t));
+    kids.push_back(ReplaceGroupRefs(child, group_by));
   }
-  if (!changed) return expr;
-  switch (expr->kind()) {
-    case ExprKind::kComparison:
-      return Expr::Compare(expr->compare_op(), kids[0], kids[1]);
-    case ExprKind::kLogical:
-      if (expr->logical_op() == LogicalOp::kNot) return Expr::Not(kids[0]);
-      return expr->logical_op() == LogicalOp::kAnd
-                 ? Expr::And(kids[0], kids[1])
-                 : Expr::Or(kids[0], kids[1]);
-    case ExprKind::kArithmetic:
-      return Expr::Arith(expr->arith_op(), kids[0], kids[1]);
-    default:
-      return expr;
-  }
+  return WithChildren(expr, kids);
 }
 
 }  // namespace

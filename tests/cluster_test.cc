@@ -17,6 +17,7 @@
 #include "cluster/task.h"
 #include "columnar/block.h"
 #include "columnar/encoding.h"
+#include "common/fault_injector.h"
 #include "common/rng.h"
 #include "expr/normalize.h"
 #include "sql/parser.h"
@@ -190,7 +191,7 @@ TEST(SchedulerTest, PrefersLocalReplica) {
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
   SlotLedger ledger(1);
-  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, &ledger);
+  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, &ledger).value();
   EXPECT_TRUE(p.local);
   EXPECT_TRUE(p.node_id == 2 || p.node_id == 3);
 }
@@ -204,7 +205,7 @@ TEST(SchedulerTest, FallsBackWhenReplicasDead) {
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
   SlotLedger ledger(1);
-  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, &ledger);
+  Placement p = scheduler.PlaceTask({2, 3}, 4, 0, &ledger).value();
   EXPECT_FALSE(p.local);
   EXPECT_TRUE(p.node_id == 0 || p.node_id == 1);
 }
@@ -217,9 +218,9 @@ TEST(SchedulerTest, LoadBalancesAcrossReplicas) {
                          1);
   SlotLedger ledger(1);
   // With 1 slot per node, consecutive tasks should alternate nodes.
-  Placement p1 = scheduler.PlaceTask({0, 1}, 1, 0, &ledger);
+  Placement p1 = scheduler.PlaceTask({0, 1}, 1, 0, &ledger).value();
   scheduler.CommitTask(&p1, kSimSecond, 0, &ledger);
-  Placement p2 = scheduler.PlaceTask({0, 1}, 1, 0, &ledger);
+  Placement p2 = scheduler.PlaceTask({0, 1}, 1, 0, &ledger).value();
   scheduler.CommitTask(&p2, kSimSecond, 0, &ledger);
   EXPECT_NE(p1.node_id, p2.node_id);
 }
@@ -231,9 +232,9 @@ TEST(SchedulerTest, SlotQueueingDelaysStart) {
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
   SlotLedger ledger(1);
-  Placement p1 = scheduler.PlaceTask({0}, 1, 0, &ledger);
+  Placement p1 = scheduler.PlaceTask({0}, 1, 0, &ledger).value();
   scheduler.CommitTask(&p1, kSimSecond, 0, &ledger);
-  Placement p2 = scheduler.PlaceTask({0}, 1, 0, &ledger);
+  Placement p2 = scheduler.PlaceTask({0}, 1, 0, &ledger).value();
   scheduler.CommitTask(&p2, kSimSecond, 0, &ledger);
   EXPECT_GE(p2.start_time, p1.finish_time);
 }
@@ -246,7 +247,7 @@ TEST(SchedulerTest, SlowdownFactorStretchesTasks) {
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
   SlotLedger ledger(1);
-  Placement p = scheduler.PlaceTask({0}, 4, 0, &ledger);
+  Placement p = scheduler.PlaceTask({0}, 4, 0, &ledger).value();
   scheduler.CommitTask(&p, kSimSecond, 0, &ledger);
   EXPECT_GE(p.finish_time - p.start_time, 3 * kSimSecond);
 }
@@ -306,7 +307,7 @@ TEST(SchedulerTest, SortedLedgerMatchesNaiveReferencePastTrim) {
       }
     }
     Placement p =
-        scheduler.PlaceTask({0, 1}, max_tasks_per_node, now, &ledger);
+        scheduler.PlaceTask({0, 1}, max_tasks_per_node, now, &ledger).value();
     ASSERT_EQ(p.node_id, expected_node) << "commit " << i;
     ASSERT_EQ(p.start_time, expected_start) << "commit " << i;
     scheduler.CommitTask(&p, duration, now, &ledger);
@@ -373,23 +374,74 @@ TEST(SchedulerTest, BackupDisabledByConfig) {
   EXPECT_TRUE(scheduler.DetectStragglers(placements).empty());
 }
 
-TEST(SchedulerTest, PickBackupNodePrefersOtherReplica) {
+TEST(SchedulerTest, FirstUsableHostPrefersReplicasThenLeaves) {
   ClusterManager cluster;
   for (int i = 0; i < 3; ++i) cluster.AddNode(false);
   PathRouter router;
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
-  auto alt = scheduler.PickBackupNode({0, 1}, 0, 0);
-  ASSERT_TRUE(alt.has_value());
-  EXPECT_EQ(*alt, 1u);
+  // A backup excludes its original host: the other replica wins.
+  JobScheduler::HostChoice choice = scheduler.FirstUsableHost({0, 1}, 0, {0});
+  ASSERT_TRUE(choice.host.has_value());
+  EXPECT_EQ(*choice.host, 1u);
+  EXPECT_TRUE(choice.any_alive);
+  EXPECT_TRUE(choice.any_candidate);
   // Replica dead: fall back to any other alive leaf.
   cluster.MarkDead(1);
-  alt = scheduler.PickBackupNode({0, 1}, 0, 0);
-  ASSERT_TRUE(alt.has_value());
-  EXPECT_EQ(*alt, 2u);
-  // Nothing but the original left: no backup.
+  choice = scheduler.FirstUsableHost({0, 1}, 0, {0});
+  ASSERT_TRUE(choice.host.has_value());
+  EXPECT_EQ(*choice.host, 2u);
+  // An excluded leaf is skipped like the original.
+  EXPECT_FALSE(scheduler.FirstUsableHost({0, 1}, 0, {0, 2}).host.has_value());
+  // Nothing but the original left: no host, but one alive non-candidate.
   cluster.MarkDead(2);
-  EXPECT_FALSE(scheduler.PickBackupNode({0, 1}, 0, 0).has_value());
+  choice = scheduler.FirstUsableHost({0, 1}, 0, {0});
+  EXPECT_FALSE(choice.host.has_value());
+  EXPECT_TRUE(choice.any_alive);
+  EXPECT_FALSE(choice.any_candidate);
+  // Every host dead: neither flag.
+  cluster.MarkDead(0);
+  choice = scheduler.FirstUsableHost({0, 1}, 0, {});
+  EXPECT_FALSE(choice.host.has_value());
+  EXPECT_FALSE(choice.any_alive);
+  EXPECT_FALSE(choice.any_candidate);
+}
+
+TEST(SchedulerTest, FirstUsableHostSkipsPartitionedHosts) {
+  ClusterManager cluster;
+  for (int i = 0; i < 2; ++i) cluster.AddNode(false);
+  FaultConfig config;
+  config.enabled = true;
+  config.partitions.push_back({0, kSimSecond, 2 * kSimSecond});
+  config.partitions.push_back({1, kSimSecond, 3 * kSimSecond});
+  FaultInjector injector(config);
+  PathRouter router;
+  router.set_fault_injector(&injector);
+  JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
+                         1);
+  EXPECT_EQ(scheduler.CheckHost(0, 0, {}), JobScheduler::HostState::kUsable);
+  EXPECT_EQ(scheduler.CheckHost(0, kSimSecond, {}),
+            JobScheduler::HostState::kUnreachable);
+  // At 1s both nodes are cut off: alive candidates, yet none usable (the
+  // master waits a heartbeat for a heal).
+  JobScheduler::HostChoice choice =
+      scheduler.FirstUsableHost({0}, kSimSecond, {});
+  EXPECT_FALSE(choice.host.has_value());
+  EXPECT_TRUE(choice.any_alive);
+  EXPECT_TRUE(choice.any_candidate);
+  // Node 0 heals first and wins over the still-cut-off leaf.
+  choice = scheduler.FirstUsableHost({1}, 2 * kSimSecond, {});
+  ASSERT_TRUE(choice.host.has_value());
+  EXPECT_EQ(*choice.host, 0u);
+  // Placement applies the same rule: no usable host, no placement.
+  SlotLedger ledger(1);
+  EXPECT_FALSE(
+      scheduler.PlaceTask({0, 1}, 4, kSimSecond, &ledger).has_value());
+  std::optional<Placement> placed =
+      scheduler.PlaceTask({1}, 4, 2 * kSimSecond, &ledger);
+  ASSERT_TRUE(placed.has_value());
+  EXPECT_EQ(placed->node_id, 0u);
+  EXPECT_FALSE(placed->local);
 }
 
 // ---------- StemServer ----------
@@ -828,10 +880,9 @@ TEST(TaskTest, SignatureDistinguishesWork) {
   EXPECT_NE(a.Signature(), d.Signature());
 }
 
-TEST(SchedulerTest, AllNodesDeadStillPlaces) {
-  // With every node dead, placement falls back to node 0 and the master
-  // surfaces Unavailable when it finds no live leaf to execute on; the
-  // scheduler itself must not crash.
+TEST(SchedulerTest, PlaceTaskFindsNoHostWhenAllNodesDead) {
+  // With every node dead there is nowhere to book: the master then
+  // declares the block lost.
   ClusterManager cluster;
   cluster.AddNode(false);
   cluster.MarkDead(0);
@@ -839,8 +890,7 @@ TEST(SchedulerTest, AllNodesDeadStillPlaces) {
   JobScheduler scheduler(&cluster, &router, NetworkModel(), ScheduleConfig(),
                          1);
   SlotLedger ledger(1);
-  Placement p = scheduler.PlaceTask({0}, 4, 0, &ledger);
-  EXPECT_FALSE(p.local);
+  EXPECT_FALSE(scheduler.PlaceTask({0}, 4, 0, &ledger).has_value());
 }
 
 TEST(StemServerTest, EmptyInput) {

@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "expr/evaluator.h"
@@ -75,6 +76,30 @@ TEST(ExprTest, ContainsAggregate) {
   ASSERT_TRUE(stmt.ok());
   EXPECT_TRUE(stmt->items[0].expr->ContainsAggregate());
   EXPECT_FALSE(ParseWhere("a > 1")->ContainsAggregate());
+}
+
+TEST(ExprTest, WithChildrenRebuildsOperatorsOnly) {
+  ExprPtr a = Expr::ColumnRef("a");
+  ExprPtr b = Expr::ColumnRef("b");
+  ExprPtr one = Expr::Literal(Value::Int64(1));
+  const std::pair<ExprPtr, ExprPtr> cases[] = {
+      {Expr::Compare(CompareOp::kLt, a, one),
+       Expr::Compare(CompareOp::kLt, b, one)},
+      {Expr::And(a, one), Expr::And(b, one)},
+      {Expr::Or(a, one), Expr::Or(b, one)},
+      {Expr::Arith(ArithOp::kMod, a, one), Expr::Arith(ArithOp::kMod, b, one)},
+  };
+  for (const auto& [node, want] : cases) {
+    // Unchanged children: the very same node.
+    EXPECT_EQ(WithChildren(node, {a, one}), node);
+    ExprPtr rebuilt = WithChildren(node, {b, one});
+    EXPECT_TRUE(rebuilt->Equals(*want)) << rebuilt->ToString();
+  }
+  EXPECT_TRUE(WithChildren(Expr::Not(a), {b})->Equals(*Expr::Not(b)));
+  // Aggregates (and leaves) come back as they are.
+  ExprPtr sum = Expr::Aggregate(AggFunc::kSum, a);
+  EXPECT_EQ(WithChildren(sum, {b}), sum);
+  EXPECT_EQ(WithChildren(a, {}), a);
 }
 
 TEST(ExprTest, NegateCompareOp) {

@@ -18,7 +18,6 @@
 
 #include "cluster/cluster_manager.h"
 #include "cluster/network.h"
-#include "cluster/timeout_manager.h"
 #include "common/fault_injector.h"
 #include "core/engine.h"
 #include "sql/parser.h"
@@ -146,65 +145,6 @@ void ExpectOracleAnswer(const ReferenceExecutor& reference,
       << sql;
   EXPECT_TRUE(std::includes(want.begin(), want.end(), got.begin(), got.end()))
       << sql;
-}
-
-// ---------- TimeoutManager unit tests ----------
-
-TEST(TimeoutManagerTest, PopsInDeadlineThenTokenOrder) {
-  TimeoutManager timeouts;
-  timeouts.Arm(3, 30);
-  timeouts.Arm(1, 10);
-  timeouts.Arm(2, 10);  // ties break by token
-  timeouts.Arm(4, 99);
-  EXPECT_EQ(timeouts.armed(), 4u);
-  std::vector<uint64_t> due = timeouts.PopDue(30);
-  ASSERT_EQ(due.size(), 3u);
-  EXPECT_EQ(due[0], 1u);
-  EXPECT_EQ(due[1], 2u);
-  EXPECT_EQ(due[2], 3u);
-  EXPECT_EQ(timeouts.armed(), 1u);
-  // The remaining token fires once its own deadline arrives.
-  due = timeouts.PopDue(98);
-  EXPECT_TRUE(due.empty());
-  due = timeouts.PopDue(99);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0], 4u);
-  EXPECT_EQ(timeouts.armed(), 0u);
-}
-
-TEST(TimeoutManagerTest, ReArmLatestWinsAndCancelSuppresses) {
-  TimeoutManager timeouts;
-  timeouts.Arm(7, 10);
-  timeouts.Arm(7, 50);  // pushed out: the stale entry at 10 must not fire
-  EXPECT_TRUE(timeouts.PopDue(10).empty());
-  timeouts.Arm(8, 40);
-  timeouts.Cancel(8);
-  EXPECT_TRUE(timeouts.PopDue(45).empty());
-  std::vector<uint64_t> due = timeouts.PopDue(50);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0], 7u);
-  // Pulled-in re-arm fires at the earlier instant.
-  timeouts.Arm(9, 100);
-  timeouts.Arm(9, 60);
-  due = timeouts.PopDue(60);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0], 9u);
-  // ... and exactly once: the stale entry at 100 is filtered.
-  EXPECT_TRUE(timeouts.PopDue(200).empty());
-}
-
-TEST(TimeoutManagerTest, NextDeadlineTracksEarliestPending) {
-  TimeoutManager timeouts;
-  EXPECT_FALSE(timeouts.NextDeadline().has_value());
-  timeouts.Arm(1, 70);
-  timeouts.Arm(2, 20);
-  ASSERT_TRUE(timeouts.NextDeadline().has_value());
-  EXPECT_EQ(*timeouts.NextDeadline(), 20);
-  timeouts.Cancel(2);
-  ASSERT_TRUE(timeouts.NextDeadline().has_value());
-  EXPECT_EQ(*timeouts.NextDeadline(), 70);
-  (void)timeouts.PopDue(70);
-  EXPECT_FALSE(timeouts.NextDeadline().has_value());
 }
 
 // ---------- Slow-node injection unit tests ----------
@@ -645,6 +585,44 @@ TEST(StemDeathSuite, StemDeathRetriesOnReplacementStem) {
   std::optional<JobInfo> job = engine->master().job_manager().Find(1);
   ASSERT_TRUE(job.has_value());
   EXPECT_EQ(job->recovery.stem_retries, result->stats.stem_retries);
+}
+
+// A replacement stem merges the resent partials exactly as the original
+// would have: the answer bytes, in output order, and the hash probes of
+// the one merge that stands match a run without deaths.
+TEST(StemDeathSuite, ReplacementStemMergeMatchesDeathFreeRun) {
+  auto healthy = MakeEngine(FaultConfig());
+  auto doomed = MakeEngine(FaultConfig());
+  FaultConfig fault;
+  fault.enabled = true;
+  // Stem 0 is down for good; the first replacement stays up.
+  fault.stem_events.push_back({1, 0, true});
+  doomed->fault_injector().Configure(fault);
+
+  const std::string sql = "SELECT c1, COUNT(*), SUM(c0) FROM t1 GROUP BY c1";
+  auto want = healthy->Query("chaos", sql);
+  auto got = doomed->Query("chaos", sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(want->stats.stem_failures, 0u);
+  EXPECT_EQ(got->stats.stem_failures, 1u);
+  EXPECT_EQ(got->stats.stem_retries, 1u);
+  EXPECT_FALSE(got->stats.partial);
+  auto rows_in_order = [](const RecordBatch& batch) {
+    std::string out;
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        out += batch.column(c).GetValue(r).ToString() + "|";
+      }
+      out += "\n";
+    }
+    return out;
+  };
+  ASSERT_GT(want->batch.num_rows(), 1u);
+  EXPECT_EQ(rows_in_order(got->batch), rows_in_order(want->batch));
+  EXPECT_GT(want->stats.leaf.agg_hash_probes, 0u);
+  EXPECT_EQ(got->stats.leaf.agg_hash_probes,
+            want->stats.leaf.agg_hash_probes);
 }
 
 // Every replacement dies too: the subtree's partials are lost and the

@@ -39,11 +39,11 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale):
   sim-clock        No raw monotonic clocks or sleeps (`steady_clock`,
                    `high_resolution_clock`, `sleep_for`, `usleep`, ...)
                    in src/cluster/: scheduling, straggler detection and
-                   deadline bookkeeping must be keyed to SimTime (SimClock
-                   / TimeoutManager) so fault schedules replay
-                   byte-identically. The repo-wide wall-clock rule already
-                   bans calendar time; this closes the monotonic loophole
-                   where it matters most.
+                   deadline bookkeeping must be keyed to SimTime through
+                   SimClock so fault schedules replay byte-identically.
+                   The repo-wide wall-clock rule already bans calendar
+                   time; this closes the monotonic loophole where it
+                   matters most.
   bare-nolint      Every clang-tidy suppression must name the check it
                    silences and say why: `// NOLINT(check-name): reason`.
                    A bare `NOLINT`, a wildcard check set, or a named check
@@ -394,7 +394,7 @@ def lint_file(path, stale_waivers=True):
                     violations.append(Violation(
                         path, lineno, "sim-clock",
                         "cluster-layer code must keep time in SimTime "
-                        "(SimClock / TimeoutManager); raw monotonic clocks "
+                        "(SimClock); raw monotonic clocks "
                         "and sleeps make straggler detection and deadline "
                         "bookkeeping nondeterministic"))
                     break
