@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -258,15 +259,43 @@ void BM_InflateAndReserialize(benchmark::State& state) {
 }
 BENCHMARK(BM_InflateAndReserialize)->Arg(65536)->Arg(1 << 20);
 
-// --- SmartIndex probe: one warm query over a 32-block table. ---
+// --- SmartIndex probe: one warm query, the engine's hit path. ---
 
-// Per iteration: key the query's conjuncts once, then resolve each of them
-// on every block (probe, RLE combine, one inflation). Arg 0: two atoms,
-// both direct hits. Arg 1: an atom (direct hit) and a disjunction composed
-// from its two cached operands.
+// Per iteration: key the query's conjuncts once, then AND each of them
+// into a 2048-row selection on each of 32 blocks (probe, RLE combine,
+// IndexResolver::ResolveAnd), as LeafServer::Execute does. First
+// argument 0: two atoms, both direct hits; 1: an atom (direct hit) and a
+// disjunction composed from its two cached operands. Second argument: the
+// cached blocks, four atoms each. With 32 every iteration probes the same
+// 128 entries; with 3500 (~14 k resident entries, one leaf's share of
+// smartindex_trace's ~110 k over 8 leaves) each iteration moves on to
+// the next 32 blocks, so the probe's cache misses show.
+constexpr size_t kProbeRows = 2048;
+
+/// The cache of `cached_blocks` blocks, built once per process and kept:
+/// building and tearing down ~14 k entries on every call of the benchmark
+/// left the heap in a state that slowed the benchmarks registered after it
+/// (BM_AggConsumeDictCodes/64 by about half).
+IndexCache* ProbeCache(int64_t cached_blocks) {
+  static std::map<int64_t, std::unique_ptr<IndexCache>> caches;
+  std::unique_ptr<IndexCache>& cache = caches[cached_blocks];
+  if (cache != nullptr) return cache.get();
+  cache = std::make_unique<IndexCache>();
+  uint64_t seed = 1;
+  for (const char* atom : {"c2 > 5", "c3 <= 7", "c3 = 1", "c4 = 2"}) {
+    auto atom_stmt = ParseSql(std::string("SELECT a FROM t WHERE ") + atom);
+    for (const KeyedPredicate& keyed : KeyConjuncts(atom_stmt->where)) {
+      for (int64_t block = 0; block < cached_blocks; ++block) {
+        cache->Insert({block, keyed.key}, BlockyBits(kProbeRows, seed++), 0);
+      }
+    }
+  }
+  return cache.get();
+}
+
 void BM_SmartIndexProbe(benchmark::State& state) {
-  constexpr int64_t kBlocks = 32;
-  constexpr size_t kRows = 2048;
+  constexpr int64_t kBlocksPerQuery = 32;
+  const int64_t cached_blocks = state.range(1);
   const std::string where = state.range(0) == 0
                                 ? "c2 > 5 AND c3 <= 7"
                                 : "c2 > 5 AND (c3 = 1 OR c4 = 2)";
@@ -275,29 +304,25 @@ void BM_SmartIndexProbe(benchmark::State& state) {
     state.SkipWithError("parse failed");
     return;
   }
-  IndexCache cache;
-  uint64_t seed = 1;
-  for (int64_t block = 0; block < kBlocks; ++block) {
-    for (const char* atom : {"c2 > 5", "c3 <= 7", "c3 = 1", "c4 = 2"}) {
-      auto atom_stmt = ParseSql(std::string("SELECT a FROM t WHERE ") + atom);
-      for (const KeyedPredicate& keyed : KeyConjuncts(atom_stmt->where)) {
-        cache.Insert({block, keyed.key}, BlockyBits(kRows, seed++), 0);
-      }
-    }
-  }
+  IndexCache* cache = ProbeCache(cached_blocks);
+  int64_t first_block = 0;
   for (auto _ : state) {
-    IndexResolver resolver(&cache);
+    IndexResolver resolver(cache);
     const std::vector<KeyedPredicate> conjuncts = KeyConjuncts(stmt->where);
-    for (int64_t block = 0; block < kBlocks; ++block) {
+    for (int64_t i = 0; i < kBlocksPerQuery; ++i) {
+      const int64_t block = (first_block + i) % cached_blocks;
+      BitVector selection(kProbeRows, true);
       for (const KeyedPredicate& conjunct : conjuncts) {
-        std::optional<BitVector> bits = resolver.Resolve(block, conjunct, 1);
-        benchmark::DoNotOptimize(bits);
+        resolver.ResolveAnd(block, conjunct, 1, &selection);
       }
+      benchmark::DoNotOptimize(selection);
     }
+    first_block = (first_block + kBlocksPerQuery) % cached_blocks;
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBlocks);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kBlocksPerQuery);
 }
-BENCHMARK(BM_SmartIndexProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_SmartIndexProbe)->ArgsProduct({{0, 1}, {32, 3500}});
 
 // --- Typed hash join (word keys + gather output, no per-cell boxing). ---
 

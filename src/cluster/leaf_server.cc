@@ -191,10 +191,15 @@ SimTime LeafServer::ChargeColumnRead(const ColumnarBlock& block,
         static_cast<double>(block.ColumnByteSize(static_cast<size_t>(idx))) *
         config_.sim_data_scale * fraction);
     stats->bytes_read += bytes;
-    std::string ssd_key = meta.path + "#" + column;
-    if (ssd_cache_ != nullptr && ssd_cache_->Lookup(ssd_key)) {
-      io += ssd_cache_->ReadCost(bytes);
-      continue;
+    std::string ssd_key;
+    if (ssd_cache_ != nullptr) {
+      ssd_key = meta.path;
+      ssd_key += '#';
+      ssd_key += column;
+      if (ssd_cache_->Lookup(ssd_key)) {
+        io += ssd_cache_->ReadCost(bytes);
+        continue;
+      }
     }
     io += storage.ok() ? (*storage)->ReadCost(bytes)
                        : kSimMillisecond;  // unroutable: nominal charge
@@ -257,6 +262,7 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
     }
   }
 
+  // Every caller returns what this returns, so `result` moves out.
   auto empty_output = [&]() -> Result<TaskResult> {
     FEISU_ASSIGN_OR_RETURN(const ColumnarBlock* block, LoadBlock(task.block));
     if (task.has_aggregate) {
@@ -264,13 +270,13 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
       FEISU_ASSIGN_OR_RETURN(
           Aggregator agg,
           Aggregator::Make(task.group_by, task.aggregates, block->schema()));
-      FEISU_ASSIGN_OR_RETURN(result.batch, agg.PartialResult());
       stats.AccumulateAgg(agg.stats());
-      return result;
+      FEISU_ASSIGN_OR_RETURN(result.batch, std::move(agg).PartialResult());
+      return std::move(result);
     }
     FEISU_ASSIGN_OR_RETURN(result.batch,
                            EmptyDataBatch(block->schema(), task.columns));
-    return result;
+    return std::move(result);
   };
 
   if (zone_prunable) {
@@ -278,7 +284,14 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
     return empty_output();
   }
 
-  // --- 2. Resolve conjuncts: SmartIndex -> B-tree -> evaluation. ---
+  // --- 2. Resolve conjuncts: SmartIndex -> B-tree -> evaluation. A
+  // SmartIndex hit ANDs into the selection straight from its RLE payload;
+  // B-tree and scanned bitmaps join it in step 4. Every bitmap pays the
+  // same combine charge either way. ---
+  BitVector selection(num_rows, true);
+  const SimTime combine_cost = static_cast<SimTime>(
+      static_cast<double>((num_rows + 63) / 64) * config_.sim_data_scale *
+      static_cast<double>(config_.cpu_per_bitmap_word));
   std::vector<BitVector> bitmaps;
   std::vector<const KeyedPredicate*> missing;
   std::set<std::string> charged_columns;
@@ -286,8 +299,8 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
   for (const auto& conjunct : conjuncts) {
     if (config_.enable_smart_index) {
       ResolverStats before = resolver.stats();
-      std::optional<BitVector> bits =
-          resolver.Resolve(task.block.block_id, conjunct, now);
+      const bool hit = resolver.ResolveAnd(task.block.block_id, conjunct,
+                                           now, &selection);
       const ResolverStats& after = resolver.stats();
       stats.index_direct_hits += after.direct_hits - before.direct_hits;
       stats.index_composed_hits +=
@@ -301,8 +314,8 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
                               (after.rle_tokens - before.rle_tokens)) *
           config_.sim_data_scale *
           static_cast<double>(config_.cpu_per_bitmap_word));
-      if (bits.has_value()) {
-        bitmaps.push_back(std::move(*bits));
+      if (hit) {
+        stats.cpu_time += combine_cost;
         continue;
       }
     }
@@ -422,13 +435,10 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
     }
   }
 
-  // --- 4. Combine into the selection vector. ---
-  BitVector selection(num_rows, true);
+  // --- 4. Combine the B-tree and scanned bitmaps into the selection. ---
   for (const auto& bits : bitmaps) {
     selection.And(bits);
-    stats.cpu_time += static_cast<SimTime>(
-        static_cast<double>((num_rows + 63) / 64) * config_.sim_data_scale *
-        static_cast<double>(config_.cpu_per_bitmap_word));
+    stats.cpu_time += combine_cost;
   }
   stats.rows_matched = selection.CountOnes();
 
@@ -451,8 +461,8 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
         Aggregator agg,
         Aggregator::Make(task.group_by, task.aggregates, block->schema()));
     FEISU_RETURN_IF_ERROR(agg.ConsumeCount(stats.rows_matched));
-    FEISU_ASSIGN_OR_RETURN(result.batch, agg.PartialResult());
     stats.AccumulateAgg(agg.stats());
+    FEISU_ASSIGN_OR_RETURN(result.batch, std::move(agg).PartialResult());
     return result;
   }
 
@@ -539,8 +549,8 @@ Result<TaskResult> LeafServer::Execute(const LeafTask& task, SimTime now) {
     }
     stats.cpu_time +=
         RowCost(filtered.num_rows(), config_.cpu_per_row_aggregate);
-    FEISU_ASSIGN_OR_RETURN(result.batch, agg.PartialResult());
     stats.AccumulateAgg(agg.stats());
+    FEISU_ASSIGN_OR_RETURN(result.batch, std::move(agg).PartialResult());
   } else {
     result.batch = std::move(filtered);
   }

@@ -1116,8 +1116,9 @@ MasterServer::MergeWithStemRecovery(
           FEISU_RETURN_IF_ERROR(stem_agg.ConsumePartial(batch));
         }
       }
-      FEISU_ASSIGN_OR_RETURN(RecordBatch partial, stem_agg.PartialResult());
       stats->leaf.AccumulateAgg(stem_agg.stats());
+      FEISU_ASSIGN_OR_RETURN(RecordBatch partial,
+                             std::move(stem_agg).PartialResult());
       out.batches.push_back(std::move(partial));
     } else {
       for (std::vector<RecordBatch>& child : children) {

@@ -92,7 +92,7 @@ bool ReadHeader(const std::string& in, size_t* pos, uint32_t* num_rows,
   if (!ReadScalar(in, pos, num_rows)) return false;
   std::string_view validity_bytes;
   if (!ReadLengthPrefixed(in, pos, &validity_bytes)) return false;
-  if (!BitVector::DeserializeRle(std::string(validity_bytes), validity)) {
+  if (!BitVector::DeserializeRle(validity_bytes, validity)) {
     return false;
   }
   return validity->size() == *num_rows;

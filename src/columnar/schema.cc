@@ -4,15 +4,13 @@
 
 namespace feisu {
 
-Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    index_.emplace(fields_[i].name, static_cast<int>(i));
-  }
-}
+Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {}
 
 int Schema::FieldIndex(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? -1 : it->second;
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    if (fields_[i].name == name) return static_cast<int>(i);
+  }
+  return -1;
 }
 
 Schema Schema::Select(const std::vector<std::string>& names) const {

@@ -2,7 +2,6 @@
 #define FEISU_COLUMNAR_SCHEMA_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "columnar/data_type.h"
@@ -16,7 +15,10 @@ struct Field {
   bool nullable = true;
 };
 
-/// An ordered list of named, typed fields with O(1) lookup by name.
+/// An ordered list of named, typed fields. Lookup by name is a linear scan
+/// (schemas hold a few dozen fields at most), so the schema keeps no index
+/// and a copy allocates only its field vector: schemas are built and copied
+/// for every partial batch a leaf task emits.
 class Schema {
  public:
   Schema() = default;
@@ -26,7 +28,7 @@ class Schema {
   const Field& field(size_t i) const { return fields_[i]; }
   const std::vector<Field>& fields() const { return fields_; }
 
-  /// Index of the named field, or -1 if absent.
+  /// Index of the first field with this name, or -1 if absent.
   int FieldIndex(const std::string& name) const;
   bool HasField(const std::string& name) const {
     return FieldIndex(name) >= 0;
@@ -43,7 +45,6 @@ class Schema {
 
  private:
   std::vector<Field> fields_;
-  std::unordered_map<std::string, int> index_;
 };
 
 }  // namespace feisu

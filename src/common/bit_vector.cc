@@ -25,17 +25,43 @@ void AppendU32(std::string* out, uint32_t v) {
 void AppendU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
-bool ReadU32(const std::string& in, size_t* pos, uint32_t* v) {
+bool ReadU32(std::string_view in, size_t* pos, uint32_t* v) {
   if (*pos + sizeof(*v) > in.size()) return false;
   std::memcpy(v, in.data() + *pos, sizeof(*v));
   *pos += sizeof(*v);
   return true;
 }
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
+bool ReadU64(std::string_view in, size_t* pos, uint64_t* v) {
   if (*pos + sizeof(*v) > in.size()) return false;
   std::memcpy(v, in.data() + *pos, sizeof(*v));
   *pos += sizeof(*v);
   return true;
+}
+
+/// Walks the tokens after a SerializeRle payload's size header, calling
+/// `fn(tag, first_word, count, literal)` per token (a literal has count
+/// 1). False on a bad tag, truncation, or a total other than `words`;
+/// `fn` may then have seen a prefix of the tokens.
+template <typename Fn>
+bool WalkRleTokens(std::string_view data, size_t words, Fn&& fn) {
+  size_t pos = sizeof(uint64_t);
+  size_t done = 0;
+  while (pos < data.size()) {
+    const uint8_t tag = static_cast<uint8_t>(data[pos++]);
+    uint32_t count = 1;
+    uint64_t literal = 0;
+    if (tag == kRunZero || tag == kRunOne) {
+      if (!ReadU32(data, &pos, &count)) return false;
+    } else if (tag == kLiteral) {
+      if (!ReadU64(data, &pos, &literal)) return false;
+    } else {
+      return false;
+    }
+    if (count > words - done) return false;
+    fn(tag, done, count, literal);
+    done += count;
+  }
+  return done == words;
 }
 
 /// Streams the token sequence of one SerializeRle payload.
@@ -435,35 +461,53 @@ std::string BitVector::SerializeRle() const {
   return out;
 }
 
-bool BitVector::DeserializeRle(const std::string& data, BitVector* out) {
+bool BitVector::DeserializeRle(std::string_view data, BitVector* out) {
   g_inflations.fetch_add(1, std::memory_order_relaxed);
   size_t pos = 0;
   uint64_t size = 0;
   if (!ReadU64(data, &pos, &size)) return false;
   BitVector result;
   result.size_ = static_cast<size_t>(size);
-  size_t expected_words = (result.size_ + 63) / 64;
+  const size_t expected_words = (result.size_ + 63) / 64;
   result.words_.reserve(expected_words);
-  while (pos < data.size()) {
-    uint8_t tag = static_cast<uint8_t>(data[pos++]);
-    if (tag == kRunZero || tag == kRunOne) {
-      uint32_t count = 0;
-      if (!ReadU32(data, &pos, &count)) return false;
-      if (result.words_.size() + count > expected_words) return false;
-      result.words_.insert(result.words_.end(), count,
-                           tag == kRunZero ? 0 : kAllOnesWord);
-    } else if (tag == kLiteral) {
-      uint64_t w = 0;
-      if (!ReadU64(data, &pos, &w)) return false;
-      if (result.words_.size() + 1 > expected_words) return false;
-      result.words_.push_back(w);
-    } else {
-      return false;
-    }
-  }
-  if (result.words_.size() != expected_words) return false;
+  const bool ok = WalkRleTokens(
+      data, expected_words,
+      [&result](uint8_t tag, size_t, uint32_t count, uint64_t literal) {
+        if (tag == kLiteral) {
+          result.words_.push_back(literal);
+        } else {
+          result.words_.insert(result.words_.end(), count,
+                               tag == kRunZero ? 0 : kAllOnesWord);
+        }
+      });
+  if (!ok) return false;
   result.ClearTrailingBits();
   *out = std::move(result);
+  return true;
+}
+
+bool BitVector::AndRle(std::string_view payload) {
+  size_t pos = 0;
+  uint64_t size = 0;
+  if (!ReadU64(payload, &pos, &size) || size != size_) return false;
+  // Validate every token before touching a word, so a malformed payload
+  // leaves the vector as it was.
+  if (!WalkRleTokens(payload, words_.size(),
+                     [](uint8_t, size_t, uint32_t, uint64_t) {})) {
+    return false;
+  }
+  // The vector's bits past size_ are clear, so an AND keeps them clear.
+  WalkRleTokens(payload, words_.size(),
+                [this](uint8_t tag, size_t first, uint32_t count,
+                       uint64_t literal) {
+                  if (tag == kRunZero) {
+                    std::fill_n(words_.begin() +
+                                    static_cast<std::ptrdiff_t>(first),
+                                count, 0);
+                  } else if (tag == kLiteral) {
+                    words_[first] &= literal;
+                  }
+                });
   return true;
 }
 

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -180,7 +181,15 @@ class BitVector {
   std::string SerializeRle() const;
 
   /// Parses a SerializeRle() payload. Returns false on malformed input.
-  static bool DeserializeRle(const std::string& data, BitVector* out);
+  static bool DeserializeRle(std::string_view data, BitVector* out);
+
+  /// ANDs a SerializeRle() payload into this vector without inflating it:
+  /// a zero run clears its words, a one run skips them, a literal is
+  /// ANDed in. The whole payload is validated first; a malformed payload,
+  /// or one of another bit size, returns false and leaves the vector
+  /// untouched. Equals And() of the DeserializeRle() result, but
+  /// allocates nothing and leaves inflation_count() alone.
+  bool AndRle(std::string_view payload);
 
   /// Size in bytes of the RLE-compressed form without materializing it.
   size_t CompressedByteSize() const;

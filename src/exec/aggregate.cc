@@ -191,8 +191,15 @@ Result<Aggregator> Aggregator::Make(std::vector<ExprPtr> group_by,
   agg.group_by_ = std::move(group_by);
   agg.specs_ = std::move(specs);
 
+  // Sized up front: an aggregator is made per leaf task, so growth
+  // reallocations would be paid on every one.
+  const size_t num_specs = agg.specs_.size();
   std::vector<Field> partial_fields;
+  partial_fields.reserve(agg.group_by_.size() + 4 * num_specs);
   std::vector<Field> final_fields;
+  final_fields.reserve(agg.group_by_.size() + num_specs);
+  agg.arg_types_.reserve(num_specs);
+  agg.count_cols_.reserve(num_specs);
   for (const auto& g : agg.group_by_) {
     std::string name =
         g->kind() == ExprKind::kColumnRef ? g->column() : g->ToString();
@@ -225,6 +232,7 @@ Result<Aggregator> Aggregator::Make(std::vector<ExprPtr> group_by,
     final_fields.push_back(
         {spec.output_name, FinalType(spec.func, arg_type), true});
   }
+  agg.state_.reserve(partial_fields.size());
   for (const Field& field : partial_fields) agg.state_.emplace_back(field.type);
   agg.partial_schema_ = Schema(std::move(partial_fields));
   agg.final_schema_ = Schema(std::move(final_fields));
@@ -534,8 +542,12 @@ Status Aggregator::ConsumePartial(const RecordBatch& batch) {
   return Status::OK();
 }
 
-Result<RecordBatch> Aggregator::PartialResult() const {
+Result<RecordBatch> Aggregator::PartialResult() const& {
   return RecordBatch(partial_schema_, state_);
+}
+
+Result<RecordBatch> Aggregator::PartialResult() && {
+  return RecordBatch(std::move(partial_schema_), std::move(state_));
 }
 
 Result<RecordBatch> Aggregator::FinalResult() const {

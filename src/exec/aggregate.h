@@ -53,7 +53,8 @@ struct AggStats {
 /// the argument's type with validity as the has-value bit. A flat
 /// open-addressing hash table maps typed per-row key words to group ids;
 /// batch-at-a-time typed kernels accumulate into the columns. PartialResult
-/// is a copy of the state in insertion order. Only FinalResult sorts: once,
+/// is the state in insertion order (a copy, or moved out of a spent
+/// aggregator). Only FinalResult sorts: once,
 /// in typed key order (each key NULL first, then Value::Compare order,
 /// ties between distinct keys broken by the exact stored value), so final
 /// output never depends on insertion or hash-table order.
@@ -100,7 +101,11 @@ class Aggregator {
   Status ConsumePartial(const RecordBatch& batch);
 
   /// Emits the current groups as partial state, in first-insertion order.
-  Result<RecordBatch> PartialResult() const;
+  /// On an rvalue (`std::move(agg).PartialResult()`) the state columns
+  /// move into the batch instead of being copied, and the aggregator is
+  /// spent.
+  Result<RecordBatch> PartialResult() const&;
+  Result<RecordBatch> PartialResult() &&;
 
   /// Emits finalized per-group values: group keys then one column per spec
   /// named spec.output_name, sorted in typed group-key order.

@@ -2,13 +2,12 @@
 #define FEISU_INDEX_INDEX_CACHE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/annotations.h"
@@ -70,8 +69,8 @@ struct IndexCacheStats {
 ///    immutable after construction — read freely from any thread.
 ///  - `capacity_bytes_` is an atomic: set_capacity_bytes may race with
 ///    readers by design (the budget is advisory between operations).
-///  - Everything inside a `Shard` (entries, lru, memory_bytes, stats) is
-///    guarded by that shard's own mutex.
+///  - Everything inside a `Shard` (probe table, node pool, LRU links,
+///    memory_bytes, stats) is guarded by that shard's own mutex.
 ///  - `preferred_predicates_` is guarded by `preferred_mutex_`, a
 ///    reader/writer lock: IsPreferred takes shared access on the hot
 ///    lookup/eviction paths, SetPreference takes exclusive access.
@@ -97,7 +96,8 @@ class IndexCache {
   /// Expired entries are treated as misses and removed. Returns nullptr on
   /// miss. The returned pointer owns the index: it stays valid for as long
   /// as the caller holds it, no matter what the cache does afterwards. A
-  /// hit allocates nothing: it moves its LRU node to the front in place.
+  /// hit allocates nothing: one probe of the shard's flat table, then two
+  /// index relinks move its node to the LRU front.
   std::shared_ptr<const SmartIndex> Lookup(const SmartIndexKeyView& key,
                                            SimTime now);
 
@@ -129,34 +129,69 @@ class IndexCache {
   void ResetStats();
 
  private:
-  struct Entry {
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// One cached index in a shard's node pool, threaded on the shard's LRU
+  /// list by index. A free node holds no index; its `next` links the free
+  /// list.
+  struct Node {
     std::shared_ptr<const SmartIndex> index;
-    std::list<SmartIndexKeyView>::iterator lru_it;
+    uint64_t hash = 0;      ///< SmartIndexKeyHash of the index's key
+    uint32_t prev = kNil;   ///< toward the LRU front (more recently used)
+    uint32_t next = kNil;   ///< toward the LRU back
   };
 
-  /// One independently locked LRU domain. Map and LRU keys are views of
-  /// the key owned by the entry's own SmartIndex, which the entry keeps
-  /// alive for as long as either refers to it.
+  /// A probe-table slot: the full key hash and the node it names; `node ==
+  /// kNil` marks an empty slot.
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t node = kNil;
+  };
+
+  /// One independently locked LRU domain. `slots` is a flat linear-probing
+  /// table over a power-of-two array, at most half full, whose home slot
+  /// comes from mixed bits of the key hash (its low bits already chose the
+  /// shard); deletion shifts the rest of the probe chain back, so there are
+  /// no tombstones. Keys are compared against the key owned by the node's
+  /// own SmartIndex, so a probe borrows the caller's key and builds none.
   struct Shard {
     mutable Mutex mutex;
-    std::unordered_map<SmartIndexKeyView, Entry, SmartIndexKeyHash> entries
-        FEISU_GUARDED_BY(mutex);
-    std::list<SmartIndexKeyView> lru
-        FEISU_GUARDED_BY(mutex);  // front = most recently used
+    std::vector<Slot> slots FEISU_GUARDED_BY(mutex);
+    std::vector<Node> nodes FEISU_GUARDED_BY(mutex);
+    uint32_t free_head FEISU_GUARDED_BY(mutex) = kNil;
+    uint32_t lru_front FEISU_GUARDED_BY(mutex) = kNil;  // most recently used
+    uint32_t lru_back FEISU_GUARDED_BY(mutex) = kNil;
+    size_t size FEISU_GUARDED_BY(mutex) = 0;
     uint64_t memory_bytes FEISU_GUARDED_BY(mutex) = 0;
     IndexCacheStats stats FEISU_GUARDED_BY(mutex);
+
+    /// The node holding `key` (whose hash is `hash`), or kNil.
+    uint32_t Find(const SmartIndexKeyView& key, uint64_t hash) const
+        FEISU_REQUIRES(mutex);
+    /// Adds `index` (its key not resident) at the LRU front.
+    void Add(std::shared_ptr<const SmartIndex> index, uint64_t hash)
+        FEISU_REQUIRES(mutex);
+    /// Drops node `n`: its slot, its LRU links and its memory charge.
+    void Remove(uint32_t n) FEISU_REQUIRES(mutex);
+    /// Relinks node `n` at the LRU front.
+    void Touch(uint32_t n) FEISU_REQUIRES(mutex);
+    void Clear() FEISU_REQUIRES(mutex);
+
+   private:
+    size_t Home(uint64_t hash) const FEISU_REQUIRES(mutex);
+    void Grow(size_t capacity) FEISU_REQUIRES(mutex);
+    void Link(uint32_t n) FEISU_REQUIRES(mutex);
+    void Unlink(uint32_t n) FEISU_REQUIRES(mutex);
   };
 
-  Shard& ShardFor(const SmartIndexKeyView& key);
+  Shard& ShardFor(uint64_t hash);
   uint64_t ShardCapacity() const;
   bool IsExpired(const Shard& shard, const SmartIndex& index,
                  SimTime now) const FEISU_REQUIRES(shard.mutex);
   bool IsPreferred(std::string_view predicate) const
       FEISU_EXCLUDES(preferred_mutex_);
-  /// Both helpers require `shard->mutex` to be held by the caller
-  /// (compile-time enforced).
-  void RemoveLocked(Shard* shard, const SmartIndexKeyView& key)
-      FEISU_REQUIRES(shard->mutex);
+  /// Requires `shard->mutex` to be held by the caller (compile-time
+  /// enforced).
   void EvictForSpaceLocked(Shard* shard, uint64_t incoming_bytes)
       FEISU_REQUIRES(shard->mutex);
 

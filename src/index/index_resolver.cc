@@ -18,6 +18,20 @@ std::optional<BitVector> IndexResolver::Resolve(
   return bits;
 }
 
+bool IndexResolver::ResolveAnd(int64_t block_id,
+                               const KeyedPredicate& conjunct, SimTime now,
+                               BitVector* selection) {
+  std::shared_ptr<const std::string> payload =
+      ResolvePayload(block_id, conjunct, now);
+  if (payload == nullptr) return false;
+  if (!selection->AndRle(*payload)) {
+    ++stats_.misses;
+    return false;
+  }
+  stats_.bitmap_words += (selection->size() + 63) / 64;
+  return true;
+}
+
 std::shared_ptr<const std::string> IndexResolver::ResolvePayload(
     int64_t block_id, const KeyedPredicate& conjunct, SimTime now) {
   std::shared_ptr<const std::string> payload =

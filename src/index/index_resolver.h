@@ -15,7 +15,7 @@ struct ResolverStats {
   uint64_t direct_hits = 0;     ///< whole conjunct found in the cache
   uint64_t composed_hits = 0;   ///< derived via RLE-domain bitmap algebra
   uint64_t misses = 0;          ///< predicate had to be evaluated
-  uint64_t bitmap_words = 0;    ///< words inflated into selection vectors
+  uint64_t bitmap_words = 0;    ///< selection words each resolved bitmap ANDs
   uint64_t rle_tokens = 0;      ///< compressed tokens streamed by combines
 
   uint64_t TotalHits() const { return direct_hits + composed_hits; }
@@ -44,8 +44,9 @@ struct ResolverStats {
 ///
 /// Composition runs entirely in the RLE domain (paper §IV-C): children
 /// resolve to compressed payloads, AND/OR merge the token streams
-/// (BitVector::RleAnd/RleOr) at a cost proportional to run count, and only
-/// the final selection vector is inflated into words.
+/// (BitVector::RleAnd/RleOr) at a cost proportional to run count, and the
+/// result is ANDed into the leaf's selection straight from its payload
+/// (ResolveAnd), so no bitmap is inflated into words.
 ///
 /// Every probe uses the keys the conjunct carries (KeyConjuncts), so a
 /// per-block resolution renders and hashes no predicate text.
@@ -56,9 +57,20 @@ class IndexResolver {
  public:
   explicit IndexResolver(IndexCache* cache) : cache_(cache) {}
 
+  /// The conjunct's bitmap, inflated from ResolvePayload (tests and
+  /// benches; the engine ANDs through ResolveAnd instead).
   std::optional<BitVector> Resolve(int64_t block_id,
                                    const KeyedPredicate& conjunct,
                                    SimTime now);
+
+  /// ANDs the conjunct's bitmap into `selection` straight from its RLE
+  /// payload (BitVector::AndRle): the engine's hit path, which inflates
+  /// nothing and, on a direct hit, allocates nothing. Returns false, with
+  /// `selection` untouched, when the conjunct cannot be resolved; a
+  /// malformed payload, or one of another size, counts as a miss.
+  /// `bitmap_words` is charged as if the bitmap had been inflated.
+  bool ResolveAnd(int64_t block_id, const KeyedPredicate& conjunct,
+                  SimTime now, BitVector* selection);
 
   /// Resolve without the final inflation: the conjunct's RLE payload, or
   /// nullptr (counted as a miss) when it cannot be resolved. A direct hit

@@ -69,7 +69,8 @@ class SmartIndex {
 
   /// The stored RLE payload itself. The resolver combines indexes in this
   /// domain (RleAnd/RleOr) so conjunct composition scales with run count
-  /// rather than row count, inflating only the final selection vector.
+  /// rather than row count, and the leaf ANDs the result into its
+  /// selection without inflating it (BitVector::AndRle).
   const std::string& compressed_bits() const { return compressed_bits_; }
 
   /// Memory the index occupies in the leaf server's cache: compressed

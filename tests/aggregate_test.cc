@@ -608,6 +608,28 @@ TEST(AggregateDifferentialTest, GridNumericArgs) {
   }
 }
 
+// A spent aggregator's partial moves out: the same batch as the copy.
+TEST(AggregateDifferentialTest, MovedPartialResultEqualsCopy) {
+  const std::vector<ExprPtr> group_by = {Expr::ColumnRef("k")};
+  auto batches = MakeGrid(DataType::kString, DataType::kInt64, 500, 0.3, 1,
+                          257, 11);
+  auto agg = Aggregator::Make(
+      group_by,
+      Specs({{AggFunc::kCount, nullptr}, {AggFunc::kSum, "a"},
+             {AggFunc::kMax, "a"}}),
+      batches[0].schema());
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  ASSERT_TRUE(agg->Consume(batches[0]).ok());
+  auto copied = agg->PartialResult();
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  const uint64_t groups = agg->stats().groups_created;
+  auto moved = std::move(*agg).PartialResult();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_TRUE(moved->schema() == copied->schema());
+  EXPECT_EQ(Fingerprint(*moved), Fingerprint(*copied));
+  EXPECT_EQ(moved->num_rows(), groups);
+}
+
 TEST(AggregateDifferentialTest, GridStringArgs) {
   const std::vector<ExprPtr> group_by = {Expr::ColumnRef("k")};
   uint64_t seed = 100;

@@ -749,6 +749,85 @@ TEST(LeafServerTest, MasterKeyedConjunctsMatchLeafKeyedOnes) {
   }
 }
 
+// A warm task's SmartIndex hits, direct or composed, AND into the
+// selection straight from their RLE payloads. Against its cold run the
+// task gives the same batch bytes and the same TaskStats, except for what
+// the hits replace: the scan (rows, encoded values, predicate-column I/O,
+// the per-row predicate charge) gives way to the resolver's own charge,
+// and each bitmap pays the same combine charge either way. No hit inflates
+// a bitmap. The tasks output row ids or COUNT(*), so neither run reads a
+// projection column.
+TEST(LeafServerTest, WarmHitsMatchColdRun) {
+  LeafFixture fixture;
+  const LeafServerConfig config;
+  struct Case {
+    const char* condition;
+    std::vector<const char*> primers;  // empty: warm with the task itself
+    uint64_t direct_hits;
+    uint64_t composed_hits;
+  };
+  const Case kCases[] = {
+      {"c2 < 3", {}, 1, 0},
+      {"c2 > 0 AND NOT (c2 > 5)", {}, 2, 0},
+      {"c2 = 1 OR c2 = 8", {"c2 = 1", "c2 = 8"}, 0, 2},
+      {"(c2 = 1 OR c2 = 8) AND c1 >= 100",
+       {"c2 = 1", "c2 = 8", "c1 >= 100"},
+       1,
+       2},
+  };
+  for (const Case& c : kCases) {
+    for (bool count_star : {false, true}) {
+      SCOPED_TRACE(std::string("WHERE ") + c.condition +
+                   (count_star ? ", COUNT(*)" : ", row ids"));
+      LeafTask task = fixture.MakeTask(c.condition, {});
+      if (count_star) {
+        AggSpec spec;
+        spec.func = AggFunc::kCount;
+        spec.output_name = "n";
+        task.has_aggregate = true;
+        task.aggregates = {spec};
+      }
+      const uint64_t conjuncts = KeyConjuncts(task.predicate).size();
+      LeafServer cold_leaf(0, &fixture.router, config);
+      auto cold = cold_leaf.Execute(task, 0);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      ASSERT_EQ(cold->stats.index_misses, conjuncts);
+
+      LeafServer warm_leaf(0, &fixture.router, config);
+      if (c.primers.empty()) {
+        ASSERT_TRUE(warm_leaf.Execute(task, 0).ok());
+      }
+      for (const char* primer : c.primers) {
+        ASSERT_TRUE(warm_leaf.Execute(fixture.MakeTask(primer, {}), 0).ok());
+      }
+      const ResolverStats before = warm_leaf.resolver_stats();
+      const uint64_t inflations = BitVector::inflation_count();
+      auto warm = warm_leaf.Execute(task, kSimSecond);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      EXPECT_EQ(BitVector::inflation_count(), inflations);
+      const ResolverStats after = warm_leaf.resolver_stats();
+
+      ExpectSameBatch(cold->batch, warm->batch);
+      TaskStats expected = cold->stats;
+      expected.rows_scanned = 0;
+      expected.values_skipped_encoded = 0;
+      expected.bytes_read = 0;
+      expected.io_time = 0;
+      expected.index_direct_hits = c.direct_hits;
+      expected.index_composed_hits = c.composed_hits;
+      expected.index_misses = 0;
+      expected.cpu_time -= static_cast<SimTime>(conjuncts) *
+                           fixture.block_meta.num_rows *
+                           config.cpu_per_row_predicate;
+      expected.cpu_time += static_cast<SimTime>(
+          (after.bitmap_words - before.bitmap_words +
+           after.rle_tokens - before.rle_tokens) *
+          config.cpu_per_bitmap_word);
+      ExpectSameTaskStats(warm->stats, expected);
+    }
+  }
+}
+
 // A zone-pruned or zero-match projection task builds its zero-row batch
 // from the block schema. It equals what decoding through an all-false
 // selection gives, for columns of every encoding and for the row-id

@@ -64,6 +64,17 @@ TEST(SchemaTest, LookupByName) {
   EXPECT_TRUE(schema.HasField("a"));
 }
 
+TEST(SchemaTest, DuplicateNameResolvesToFirstField) {
+  Schema schema({{"a", DataType::kInt64, true},
+                 {"b", DataType::kString, true},
+                 {"a", DataType::kDouble, true}});
+  EXPECT_EQ(schema.FieldIndex("a"), 0);
+  EXPECT_EQ(schema.FieldIndex("b"), 1);
+  const Schema copy = schema;
+  EXPECT_EQ(copy.FieldIndex("a"), 0);
+  EXPECT_TRUE(copy == schema);
+}
+
 TEST(SchemaTest, SelectSubset) {
   Schema schema({{"a", DataType::kInt64, true},
                  {"b", DataType::kString, true},

@@ -1,7 +1,13 @@
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <gtest/gtest.h>
 #include <iterator>
 #include <list>
+#include <map>
+#include <new>
+#include <set>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -13,6 +19,25 @@
 #include "index/index_resolver.h"
 #include "index/smart_index.h"
 #include "sql/parser.h"
+
+// Every heap allocation of this test binary, so a test can assert that a
+// code path allocates nothing.
+namespace {
+std::atomic<uint64_t> g_heap_allocations{0};
+}  // namespace
+
+// All out of line, so the compiler does not pair the malloc() and free()
+// inside them with the `new` and `delete` it sees at inlined call sites
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace feisu {
 namespace {
@@ -266,6 +291,254 @@ TEST(IndexCacheTest, SingleShardEvictionOrderFollowsHits) {
   EXPECT_EQ(cache.stats().lru_evictions, kInserts - kResident);
 }
 
+// A reference model of the cache's documented policy: per shard, a list
+// in LRU order plus a map of the resident entries, with the same budget,
+// TTL, preference and eviction rules.
+class IndexCacheModel {
+ public:
+  struct Entry {
+    uint64_t bytes = 0;
+    SimTime created_at = 0;
+  };
+  using Key = std::pair<int64_t, std::string>;
+
+  IndexCacheModel(size_t shards, uint64_t capacity, SimTime ttl)
+      : shards_(shards), capacity_(capacity), ttl_(ttl) {}
+
+  void set_capacity_bytes(uint64_t bytes) { capacity_ = bytes; }
+
+  void Insert(const Key& key, uint64_t bytes, SimTime now) {
+    Shard& shard = ShardFor(key);
+    Remove(&shard, key);
+    if (bytes > ShardCapacity()) return;
+    for (int pass = 0; pass < 2; ++pass) {
+      while (shard.memory + bytes > ShardCapacity() && !shard.lru.empty()) {
+        auto victim = shard.lru.rbegin();
+        while (victim != shard.lru.rend() && pass == 0 &&
+               preferred_.contains(victim->second)) {
+          ++victim;
+        }
+        if (victim == shard.lru.rend()) break;
+        const Key copy = *victim;
+        Remove(&shard, copy);
+        ++stats_.lru_evictions;
+      }
+      if (shard.memory + bytes <= ShardCapacity()) break;
+    }
+    if (shard.memory + bytes > ShardCapacity()) return;
+    shard.lru.push_front(key);
+    shard.entries[key] = Entry{bytes, now};
+    shard.memory += bytes;
+    ++stats_.insertions;
+  }
+
+  bool Lookup(const Key& key, SimTime now) {
+    Shard& shard = ShardFor(key);
+    auto it = shard.entries.find(key);
+    if (it == shard.entries.end()) {
+      ++stats_.misses;
+      return false;
+    }
+    if (Expired(shard, key, it->second, now)) {
+      ++stats_.ttl_evictions;
+      Remove(&shard, key);
+      ++stats_.misses;
+      return false;
+    }
+    ++stats_.hits;
+    shard.lru.remove(key);
+    shard.lru.push_front(key);
+    return true;
+  }
+
+  bool Peek(const Key& key, SimTime now) {
+    Shard& shard = ShardFor(key);
+    auto it = shard.entries.find(key);
+    return it != shard.entries.end() && !Expired(shard, key, it->second, now);
+  }
+
+  void EvictExpired(SimTime now) {
+    for (Shard& shard : shards_) {
+      std::vector<Key> victims;
+      for (const auto& [key, entry] : shard.entries) {
+        if (Expired(shard, key, entry, now)) victims.push_back(key);
+      }
+      for (const Key& key : victims) {
+        ++stats_.ttl_evictions;
+        Remove(&shard, key);
+      }
+    }
+  }
+
+  void SetPreference(const std::string& predicate, bool preferred) {
+    if (preferred) {
+      preferred_.insert(predicate);
+    } else {
+      preferred_.erase(predicate);
+    }
+  }
+
+  const Entry* Find(const Key& key) {
+    Shard& shard = ShardFor(key);
+    auto it = shard.entries.find(key);
+    return it == shard.entries.end() ? nullptr : &it->second;
+  }
+  uint64_t memory_bytes() const {
+    uint64_t total = 0;
+    for (const Shard& shard : shards_) total += shard.memory;
+    return total;
+  }
+  size_t size() const {
+    size_t total = 0;
+    for (const Shard& shard : shards_) total += shard.entries.size();
+    return total;
+  }
+  const IndexCacheStats& stats() const { return stats_; }
+
+ private:
+  struct Shard {
+    std::list<Key> lru;  // front = most recently used
+    std::map<Key, Entry> entries;
+    uint64_t memory = 0;
+  };
+
+  Shard& ShardFor(const Key& key) {
+    return shards_[SmartIndexKeyHash()({key.first, key.second}) %
+                   shards_.size()];
+  }
+  uint64_t ShardCapacity() const { return capacity_ / shards_.size(); }
+  bool Expired(const Shard& shard, const Key& key, const Entry& entry,
+               SimTime now) const {
+    if (now - entry.created_at <= ttl_) return false;
+    return !(preferred_.contains(key.second) &&
+             shard.memory <= ShardCapacity());
+  }
+  void Remove(Shard* shard, const Key& key) {
+    auto it = shard->entries.find(key);
+    if (it == shard->entries.end()) return;
+    shard->memory -= it->second.bytes;
+    shard->lru.remove(key);
+    shard->entries.erase(it);
+  }
+
+  std::vector<Shard> shards_;
+  uint64_t capacity_;
+  SimTime ttl_;
+  std::set<std::string> preferred_;
+  IndexCacheStats stats_;
+};
+
+// Random Insert/Lookup/Peek/EvictExpired/SetPreference and budget changes
+// against the reference model. Budgets swing from a few entries per shard
+// (LRU and preferred evictions) to hundreds (table growth, long and
+// wrapped probe chains, backward shifts on every removal); after each
+// operation residency, stats, memory and size must match the model.
+class IndexCacheModelTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(IndexCacheModelTest, MatchesReferenceModel) {
+  const size_t shards = GetParam();
+  constexpr SimTime kTtl = 1000;
+  const std::vector<std::string> predicates = {
+      "(a > 1)", "(a <= 1)", "(b = 2)", "((c = 1) OR (d = 2))", "(e > 10)",
+      "(f CONTAINS 'x')"};
+  constexpr int64_t kBlocks = 90;
+  std::vector<IndexCacheModel::Key> keys;
+  for (int64_t block = 0; block < kBlocks; ++block) {
+    for (const std::string& predicate : predicates) {
+      keys.emplace_back(block, predicate);
+    }
+  }
+  Rng rng(17 + shards);
+  std::vector<BitVector> bitmaps;
+  for (size_t size : {8, 64, 200, 700, 1500}) {
+    BitVector bits(size, false);
+    for (size_t i = 0; i < size; ++i) bits.Set(i, rng.NextBool(0.3));
+    bitmaps.push_back(std::move(bits));
+  }
+  const uint64_t small_entry =
+      SmartIndex({0, predicates[0]}, bitmaps[0], 0).MemoryBytes();
+  const uint64_t large_budget = small_entry * 600 * shards;
+  const uint64_t tight_budget = small_entry * 5 * shards;
+
+  IndexCacheConfig config;
+  config.capacity_bytes = large_budget;
+  config.ttl = kTtl;
+  config.shards = shards;
+  IndexCache cache(config);
+  IndexCacheModel model(shards, large_budget, kTtl);
+  SimTime now = 0;
+  constexpr int kOps = 6000;
+  for (int op = 0; op < kOps; ++op) {
+    // Long phases alternate the budget so tables both grow large and
+    // evict constantly.
+    if (op % 1500 == 0) {
+      const uint64_t budget = (op / 1500) % 2 == 0 ? large_budget
+                                                   : tight_budget;
+      cache.set_capacity_bytes(budget);
+      model.set_capacity_bytes(budget);
+    }
+    now += static_cast<SimTime>(rng.NextUint64(4));
+    const IndexCacheModel::Key& key = keys[rng.NextUint64(keys.size())];
+    const SmartIndexKey owned{key.first, key.second};
+    const uint64_t choice = rng.NextUint64(100);
+    std::string what;
+    if (choice < 45) {
+      const BitVector& bits = bitmaps[rng.NextUint64(bitmaps.size())];
+      cache.Insert(owned, bits, now);
+      model.Insert(key, SmartIndex(owned, bits, now).MemoryBytes(), now);
+      what = "Insert";
+    } else if (choice < 80) {
+      EXPECT_EQ(cache.Lookup(owned, now) != nullptr, model.Lookup(key, now));
+      what = "Lookup";
+    } else if (choice < 94) {
+      EXPECT_EQ(cache.Peek(owned, now) != nullptr, model.Peek(key, now));
+      what = "Peek";
+    } else if (choice < 97) {
+      cache.EvictExpired(now);
+      model.EvictExpired(now);
+      what = "EvictExpired";
+    } else {
+      const std::string& predicate =
+          predicates[rng.NextUint64(predicates.size())];
+      const bool preferred = rng.NextBool(0.5);
+      cache.SetPreference(predicate, preferred);
+      model.SetPreference(predicate, preferred);
+      what = "SetPreference";
+    }
+    // Peek at time 0 sees every resident entry (nothing has aged) and
+    // touches neither stats nor LRU order.
+    for (const IndexCacheModel::Key& k : keys) {
+      const IndexCacheModel::Entry* expected = model.Find(k);
+      std::shared_ptr<const SmartIndex> got =
+          cache.Peek({k.first, k.second}, 0);
+      ASSERT_EQ(got != nullptr, expected != nullptr)
+          << "op " << op << " (" << what << "), key " << k.first << " "
+          << k.second;
+      if (got != nullptr) {
+        ASSERT_EQ(got->created_at(), expected->created_at) << "op " << op;
+        ASSERT_EQ(got->MemoryBytes(), expected->bytes) << "op " << op;
+      }
+    }
+    const IndexCacheStats stats = cache.stats();
+    ASSERT_EQ(stats.hits, model.stats().hits) << "op " << op;
+    ASSERT_EQ(stats.misses, model.stats().misses) << "op " << op;
+    ASSERT_EQ(stats.insertions, model.stats().insertions) << "op " << op;
+    ASSERT_EQ(stats.lru_evictions, model.stats().lru_evictions)
+        << "op " << op;
+    ASSERT_EQ(stats.ttl_evictions, model.stats().ttl_evictions)
+        << "op " << op;
+    ASSERT_EQ(cache.memory_bytes(), model.memory_bytes()) << "op " << op;
+    ASSERT_EQ(cache.size(), model.size()) << "op " << op;
+  }
+  // The run exercised what it is meant to.
+  EXPECT_GT(model.stats().lru_evictions, 100u);
+  EXPECT_GT(model.stats().ttl_evictions, 10u);
+  EXPECT_GT(model.stats().hits, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, IndexCacheModelTest,
+                         ::testing::Values(size_t{1}, size_t{8}));
+
 // ---------- Keyed conjuncts ----------
 
 // The keys the master builds once per query are exactly the keys the leaf
@@ -353,6 +626,29 @@ TEST(ResolverTest, DirectHit) {
   ASSERT_NE(payload, nullptr);
   EXPECT_EQ(payload.get(), &cache.Peek({1, PredicateKey(p)}, 10)
                                 ->compressed_bits());
+}
+
+// The engine's hit path: a direct hit ANDs the cached payload into the
+// caller's selection through a borrowed handle, allocating and inflating
+// nothing.
+TEST(ResolverTest, DirectHitAndsWithoutAllocating) {
+  IndexCache cache;
+  const KeyedPredicate conjunct = KeyedConjunct("c2 > 0");
+  Rng rng(5);
+  BitVector bits(2048, false);
+  for (size_t i = 0; i < bits.size(); ++i) bits.Set(i, rng.NextBool(0.3));
+  cache.Insert({1, conjunct.key}, bits, 0);
+  IndexResolver resolver(&cache);
+  BitVector selection(bits.size(), true);
+  const uint64_t inflations = BitVector::inflation_count();
+  const uint64_t allocations = g_heap_allocations.load();
+  const bool hit = resolver.ResolveAnd(1, conjunct, 10, &selection);
+  EXPECT_EQ(g_heap_allocations.load(), allocations);
+  EXPECT_EQ(BitVector::inflation_count(), inflations);
+  ASSERT_TRUE(hit);
+  EXPECT_TRUE(selection == bits);
+  EXPECT_EQ(resolver.stats().direct_hits, 1u);
+  EXPECT_EQ(resolver.stats().bitmap_words, (bits.size() + 63) / 64);
 }
 
 TEST(ResolverTest, NegationResolvesViaMaterializedDual) {

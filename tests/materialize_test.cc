@@ -684,6 +684,84 @@ TEST(RleAlgebraTest, MalformedAndMismatchedInputsAreRejected) {
   EXPECT_EQ(BitVector::RleSize(""), SIZE_MAX);
 }
 
+// AndRle is And() of the inflated payload, bit for bit, without the
+// inflation: into a copy of another blocky vector, into an all-ones
+// selection (the first hit of a task) and chained over two payloads.
+TEST(RleAlgebraTest, AndRleMatchesAndOfInflatedPayload) {
+  for (uint64_t seed : {1u, 7u, 42u, 1234u, 99991u}) {
+    for (size_t size : {size_t{1}, size_t{64}, size_t{65}, size_t{640},
+                        size_t{5000}}) {
+      const BitVector a = BlockyBits(size, seed);
+      const BitVector b = BlockyBits(size, seed * 31 + 1);
+      const BitVector c = BlockyBits(size, seed * 17 + 5);
+      const std::string rb = b.SerializeRle();
+      const std::string rc = c.SerializeRle();
+      BitVector inflated_b;
+      BitVector inflated_c;
+      ASSERT_TRUE(BitVector::DeserializeRle(rb, &inflated_b));
+      ASSERT_TRUE(BitVector::DeserializeRle(rc, &inflated_c));
+
+      const uint64_t inflations_before = BitVector::inflation_count();
+      BitVector into_a = a;
+      ASSERT_TRUE(into_a.AndRle(rb));
+      BitVector into_ones(size, true);
+      ASSERT_TRUE(into_ones.AndRle(rb));
+      BitVector chained(size, true);
+      ASSERT_TRUE(chained.AndRle(rb));
+      ASSERT_TRUE(chained.AndRle(rc));
+      EXPECT_EQ(BitVector::inflation_count(), inflations_before);
+
+      EXPECT_TRUE(into_a == BitVector::And(a, inflated_b))
+          << "seed " << seed << " size " << size;
+      EXPECT_TRUE(into_ones == inflated_b)
+          << "seed " << seed << " size " << size;
+      EXPECT_TRUE(chained == BitVector::And(inflated_b, inflated_c))
+          << "seed " << seed << " size " << size;
+    }
+  }
+}
+
+// A payload that is truncated anywhere, sized for another vector, carries
+// a bad tag or counts the wrong number of words is rejected before any
+// word changes.
+TEST(RleAlgebraTest, AndRleRejectsMalformedPayloadUntouched) {
+  const BitVector original = BlockyBits(640, 7);
+  const std::string good = BlockyBits(640, 8).SerializeRle();
+  std::vector<std::string> bad;
+  for (size_t len = 0; len < good.size(); ++len) {
+    bad.push_back(good.substr(0, len));
+  }
+  bad.push_back(BlockyBits(641, 8).SerializeRle());
+  bad.push_back(BlockyBits(576, 8).SerializeRle());
+  bad.push_back(BitVector(0).SerializeRle());
+  bad.push_back(good + std::string(1, '\x02'));
+  bad.push_back(good + BitVector(64, false).SerializeRle().substr(8));
+  // The last token's tag, then the first token's, turned into a bad tag.
+  std::string last_tag = good;
+  size_t pos = sizeof(uint64_t);
+  size_t last = pos;
+  while (pos < good.size()) {
+    last = pos;
+    pos += good[pos] == '\x02' ? 1 + sizeof(uint64_t) : 1 + sizeof(uint32_t);
+  }
+  ASSERT_EQ(pos, good.size());
+  last_tag[last] = '\x03';
+  bad.push_back(last_tag);
+  std::string first_tag = good;
+  first_tag[sizeof(uint64_t)] = '\x07';
+  bad.push_back(first_tag);
+
+  const uint64_t inflations_before = BitVector::inflation_count();
+  for (size_t i = 0; i < bad.size(); ++i) {
+    BitVector bits = original;
+    EXPECT_FALSE(bits.AndRle(bad[i])) << "payload " << i;
+    EXPECT_TRUE(bits == original) << "payload " << i;
+  }
+  EXPECT_EQ(BitVector::inflation_count(), inflations_before);
+  BitVector bits = original;
+  EXPECT_TRUE(bits.AndRle(good));
+}
+
 TEST(RleAlgebraTest, CombineCostScalesWithRunsNotRows) {
   // Two giant uniform vectors: millions of rows, a handful of tokens.
   const size_t kBits = 1 << 20;

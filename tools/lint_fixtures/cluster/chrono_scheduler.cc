@@ -1,6 +1,6 @@
 // Seeded violation: scheduler-layer code reading a raw monotonic clock
-// and sleeping the host thread. Deadline bookkeeping must be SimTime-keyed
-// (TimeoutManager), or fault schedules stop replaying deterministically.
+// and sleeping the host thread. Deadlines must be SimTime-keyed (SimClock,
+// MasterServer::CutOffLeafTasks), or fault schedules stop replaying.
 #include <chrono>
 #include <thread>
 
